@@ -7,6 +7,8 @@ small-instance oracles (exact stationary law, transition matrix, spectral
 gap, block decompositions) back every moving part with checkable numbers.
 """
 
+import importlib
+
 from .chain import (
     ChainConfig,
     ChainState,
@@ -18,18 +20,6 @@ from .chain import (
     step,
     transition_probability,
 )
-from .decomposition import (
-    PartitionLabel,
-    ProjectionModel,
-    RestrictionModel,
-    check_decomposition_bound,
-    check_skeleton_projection,
-    classify,
-    decomposition_report,
-    projected_k_distribution,
-    projection_chain,
-    restriction_chain,
-)
 from .energy import (
     BUILTIN_NNTM,
     EnergyParams,
@@ -40,16 +30,6 @@ from .energy import (
     path_energy,
     resolve_params,
     tree_energy,
-)
-from .exact import (
-    SpectralReport,
-    StateIndex,
-    TransitionModel,
-    build_transition_model,
-    gibbs_distribution,
-    spectral_gap,
-    tv_decay_curve,
-    tv_distance,
 )
 from .paths import (
     DyckPath,
@@ -72,6 +52,49 @@ from .trees import (
     text_to_tree,
     tree_to_text,
 )
+
+# The exact oracle needs scipy; its names load on first use, so sampling and
+# conversion run on numpy alone.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "PartitionLabel",
+            "ProjectionModel",
+            "RestrictionModel",
+            "check_decomposition_bound",
+            "check_skeleton_projection",
+            "classify",
+            "decomposition_report",
+            "projected_k_distribution",
+            "projection_chain",
+            "restriction_chain",
+        ),
+        "decomposition",
+    ),
+    **dict.fromkeys(
+        (
+            "SpectralReport",
+            "StateIndex",
+            "TransitionModel",
+            "build_transition_model",
+            "gibbs_distribution",
+            "spectral_gap",
+            "tv_decay_curve",
+            "tv_distance",
+        ),
+        "exact",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -17,9 +17,10 @@ Classes 1 and 2 change the energy by +/-alpha and +/-(alpha - beta);
 classes 3 and 4 preserve all symbol counts.  Every proposal carries
 acceptance factor 1/2, so the chain is lazy and its spectrum nonnegative.
 
-``transition_distribution`` reproduces the same kernel analytically by
-summing over every (move class, index) draw; it is the verification
-path and must stay in lockstep with ``ChainState.step``.
+``ChainState.advance`` is the one loop that applies moves; ``step`` is
+``advance(1)``.  ``transition_distribution`` reproduces the same kernel
+analytically by summing over every (move class, index) draw; it is the
+verification path and must stay in lockstep with ``ChainState.advance``.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .energy import EnergyParams, path_energy
+from .energy import EnergyParams
 from .errors import ConfigInvalidError, LengthMismatchError
 from .paths import D, H, I, U, TwoMotzkinPath
-from .trees import DegreeProfile, decode, degree_profile
+from .trees import DegreeProfile
 
 _RNG_BLOCK = 4096
 
@@ -88,18 +89,6 @@ class ChainConfig:
         return TwoMotzkinPath._trusted(b"H" * self.m)
 
 
-def _heights_valid(word: bytearray) -> bool:
-    height = 0
-    for s in word:
-        if s == U:
-            height += 1
-        elif s == D:
-            height -= 1
-            if height < 0:
-                return False
-    return True
-
-
 class ChainState:
     """Mutable sampler state: current path, step counter, RNG stream.
 
@@ -135,64 +124,90 @@ class ChainState:
 
     def step(self) -> None:
         """Apply one transition of the chain in place."""
-        if self._cursor >= _RNG_BLOCK:
-            self._refill()
-        c = self._cursor
-        self._cursor = c + 1
-        move = self._ls[c]
-        u1 = self._u1[c]
-        u2 = self._u2[c]
-        u3 = self._u3[c]
-        w = self.word
-        m = self.cfg.m
-        consts = self._consts
-        self.step_count += 1
-
-        if move == 0:  # UD <-> HH pair resample
-            if m >= 2:
-                p = int(u1 * (m - 1))
-                a, b = w[p], w[p + 1]
-                if a == U and b == D:
-                    if u2 < consts.ud_to_hh:
-                        w[p] = H
-                        w[p + 1] = H
-                elif a == H and b == H:
-                    if u2 < consts.hh_to_ud:
-                        w[p] = U
-                        w[p + 1] = D
-        elif move == 1:  # H <-> I site resample
-            i = int(u1 * m)
-            a = w[i]
-            if a == H:
-                if u2 < consts.h_to_i:
-                    w[i] = I
-            elif a == I:
-                if u2 < consts.i_to_h:
-                    w[i] = H
-        elif move == 2:  # up/down transposition anywhere
-            i = int(u1 * m)
-            j = int(u2 * m)
-            a = w[i]
-            b = w[j]
-            if (a == U or a == D) and (b == U or b == D) and a != b and u3 < 0.5:
-                w[i] = b
-                w[j] = a
-                if not _heights_valid(w):
-                    w[i] = a
-                    w[j] = b
-        else:  # adjacent swap of an up/down step with a level step
-            if m >= 2:
-                p = int(u1 * (m - 1))
-                a, b = w[p], w[p + 1]
-                a_vertical = a == U or a == D
-                b_vertical = b == U or b == D
-                if a_vertical != b_vertical and u2 < 0.5:
-                    w[p] = b
-                    w[p + 1] = a
+        self.advance(1)
 
     def advance(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
+        """Apply ``steps`` transitions in place.
+
+        This loop is the one definition of the move semantics.  Draw ``k``
+        of a run is the same whatever the split of the run into calls: the
+        blocks are refilled only when a step needs a draw past the end.
+        """
+        if steps <= 0:
+            return
+        w = self.word
+        m = self.cfg.m
+        pairs = m - 1
+        ud_to_hh, hh_to_ud, h_to_i, i_to_h = self._consts
+        c = self._cursor
+        self.step_count += steps
+        while steps:
+            if c >= _RNG_BLOCK:
+                self._refill()
+                c = 0
+            stop = min(c + steps, _RNG_BLOCK)
+            steps -= stop - c
+            draws = zip(self._ls[c:stop], self._u1[c:stop], self._u2[c:stop], self._u3[c:stop])
+            c = stop
+            for move, u1, u2, u3 in draws:
+                if move == 0:  # UD <-> HH pair resample
+                    if pairs:
+                        p = int(u1 * pairs)
+                        a = w[p]
+                        if a == U:
+                            if w[p + 1] == D and u2 < ud_to_hh:
+                                w[p] = H
+                                w[p + 1] = H
+                        elif a == H:
+                            if w[p + 1] == H and u2 < hh_to_ud:
+                                w[p] = U
+                                w[p + 1] = D
+                elif move == 1:  # H <-> I site resample
+                    i = int(u1 * m)
+                    a = w[i]
+                    if a == H:
+                        if u2 < h_to_i:
+                            w[i] = I
+                    elif a == I:
+                        if u2 < i_to_h:
+                            w[i] = H
+                elif move == 2:  # up/down transposition anywhere
+                    if u3 >= 0.5:
+                        continue
+                    i = int(u1 * m)
+                    j = int(u2 * m)
+                    a = w[i]
+                    b = w[j]
+                    if not ((a == U and b == D) or (a == D and b == U)):
+                        continue
+                    lo, hi = (i, j) if i < j else (j, i)
+                    if w[lo] == U:
+                        # The U moves right, so heights inside the span drop
+                        # by 2; outside it nothing changes.  Walk the swapped
+                        # span from the D now at lo, stopping at the first
+                        # negative height.
+                        h = w.count(U, 0, lo) - w.count(D, 0, lo) - 1
+                        if h < 0:
+                            continue
+                        for s in w[lo + 1 : hi]:
+                            if s == U:
+                                h += 1
+                            elif s == D:
+                                h -= 1
+                                if h < 0:
+                                    break
+                        if h < 0:
+                            continue
+                    w[i] = b
+                    w[j] = a
+                elif pairs and u2 < 0.5:  # adjacent swap of an up/down and a level step
+                    p = int(u1 * pairs)
+                    a = w[p]
+                    b = w[p + 1]
+                    if (a == U or a == D) != (b == U or b == D):
+                        w[p] = b
+                        w[p + 1] = a
+        self._cursor = c
 
 
 def step(state: ChainState) -> ChainState:
@@ -333,6 +348,30 @@ def neighbors(
     ]
 
 
+def word_fields(word: bytes, params: EnergyParams) -> tuple[float, DegreeProfile]:
+    """Energy and degree profile of the tree a path encodes, read off its word.
+
+    Equal to ``path_energy`` and ``degree_profile(decode(...))`` without
+    building the tree: d0 = #U + #H + 1, d1 = #I, and the root's children
+    are the leading edge plus one per H at height 0.  The energy is the
+    same expression as ``path_energy``, so it is the same float.
+    """
+    u = word.count(U)
+    h = word.count(H)
+    i = word.count(I)
+    r = 1
+    height = 0
+    for s in word:
+        if s == U:
+            height += 1
+        elif s == D:
+            height -= 1
+        elif s == H and not height:
+            r += 1
+    energy = params.alpha * (u + h + 1) + params.beta * i
+    return energy, DegreeProfile(u + h + 1, i, r, len(word) + 1)
+
+
 @dataclass(frozen=True)
 class Sample:
     """One emitted observation of the chain."""
@@ -368,6 +407,7 @@ def run(
 ) -> RunResult:
     """Run the chain, emitting the state at time t whenever t >= burn_in and
     (t - burn_in) is a multiple of ``thin`` (time 0 is the initial state).
+    Consecutive samples share one path object while the word is unchanged.
 
     With ``track_occupancy`` the visit count of every state strictly after
     burn-in is recorded, independent of thinning; this is the estimator
@@ -383,33 +423,39 @@ def run(
 
     state = ChainState(cfg)
     result = RunResult(cfg, total_steps, burn_in, thin)
-    occupancy: dict[bytes, int] = {}
-
-    def emit(t: int) -> None:
-        path = state.path
-        sample = Sample(
-            step=t,
-            path=path,
-            energy=path_energy(path, cfg.params),
-            degrees=degree_profile(decode(path)) if include_degrees else None,
-        )
-        result.emitted += 1
-        if collector is None:
-            result.samples.append(sample)
-        else:
-            collector(sample)
-
-    if burn_in == 0:
-        emit(0)
-    for t in range(1, total_steps + 1):
-        state.step()
-        if track_occupancy and t > burn_in:
-            key = bytes(state.word)
-            occupancy[key] = occupancy.get(key, 0) + 1
-        if t >= burn_in and (t - burn_in) % thin == 0:
-            emit(t)
+    word = state.word
     if track_occupancy:
+        occupancy: dict[bytes, int] = {}
         result.occupancy = occupancy
+
+        def move(steps: int) -> None:
+            for _ in range(steps):
+                state.step()
+                key = bytes(word)
+                occupancy[key] = occupancy.get(key, 0) + 1
+
+    else:
+        move = state.advance
+
+    sink = result.samples.append if collector is None else collector
+    # Most proposals are rejected, so the fields of the previous emission
+    # are reused while the word has not changed since.
+    last = path = energy = degrees = None
+    state.advance(burn_in)
+    t = burn_in
+    while True:
+        if word != last:
+            last = bytes(word)
+            path = TwoMotzkinPath._trusted(last)
+            energy, profile = word_fields(last, cfg.params)
+            degrees = profile if include_degrees else None
+        sink(Sample(t, path, energy, degrees))
+        if t + thin > total_steps:
+            break
+        move(thin)
+        t += thin
+    move(total_steps - t)
+    result.emitted = (t - burn_in) // thin + 1
     result.final_path = state.path
     return result
 

@@ -13,10 +13,10 @@ Exit codes: 0 success, 2 usage, 3 input validation, 4 capacity,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainConfig, Sample, batch_means_stderr, run
-from .decomposition import decomposition_report
 from .energy import EnergyParams, resolve_params
 from .errors import (
     BalanceViolationError,
@@ -41,15 +40,6 @@ from .errors import (
     TreeGibbsError,
     UnbalancedParensError,
     UnknownParameterSetError,
-)
-from .exact import (
-    StateIndex,
-    build_transition_model,
-    empirical_distribution,
-    gibbs_distribution,
-    spectral_gap,
-    tv_decay_curve,
-    tv_distance,
 )
 from .paths import TwoMotzkinPath, validate
 from .trees import decode, degree_profile, encode, text_to_tree, tree_to_text
@@ -151,45 +141,38 @@ def _sample_chain(
     cfg = ChainConfig(m=m, params=params, seed=args.seed, chain_id=chain_id)
     track = m <= _SUMMARY_EXACT_CAP
 
-    sink = open(out_file, "w", newline="") if out_file is not None else sys.stdout
     energies: list[float] = []
     d0s: list[int] = []
     d1s: list[int] = []
+    jsonl = args.format == "jsonl"
+    head = '{"step":' if jsonl else ""
+    # A row is its step plus the fields of its path, formatted once per
+    # distinct path: ``run`` passes the same path object while the word is
+    # unchanged.  No CSV field needs quoting: words are letters, energies
+    # float reprs.
+    last_path = None
+    tail = ""
 
+    def emit(s: Sample) -> None:
+        nonlocal last_path, tail
+        p = s.degrees
+        if s.path is not last_path:
+            last_path = s.path
+            if jsonl:
+                rest = {"path": s.path.word, "energy": s.energy, "d0": p.d0, "d1": p.d1, "r": p.r}
+                tail = "," + json.dumps(rest, separators=(",", ":"))[1:] + "\n"
+            else:
+                tail = f",{s.path.word},{s.energy!r},{p.d0},{p.d1},{p.r}\n"
+        write(f"{head}{s.step}{tail}")
+        energies.append(s.energy)
+        d0s.append(p.d0)
+        d1s.append(p.d1)
+
+    sink = open(out_file, "w", newline="") if out_file is not None else sys.stdout
+    write = sink.write
     try:
-        if args.format == "csv":
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow(["step", "path", "energy", "d0", "d1", "r"])
-
-            def emit(s: Sample) -> None:
-                prof = s.degrees
-                writer.writerow([s.step, s.path.word, repr(s.energy), prof.d0, prof.d1, prof.r])
-                energies.append(s.energy)
-                d0s.append(prof.d0)
-                d1s.append(prof.d1)
-
-        else:
-
-            def emit(s: Sample) -> None:
-                prof = s.degrees
-                sink.write(
-                    json.dumps(
-                        {
-                            "step": s.step,
-                            "path": s.path.word,
-                            "energy": s.energy,
-                            "d0": prof.d0,
-                            "d1": prof.d1,
-                            "r": prof.r,
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-                energies.append(s.energy)
-                d0s.append(prof.d0)
-                d1s.append(prof.d1)
-
+        if not jsonl:
+            write("step,path,energy,d0,d1,r\n")
         result = run(
             cfg,
             total_steps=args.steps,
@@ -204,9 +187,7 @@ def _sample_chain(
             sink.close()
 
     def histogram(values: list[int]) -> dict[str, int]:
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
+        counts = Counter(values)
         return {str(k): counts[k] for k in sorted(counts)}
 
     summary = {
@@ -220,6 +201,8 @@ def _sample_chain(
         "d1_histogram": histogram(d1s),
     }
     if track and result.occupancy:
+        from .exact import StateIndex, empirical_distribution, gibbs_distribution, tv_distance
+
         index = StateIndex.build(m)
         emp = empirical_distribution(result.occupancy, index)
         pi, _ = gibbs_distribution(m, params, index=index)
@@ -340,6 +323,14 @@ def cmd_convert(args, argv: list[str]) -> int:
 
 
 def cmd_exact(args, argv: list[str]) -> int:
+    from .exact import (
+        StateIndex,
+        build_transition_model,
+        gibbs_distribution,
+        spectral_gap,
+        tv_decay_curve,
+    )
+
     params = _energy_from_args(args)
     started = datetime.now(timezone.utc).isoformat()
     out = _resolve_out(args.out)
@@ -394,6 +385,8 @@ def cmd_exact(args, argv: list[str]) -> int:
 
 
 def cmd_decompose(args, argv: list[str]) -> int:
+    from .decomposition import decomposition_report
+
     params = _energy_from_args(args)
     started = datetime.now(timezone.utc).isoformat()
     out = _resolve_out(args.out)

@@ -25,7 +25,9 @@ from treegibbs import (
     transition_probability,
     validate,
 )
-from treegibbs.chain import transition_distribution
+from treegibbs import decode, degree_profile, iter_paths, resolve_params
+from treegibbs.chain import transition_distribution, word_fields
+from treegibbs.paths import D, H, I, U
 from treegibbs.errors import ConfigInvalidError, LengthMismatchError
 
 ZERO = EnergyParams(0.0, 0.0)
@@ -279,6 +281,124 @@ class TestRun:
             run(cfg, total_steps=10, thin=0)
         with pytest.raises(ConfigInvalidError):
             run(cfg, total_steps=-1)
+
+
+def _heights_valid(word) -> bool:
+    """Full scan: no prefix of the word goes below the axis."""
+    height = 0
+    for s in word:
+        if s == U:
+            height += 1
+        elif s == D:
+            height -= 1
+            if height < 0:
+                return False
+    return True
+
+
+def _reference_step(state: ChainState) -> None:
+    """One transition as first written: per-step draws, full height rescan."""
+    if state._cursor >= 4096:
+        state._refill()
+    c = state._cursor
+    state._cursor = c + 1
+    move, u1, u2, u3 = state._ls[c], state._u1[c], state._u2[c], state._u3[c]
+    w, m, consts = state.word, state.cfg.m, state._consts
+    state.step_count += 1
+    if move == 0:
+        if m >= 2:
+            p = int(u1 * (m - 1))
+            a, b = w[p], w[p + 1]
+            if a == U and b == D and u2 < consts.ud_to_hh:
+                w[p], w[p + 1] = H, H
+            elif a == H and b == H and u2 < consts.hh_to_ud:
+                w[p], w[p + 1] = U, D
+    elif move == 1:
+        i = int(u1 * m)
+        if w[i] == H and u2 < consts.h_to_i:
+            w[i] = I
+        elif w[i] == I and u2 < consts.i_to_h:
+            w[i] = H
+    elif move == 2:
+        i, j = int(u1 * m), int(u2 * m)
+        a, b = w[i], w[j]
+        if a in (U, D) and b in (U, D) and a != b and u3 < 0.5:
+            w[i], w[j] = b, a
+            if not _heights_valid(w):
+                w[i], w[j] = a, b
+    elif m >= 2:
+        p = int(u1 * (m - 1))
+        a, b = w[p], w[p + 1]
+        if (a in (U, D)) != (b in (U, D)) and u2 < 0.5:
+            w[p], w[p + 1] = b, a
+
+
+def _rng_position(state: ChainState):
+    return state.word, state.step_count, state._cursor, state._rng.bit_generator.state
+
+
+class TestMoveLoop:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_transposition_rule_matches_full_height_check(self, m):
+        state = ChainState(ChainConfig(m=m, params=ZERO, seed=0))
+        outcomes = {True: 0, False: 0}
+        for x in enumerate_paths(m):
+            sym = x.symbols
+            vertical = [k for k, s in enumerate(sym) if s in (U, D)]
+            for i in vertical:
+                for j in vertical:
+                    swapped = bytearray(sym)
+                    swapped[i], swapped[j] = sym[j], sym[i]
+                    # Inject the draws (move 2, positions i and j, accept).
+                    state.word[:] = sym
+                    state._ls, state._u1 = [2], [(i + 0.5) / m]
+                    state._u2, state._u3 = [(j + 0.5) / m], [0.25]
+                    state._cursor = 0
+                    state.step()
+                    valid = _heights_valid(swapped)
+                    assert state.word == (swapped if valid else sym), (sym, i, j)
+                    if sym[i] != sym[j]:
+                        outcomes[valid] += 1
+        if m >= 4:
+            assert outcomes[True] and outcomes[False]
+
+    @pytest.mark.parametrize("params", [ZERO, resolve_params("turner04-cg")])
+    @pytest.mark.parametrize("m", [1, 2, 6, 49])
+    def test_advance_matches_single_steps(self, m, params):
+        burned = ChainState(ChainConfig(m=m, params=params, seed=3))
+        burned.advance(20_000)
+        cfg = ChainConfig(m=m, params=params, seed=4, initial_state=burned.path)
+        for n in (1, 7, 4095, 4097, 10_000):
+            block, single, reference = ChainState(cfg), ChainState(cfg), ChainState(cfg)
+            block.advance(n)
+            for _ in range(n):
+                single.step()
+                _reference_step(reference)
+            assert _rng_position(single) == _rng_position(block)
+            assert _rng_position(reference) == _rng_position(block)
+
+    def test_split_advance_matches_one_call(self):
+        cfg = ChainConfig(m=49, params=ZERO, seed=8)
+        whole, split = ChainState(cfg), ChainState(cfg)
+        whole.advance(12_345)
+        for n in (0, 4096, 1, 4095, 4152, 1):
+            split.advance(n)
+        assert _rng_position(split) == _rng_position(whole)
+
+
+class TestWordFields:
+    def test_exhaustive_against_tree_and_path_energy(self):
+        grid = [resolve_params("turner04-cg"), EnergyParams(0.0, 0.0), EnergyParams(1.0, -1.0)]
+        seen = 0
+        for m in range(1, 10):
+            for x in iter_paths(m):
+                profile = degree_profile(decode(x))
+                for e in grid:
+                    energy, fields = word_fields(x.symbols, e)
+                    assert fields == profile, x.word
+                    assert repr(energy) == repr(path_energy(x, e)), x.word
+                seen += 1
+        assert seen == 23_712
 
 
 class TestBatchMeans:

@@ -118,6 +118,35 @@ class TestSample:
                    "--steps", "ten").returncode == 2  # bad count literal
         assert cli("sample", "--n", 5, "--params", "nope").returncode == 3
 
+    # Pinned SHA-256 of (data file, summary JSON) for fixed runs: a change to
+    # the move loop, its RNG use or the row format that alters one byte fails
+    # here.  The m > 8 runs take the emission-only path, the m <= 8 run the
+    # occupancy-tracking one.
+    GOLDEN = [
+        (["--n", 12, "--params", "turner04-cg", "--steps", "2e4", "--burn-in", 100,
+          "--thin", 3, "--seed", 7], "csv",
+         "28532f58d7c8ab6939f81d40275d18d2462342bccb1ac35574cd9661776e2c19",
+         "38cd8d0d535a4d2e7e9d405e129b6d68ecf36566f4f34b6ff51329313d0818b1"),
+        (["--n", 12, "--params", "turner04-cg", "--steps", "2e4", "--burn-in", 100,
+          "--thin", 3, "--seed", 7], "jsonl",
+         "00350bcb89d4984bd4d676e721684edff955a5134b88897e505a7d423505c8b6",
+         "38cd8d0d535a4d2e7e9d405e129b6d68ecf36566f4f34b6ff51329313d0818b1"),
+        (["--n", 7, "--alpha", 0, "--beta", 0, "--steps", "2e4", "--seed", 7], "csv",
+         "569df8e22b16b83e849af4187cd32b6c5c90d05014dde7e6fc806ff0db4ad3b8",
+         "38403298a9b09522b517979ace7fb33c8adf5faccef26266bffbec941e6ad113"),
+    ]
+
+    @pytest.mark.parametrize("flags,fmt,data_sha,summary_sha", GOLDEN)
+    def test_golden_bytes(self, tmp_path, flags, fmt, data_sha, summary_sha):
+        import hashlib
+
+        out = tmp_path / f"g.{fmt}"
+        res = cli("sample", *flags, "--format", fmt, "--out", out)
+        assert res.returncode == 0, res.stderr
+        summary = tmp_path / f"g.{fmt}.summary.json"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == data_sha
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_sha
+
     def test_params_file(self, tmp_path):
         pf = tmp_path / "p.txt"
         pf.write_text("alpha=0.0\nbeta=0.0\n")
@@ -229,3 +258,50 @@ class TestReplayErrors:
         bad = tmp_path / "m.json"
         bad.write_text(json.dumps({"subcommand": "sample"}))
         assert cli("replay", bad).returncode == 3
+
+
+# The package's public names, as exported before the exact-oracle names became
+# lazily imported.
+PUBLIC_NAMES = [
+    "BUILTIN_NNTM", "ChainConfig", "ChainState", "DegreeProfile", "DyckPath",
+    "EnergyParams", "NNTMParams", "PartitionLabel", "PlaneTree", "ProjectionModel",
+    "RestrictionModel", "Sample", "SpectralReport", "StateIndex", "SymbolCounts",
+    "TransitionModel", "TwoMotzkinPath", "batch_means_stderr", "build_transition_model",
+    "builtin_params", "catalan", "check_decomposition_bound", "check_skeleton_projection",
+    "classify", "decode", "decomposition_report", "degree_profile", "derive_params",
+    "encode", "enumerate_paths", "gibbs_distribution", "gibbs_log_weight", "iter_paths",
+    "motzkin", "move_constants", "neighbors", "path_energy", "projected_k_distribution",
+    "projection_chain", "resolve_params", "restriction_chain", "run", "skeleton",
+    "spectral_gap", "step", "symbol_counts", "text_to_tree", "transition_probability",
+    "tree_energy", "tree_to_text", "tv_decay_curve", "tv_distance", "validate",
+]
+
+
+class TestImports:
+    def test_sample_and_convert_run_without_scipy(self, tmp_path):
+        paths = tmp_path / "paths.txt"
+        paths.write_text("HUHD\nIIHH\n")
+        script = f"""
+import json, sys
+from treegibbs import cli
+rc = [
+    cli.main(["sample", "--n", "20", "--params", "turner04-cg", "--steps", "100",
+              "--out", {str(tmp_path / "s.csv")!r}]),
+    cli.main(["convert", "--to", "trees", "--degrees", "--in", {str(paths)!r},
+              "--out", {str(tmp_path / "t.txt")!r}]),
+]
+before = "scipy" in sys.modules
+import treegibbs
+from treegibbs import spectral_gap, decomposition_report
+missing = [name for name in treegibbs.__all__ if not hasattr(treegibbs, name)]
+print(json.dumps([rc, before, "scipy" in sys.modules, treegibbs.__all__, missing]))
+"""
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        rc, before, after, names, missing = json.loads(res.stdout.splitlines()[-1])
+        assert rc == [0, 0]
+        assert not before, "sample/convert imported scipy"
+        assert after
+        assert names == PUBLIC_NAMES
+        assert missing == []
