@@ -18,16 +18,18 @@ classes 3 and 4 preserve all symbol counts.  Every proposal carries
 acceptance factor 1/2, so the chain is lazy and its spectrum nonnegative.
 
 ``ChainState.advance`` is the one loop that applies moves; ``step`` is
-``advance(1)``.  ``transition_distribution`` reproduces the same kernel
-analytically by summing over every (move class, index) draw; it is the
-verification path and must stay in lockstep with ``ChainState.advance``.
+``advance(1)``.  ``draw_cells`` is the exact kernel: the same moves as a
+table of draw cells, each vectorized over a matrix of words, from which
+the oracle builds the transition matrix and ``transition_distribution``
+reads one row.  No other copy of the kernel is kept, and a test injects
+every cell's draws into ``advance`` and requires the cell's target word.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -129,9 +131,10 @@ class ChainState:
     def advance(self, steps: int) -> None:
         """Apply ``steps`` transitions in place.
 
-        This loop is the one definition of the move semantics.  Draw ``k``
-        of a run is the same whatever the split of the run into calls: the
-        blocks are refilled only when a step needs a draw past the end.
+        Draw ``k`` of a run is the same whatever the split of the run into
+        calls: the blocks are refilled only when a step needs a draw past
+        the end.  Each draw lands in one cell of :func:`draw_cells`, and
+        the step leaves that cell's target word or the word unchanged.
         """
         if steps <= 0:
             return
@@ -216,115 +219,98 @@ def step(state: ChainState) -> ChainState:
     return state
 
 
+class DrawCell(NamedTuple):
+    """A move class and the positions its draws pick, drawn with probability
+    ``weight``: ``i`` from u1 (``j = i + 1`` for pair moves, ``j = i`` for a
+    site move); a transposition picks ``j`` from u2."""
+
+    move: int
+    i: int
+    j: int
+    weight: float
+
+
+def draw_cells(
+    words: np.ndarray, params: EnergyParams
+) -> Iterator[tuple[DrawCell, np.ndarray, np.ndarray, np.ndarray]]:
+    """The move semantics of ``ChainState.advance``, vectorized over words.
+
+    ``words`` is an ``(n, m)`` uint8 matrix of valid words.  For each draw
+    cell that can change a word, yields ``(cell, rows, targets, accept)``:
+    the rows the cell changes when its proposal is accepted, their target
+    words, and the acceptance probability of each row -- the threshold
+    the u2 draw (u3 for a transposition) must fall below.  The cell moves
+    ``cell.weight * accept`` of each row's mass to its target; the rest of
+    the mass stays on the word.  Transpositions with ``i == j`` never
+    change a word and are not yielded.
+    """
+    m = words.shape[1]
+    if m < 1:
+        raise ConfigInvalidError("transition law requires m >= 1")
+    ud_to_hh, hh_to_ud, h_to_i, i_to_h = move_constants(params)
+    pairs = m - 1  # zero at m = 1, where the pair moves never apply
+    up = words == U
+    down = words == D
+    vertical = up | down
+    heights = np.cumsum(up.astype(np.int8) - down, axis=1)  # after each step
+
+    for p in range(pairs):
+        a, b = words[:, p], words[:, p + 1]
+        ud = (a == U) & (b == D)
+        rows = np.flatnonzero(ud | ((a == H) & (b == H)))
+        to_hh = ud[rows]
+        targets = words[rows]
+        targets[:, p] = np.where(to_hh, H, U)
+        targets[:, p + 1] = np.where(to_hh, H, D)
+        accept = np.where(to_hh, ud_to_hh, hh_to_ud)
+        yield DrawCell(0, p, p + 1, 0.25 / pairs), rows, targets, accept
+
+    for i in range(m):
+        s = words[:, i]
+        h = s == H
+        rows = np.flatnonzero(h | (s == I))
+        to_i = h[rows]
+        targets = words[rows]
+        targets[:, i] = np.where(to_i, I, H)
+        yield DrawCell(1, i, i, 0.25 / m), rows, targets, np.where(to_i, h_to_i, i_to_h)
+
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            # Moving the D right raises the span; moving the U right lowers
+            # the heights after steps lo..hi-1 by 2, so they must be >= 2.
+            valid = down[:, lo] & up[:, hi]
+            valid |= up[:, lo] & down[:, hi] & (heights[:, lo:hi].min(axis=1) >= 2)
+            rows = np.flatnonzero(valid)
+            targets = words[rows]
+            targets[:, [i, j]] = targets[:, [j, i]]
+            yield DrawCell(2, i, j, 0.25 / (m * m)), rows, targets, np.full(rows.size, 0.5)
+
+    for p in range(pairs):
+        rows = np.flatnonzero(vertical[:, p] != vertical[:, p + 1])
+        targets = words[rows]
+        targets[:, [p, p + 1]] = targets[:, [p + 1, p]]
+        yield DrawCell(3, p, p + 1, 0.25 / pairs), rows, targets, np.full(rows.size, 0.5)
+
+
 def transition_distribution(
     x: TwoMotzkinPath, params: EnergyParams
 ) -> dict[bytes, float]:
     """Exact one-step law from ``x``: every reachable word mapped to its mass.
 
-    Sums the contribution of each (move class, index) draw, splitting the
-    class mass between the proposed word and the self-loop; masses add to
-    one by construction.  Verification-path code: quadratic in the path
-    length, intended for small instances.
+    The one-row case of :func:`draw_cells`; the mass no cell moves stays
+    on ``x``, so ``x`` is always a key.
     """
-    m = len(x)
-    if m < 1:
-        raise ConfigInvalidError("transition law requires m >= 1")
     sym = x.symbols
-    consts = move_constants(params)
-    masses: dict[bytes, float] = {sym: 0.0}
-
-    def add(target: bytes, mass: float) -> None:
-        masses[target] = masses.get(target, 0.0) + mass
-
-    # Class 1: UD <-> HH pair resample.
-    if m >= 2:
-        w_pair = 0.25 / (m - 1)
-        for p in range(m - 1):
-            a, b = sym[p], sym[p + 1]
-            if a == U and b == D:
-                q = consts.ud_to_hh
-                add(sym[:p] + b"HH" + sym[p + 2 :], w_pair * q)
-                add(sym, w_pair * (1.0 - q))
-            elif a == H and b == H:
-                q = consts.hh_to_ud
-                add(sym[:p] + b"UD" + sym[p + 2 :], w_pair * q)
-                add(sym, w_pair * (1.0 - q))
-            else:
-                add(sym, w_pair)
-    else:
-        add(sym, 0.25)
-
-    # Class 2: H <-> I site resample.
-    w_site = 0.25 / m
-    for i, s in enumerate(sym):
-        if s == H:
-            q = consts.h_to_i
-            add(sym[:i] + b"I" + sym[i + 1 :], w_site * q)
-            add(sym, w_site * (1.0 - q))
-        elif s == I:
-            q = consts.i_to_h
-            add(sym[:i] + b"H" + sym[i + 1 :], w_site * q)
-            add(sym, w_site * (1.0 - q))
-        else:
-            add(sym, w_site)
-
-    # Class 3: transposition of two up/down positions, ordered index pairs.
-    w_transpose = 0.25 / (m * m)
-    heights = [0] * (m + 1)
-    h = 0
-    for idx, s in enumerate(sym):
-        if s == U:
-            h += 1
-        elif s == D:
-            h -= 1
-        heights[idx + 1] = h
-    for i in range(m):
-        a = sym[i]
-        if a != U and a != D:
-            add(sym, w_transpose * m)
-            continue
-        for j in range(m):
-            b = sym[j]
-            if b != U and b != D:
-                add(sym, w_transpose)
-                continue
-            if a == b:
-                add(sym, w_transpose)
-                continue
-            lo, hi = (i, j) if i < j else (j, i)
-            if sym[lo] == U:
-                # Moving the U later drops interior heights by 2.
-                valid = min(heights[lo + 1 : hi + 1]) >= 2
-            else:
-                valid = True
-            if valid:
-                y = bytearray(sym)
-                y[i] = b
-                y[j] = a
-                add(bytes(y), w_transpose * 0.5)
-                add(sym, w_transpose * 0.5)
-            else:
-                add(sym, w_transpose)
-
-    # Class 4: adjacent swap of an up/down step with a level step.
-    if m >= 2:
-        w_adj = 0.25 / (m - 1)
-        for p in range(m - 1):
-            a, b = sym[p], sym[p + 1]
-            a_vertical = a == U or a == D
-            b_vertical = b == U or b == D
-            if a_vertical != b_vertical:
-                y = bytearray(sym)
-                y[p] = b
-                y[p + 1] = a
-                add(bytes(y), w_adj * 0.5)
-                add(sym, w_adj * 0.5)
-            else:
-                add(sym, w_adj)
-    else:
-        add(sym, 0.25)
-
-    return masses
+    moved: dict[bytes, float] = {}
+    words = np.frombuffer(sym, dtype=np.uint8).reshape(1, len(sym))
+    for cell, _, targets, accept in draw_cells(words, params):
+        for target, q in zip(targets, accept):
+            key = target.tobytes()
+            moved[key] = moved.get(key, 0.0) + cell.weight * float(q)
+    return {sym: 1.0 - sum(moved.values()), **moved}
 
 
 def transition_probability(

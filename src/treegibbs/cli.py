@@ -349,7 +349,7 @@ def cmd_exact(args, argv: list[str]) -> int:
         )
     elif args.what == "gap":
         model = build_transition_model(args.m, params)
-        report = spectral_gap(model, method=args.method, seed=args.seed)
+        report = spectral_gap(model, method=args.method)
         payload.update(
             state_order_hash=model.index.order_hash(),
             log_z=model.log_z,
@@ -449,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("pi", "gap", "tv-curve"))
     p.add_argument("--m", type=int, required=True, help="path length (state count catalan(m+1))")
     _add_energy_flags(p)
-    p.add_argument("--method", choices=("auto", "dense", "power-iteration"), default="auto")
-    p.add_argument("--seed", type=int, default=0x5EED, help="power-iteration start vector seed")
+    p.add_argument("--method", choices=("auto", "dense", "lanczos"), default="auto")
     p.add_argument("--from", dest="start", default="all-H", help="tv-curve start path word")
     p.add_argument("--horizon", type=_parse_count, default=200)
     p.add_argument("--out", default=None)

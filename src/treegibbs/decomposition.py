@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from .energy import EnergyParams, path_energy
 from .errors import EmptyBlockError, NotAPartitionError
-from .exact import StateIndex, TransitionModel, build_transition_model, spectral_gap
+from .exact import StateIndex, TransitionModel, build_transition_model
+from .exact import second_eigenvalue, spectral_gap
 from .paths import D, TwoMotzkinPath, U, catalan
 
 
@@ -170,10 +170,7 @@ def dense_gap(P: np.ndarray, pi: np.ndarray) -> float:
     """Spectral gap of a small reversible kernel; one-state chains get gap 1."""
     if len(pi) == 1:
         return 1.0
-    root = np.sqrt(pi)
-    sym = (root[:, None] * P) / root[None, :]
-    eigvals = scipy.linalg.eigvalsh(sym)
-    return float(1.0 - eigvals[-2])
+    return 1.0 - second_eigenvalue(P, pi, "dense")[0]
 
 
 @dataclass

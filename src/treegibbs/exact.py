@@ -5,6 +5,11 @@ exact Gibbs distribution, and spectral diagnostics.  Everything here is
 a verification instrument: state spaces are enumerated, matrices are
 sparse but complete, and every model is checked for stochasticity,
 stationarity, and detailed balance before it is handed out.
+
+The kernel is the sampler's draw-cell table (``chain.draw_cells``) applied
+to the whole state matrix; no mirror of it is kept, so the checks certify
+the moves the sampler makes.  :func:`second_eigenvalue` is the one place
+a kernel becomes a second eigenvalue: dense, or Lanczos (ARPACK).
 """
 
 from __future__ import annotations
@@ -16,23 +21,28 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import logsumexp
 
-from .chain import transition_distribution
+from .chain import draw_cells
 from .energy import EnergyParams, path_energy
 from .errors import (
     BalanceViolationError,
     CapExceededError,
     ConfigInvalidError,
+    InternalInvariantViolationError,
     LengthMismatchError,
     NoConvergenceError,
 )
-from .paths import TwoMotzkinPath, enumerate_paths
+from .paths import SYMBOL_ORDER, TwoMotzkinPath, enumerate_paths
 
 EXACT_CAP = 10  # catalan(11) = 58786 states; sparse machinery only
-DENSE_CAP_STATES = 5000  # above this the eigensolver switches to power iteration
+DENSE_CAP_STATES = 500  # above this "auto" solves with Lanczos
 
-_POWER_SEED = 0x5EED
+# Base-4 digit of each symbol in enumeration order (U < H < I < D), so the
+# codes of a StateIndex's words ascend and fit in int64 for m <= 31.
+_DIGIT = np.zeros(256, dtype=np.int64)
+_DIGIT[list(SYMBOL_ORDER)] = np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -117,20 +127,33 @@ def build_transition_model(
     index = StateIndex.build(m, cap)
     pi, log_z = gibbs_distribution(m, params, cap=cap, index=index)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, x in enumerate(index.paths):
-        for target, mass in transition_distribution(x, params).items():
-            rows.append(i)
-            cols.append(index._pos[target])
-            vals.append(mass)
     n = len(index)
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    words = np.frombuffer(b"".join(p.symbols for p in index.paths), np.uint8).reshape(n, m)
+    rows, target_codes, vals = [], [], []
+    for cell, r, targets, accept in draw_cells(words, params):
+        rows.append(r)
+        target_codes.append(_codes(targets))
+        vals.append(cell.weight * accept)
+    rows, target_codes, vals = map(np.concatenate, (rows, target_codes, vals))
+    codes = _codes(words)
+    cols = np.searchsorted(codes, target_codes)
+    if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
+        raise InternalInvariantViolationError("a move left the enumerated state space")
+    # What no cell moves stays on the diagonal.
+    diag = np.arange(n)
+    stay = 1.0 - np.bincount(rows, weights=vals, minlength=n)
+    P = sp.csr_matrix(
+        (np.append(vals, stay), (np.append(rows, diag), np.append(cols, diag))), shape=(n, n)
+    )
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
     if verify:
         verify_model(model)
     return model
+
+
+def _codes(words: np.ndarray) -> np.ndarray:
+    """Base-4 code of each row of a word matrix; ascending in enumeration order."""
+    return _DIGIT[words] @ (4 ** np.arange(words.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def verify_model(model: TransitionModel, tol: float = 1e-12) -> None:
@@ -179,45 +202,23 @@ def is_strongly_connected(model: TransitionModel) -> bool:
     return n_comp == 1
 
 
-def _symmetrized(P: sp.csr_matrix, pi: np.ndarray) -> sp.csr_matrix:
-    """Similarity transform diag(pi)^{1/2} P diag(pi)^{-1/2} (symmetric when
-    the chain is reversible)."""
-    root = np.sqrt(pi)
-    return sp.diags(root) @ P @ sp.diags(1.0 / root)
-
-
 def spectral_gap(
     model: TransitionModel,
     method: str = "auto",
-    tol: float = 1e-10,
-    max_iter: int = 1_000_000,
     dense_cap: int = DENSE_CAP_STATES,
-    seed: int = _POWER_SEED,
 ) -> SpectralReport:
-    """Second-largest eigenvalue modulus of the kernel and the gap 1 - lambda1.
+    """Second-largest eigenvalue of the kernel and the gap 1 - lambda1.
 
-    Dense path: full symmetric eigensolve.  Iterative path: power
-    iteration on the symmetrized matrix, deflating the top eigenvector
-    sqrt(pi) each step.  Laziness makes the spectrum nonnegative, so the
-    modulus equals the second eigenvalue itself.
+    ``"auto"`` solves densely up to ``dense_cap`` states and with Lanczos
+    above.  Laziness makes the spectrum nonnegative, so the second
+    eigenvalue is also the second-largest modulus.
     """
     n = model.n
     if n < 2:
         raise ConfigInvalidError("spectral gap needs at least two states")
     if method == "auto":
-        method = "dense" if n <= dense_cap else "power-iteration"
-
-    A = _symmetrized(model.P, model.pi)
-    if method == "dense":
-        eigvals = scipy.linalg.eigvalsh(A.toarray())
-        lambda1 = float(eigvals[-2])
-        residual = float(abs(eigvals[-1] - 1.0))
-        iterations = 0
-    elif method == "power-iteration":
-        lambda1, residual, iterations = _deflated_power_iteration(A, model.pi, tol, max_iter, seed)
-    else:
-        raise ValueError(f"unknown spectral method {method!r}")
-
+        method = "dense" if n <= dense_cap else "lanczos"
+    lambda1, residual, iterations = second_eigenvalue(model.P, model.pi, method)
     gap = 1.0 - lambda1
     return SpectralReport(
         lambda1=lambda1,
@@ -229,34 +230,45 @@ def spectral_gap(
     )
 
 
-def _deflated_power_iteration(
-    A: sp.spmatrix, pi: np.ndarray, tol: float, max_iter: int, seed: int
-) -> tuple[float, float, int]:
-    top = np.sqrt(pi)
-    top /= np.linalg.norm(top)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(len(pi))
-    v -= (top @ v) * top
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    residual = float("inf")
-    check_every = 20
-    for it in range(1, max_iter + 1):
-        w = A @ v
-        w -= (top @ w) * top
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, 0.0, it  # kernel is rank one off the top eigenvector
-        w /= norm
-        if it % check_every == 0 or it == max_iter:
-            av = A @ w
-            av -= (top @ av) * top
-            lam = float(w @ av)
-            residual = float(np.linalg.norm(av - lam * w))
-            if residual <= tol:
-                return lam, residual, it
-        v = w
-    raise NoConvergenceError(max_iter, residual)
+def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int]:
+    """(lambda1, residual, iterations) of a reversible kernel P with law pi.
+
+    Both methods solve A = diag(pi)^{1/2} P diag(pi)^{-1/2}, symmetric for a
+    reversible chain.  ``"dense"``: residual |lambda0 - 1|.  ``"lanczos"``:
+    ARPACK's two top eigenpairs of A made exactly symmetric, started from
+    sqrt(pi) so reruns are identical; residual max ||A v - lambda v||,
+    iterations the count of products with A.
+    """
+    root = np.sqrt(pi)
+    if method == "dense":
+        A = P.toarray() if sp.issparse(P) else np.array(P, dtype=float)
+        A *= root[:, None]
+        A /= root
+        # A.T is Fortran-ordered, so LAPACK overwrites it without a copy; its
+        # upper triangle is A's lower one.
+        eigvals = scipy.linalg.eigvalsh(A.T, lower=False, overwrite_a=True)
+        return float(eigvals[-2]), float(abs(eigvals[-1] - 1.0)), 0
+    if method != "lanczos":
+        raise ValueError(f"unknown spectral method {method!r}")
+    n = len(pi)
+    if n < 3:
+        raise ConfigInvalidError(f"lanczos needs at least 3 states, got {n}; use dense")
+    A = sp.diags(root) @ sp.csr_matrix(P) @ sp.diags(1.0 / root)
+    A = ((A + A.T) * 0.5).tocsr()
+    products = 0
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        nonlocal products
+        products += 1
+        return A @ v
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        vals, vecs = eigsh(op, k=2, which="LA", v0=root, tol=0)
+    except ArpackNoConvergence as exc:
+        raise NoConvergenceError(products, float("nan")) from exc
+    residual = float(np.linalg.norm(A @ vecs - vecs * vals, axis=0).max())
+    return float(vals.min()), residual, products
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:

@@ -247,10 +247,10 @@ def test_09_spectral_method_cross_check():
     for m in range(2, 7):
         model = cached_model(m, 0.0, 0.0)
         dense = spectral_gap(model, method="dense")
-        power = spectral_gap(model, method="power-iteration")
-        worst = max(worst, abs(dense.gap - power.gap))
+        lanczos = spectral_gap(model, method="lanczos")
+        worst = max(worst, abs(dense.gap - lanczos.gap))
     elapsed = time.time() - start
-    _report(9, "spectral-dense-vs-power-1e-8", worst <= 1e-8 and elapsed < 60.0,
+    _report(9, "spectral-dense-vs-lanczos-1e-8", worst <= 1e-8 and elapsed < 60.0,
             f"worst |diff|={worst:.2e} ({elapsed:.1f}s)")
 
 
@@ -259,7 +259,7 @@ def test_10_relaxation_scaling_consistency():
     gaps = {}
     for m in range(3, 9):
         model = cached_model(m, 0.0, 0.0)
-        method = "dense" if model.n <= 1000 else "power-iteration"
+        method = "dense" if model.n <= 1000 else "lanczos"
         gaps[m] = spectral_gap(model, method=method).gap
     ms = np.array(sorted(gaps))
     slope = float(np.polyfit(np.log(ms), np.log([1.0 / gaps[m] for m in ms]), 1)[0])

@@ -2,7 +2,9 @@
 
 The law (`transition_distribution`) is exercised against hand-derived
 probabilities and structural invariants; the stochastic stepper is then
-cross-checked against the law with a long single-step frequency count.
+cross-checked against the law with a long single-step frequency count,
+and pinned to the draw-cell table (`draw_cells`) the law is read from by
+injecting every cell's draws into it.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ from treegibbs import (
     validate,
 )
 from treegibbs import decode, degree_profile, iter_paths, resolve_params
-from treegibbs.chain import transition_distribution, word_fields
+from treegibbs.chain import draw_cells, transition_distribution, word_fields
 from treegibbs.paths import D, H, I, U
 from treegibbs.errors import ConfigInvalidError, LengthMismatchError
 
@@ -384,6 +386,61 @@ class TestMoveLoop:
         for n in (0, 4096, 1, 4095, 4152, 1):
             split.advance(n)
         assert _rng_position(split) == _rng_position(whole)
+
+
+def _inject(state: ChainState, word: bytes, move: int, u1: float, u2: float, u3: float) -> bytes:
+    """The word one step leaves when its draws are (move, u1, u2, u3)."""
+    state.word[:] = word
+    state._ls, state._u1, state._u2, state._u3 = [move], [u1], [u2], [u3]
+    state._cursor = 0
+    state.advance(1)
+    return bytes(state.word)
+
+
+CELL_PARAMS = [resolve_params("turner04-cg"), ZERO, EnergyParams(1.0, -1.0)]
+
+
+class TestDrawCells:
+    @pytest.mark.parametrize("params", CELL_PARAMS, ids=["turner04-cg", "zero", "1,-1"])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_advance_lands_on_each_cells_target(self, m, params):
+        # Every state x every draw cell: u1 at the cell's midpoint, the
+        # acceptance draw just below its threshold gives exactly the
+        # cell's target, at the threshold the word stays; rows the cell
+        # does not list stay even for a zero acceptance draw.
+        paths = enumerate_paths(m)
+        words = np.frombuffer(b"".join(x.symbols for x in paths), np.uint8).reshape(-1, m)
+        state = ChainState(ChainConfig(m=m, params=params, seed=0))
+        pairs = m - 1
+        cells = set()
+        for cell, rows, targets, accept in draw_cells(words, params):
+            cells.add(cell[:3])
+            u1 = (cell.i + 0.5) / (m if cell.move in (1, 2) else pairs)
+            u2 = (cell.j + 0.5) / m
+
+            def step(word, u):
+                if cell.move == 2:
+                    return _inject(state, word, 2, u1, u2, u)
+                return _inject(state, word, cell.move, u1, u, 0.9)
+
+            moves = {r: (t.tobytes(), q) for r, t, q in zip(rows.tolist(), targets, accept)}
+            for r, x in enumerate(paths):
+                if r in moves:
+                    target, q = moves[r]
+                    assert step(x.symbols, np.nextafter(q, 0.0)) == target, (x, cell)
+                    assert step(x.symbols, q) == x.symbols, (x, cell)
+                else:
+                    assert step(x.symbols, 0.0) == x.symbols, (x, cell)
+        assert len(cells) == 2 * pairs + m + m * (m - 1)
+        # The draws the table leaves out never change a word: transpositions
+        # with i == j, and the pair moves at m = 1.
+        for x in paths:
+            for i in range(m):
+                u = (i + 0.5) / m
+                assert _inject(state, x.symbols, 2, u, u, 0.0) == x.symbols
+            if not pairs:
+                for move in (0, 3):
+                    assert _inject(state, x.symbols, move, 0.5, 0.0, 0.0) == x.symbols
 
 
 class TestWordFields:

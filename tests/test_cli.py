@@ -205,9 +205,28 @@ class TestExact:
         assert 0.0 < data["gap"] <= 0.5
         assert data["method"] == "dense"
         res2 = cli("exact", "gap", "--m", 4, "--alpha", 0, "--beta", 0,
-                   "--method", "power-iteration")
+                   "--method", "lanczos")
         data2 = json.loads(res2.stdout)
+        assert data2["method"] == "lanczos"
         assert data2["gap"] == pytest.approx(data["gap"], abs=1e-8)
+
+    def test_lanczos_on_two_states_is_a_validation_error(self):
+        res = cli("exact", "gap", "--m", 1, "--alpha", 0, "--beta", 0, "--method", "lanczos")
+        assert res.returncode == 3
+        assert "validation error" in res.stderr and "Traceback" not in res.stderr
+
+    def test_lanczos_no_convergence_exits_5(self, monkeypatch, capsys):
+        import treegibbs.exact as exact
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        from treegibbs.cli import main
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", None, None)
+
+        monkeypatch.setattr(exact, "eigsh", no_convergence)
+        assert main(["exact", "gap", "--m", "7", "--params", "turner04-cg"]) == 5
+        assert "internal check failed" in capsys.readouterr().err
 
     def test_tv_curve_nonincreasing(self):
         res = cli("exact", "tv-curve", "--m", 3, "--alpha", 0, "--beta", 0,
@@ -227,6 +246,13 @@ class TestExact:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         cli("exact", "gap", "--m", 3, "--alpha", 1, "--beta", -1, "--out", a)
         cli("exact", "gap", "--m", 3, "--alpha", 1, "--beta", -1, "--out", b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_lanczos_reruns_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli("exact", "gap", "--m", 8, "--params", "turner04-cg", "--out", a).returncode == 0
+        assert cli("exact", "gap", "--m", 8, "--params", "turner04-cg", "--out", b).returncode == 0
+        assert json.loads(a.read_text())["method"] == "lanczos"
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -258,6 +284,23 @@ class TestReplayErrors:
         bad = tmp_path / "m.json"
         bad.write_text(json.dumps({"subcommand": "sample"}))
         assert cli("replay", bad).returncode == 3
+
+    def test_power_iteration_manifest_points_to_lanczos(self, tmp_path):
+        old = tmp_path / "m.json"
+        argv = ["exact", "gap", "--m", "4", "--alpha", "0", "--beta", "0",
+                "--method", "power-iteration"]
+        old.write_text(json.dumps({"subcommand": "exact", "argv": argv}))
+        res = cli("replay", old)
+        assert res.returncode == 2
+        assert "lanczos" in res.stderr
+
+    def test_seed_flag_manifest_is_a_usage_error(self, tmp_path):
+        old = tmp_path / "m.json"
+        argv = ["exact", "gap", "--m", "4", "--alpha", "0", "--beta", "0", "--seed", "7"]
+        old.write_text(json.dumps({"subcommand": "exact", "argv": argv}))
+        res = cli("replay", old)
+        assert res.returncode == 2
+        assert "--seed" in res.stderr
 
 
 # The package's public names, as exported before the exact-oracle names became

@@ -12,6 +12,7 @@ from treegibbs import (
     StateIndex,
     build_transition_model,
     gibbs_distribution,
+    resolve_params,
     spectral_gap,
     tv_decay_curve,
     tv_distance,
@@ -86,6 +87,21 @@ class TestTransitionModel:
         assert model.P[j, i] == pytest.approx(1 / 16)
 
     @pytest.mark.parametrize("m", range(1, 6))
+    def test_rows_match_transition_distribution(self, m, model_for):
+        # The matrix looks each target up by its code; the one-row law reads
+        # the same cells by word.
+        from treegibbs.chain import transition_distribution
+
+        model = model_for(m, 1.0, -1.0)
+        for i, x in enumerate(model.index.paths):
+            law = transition_distribution(x, model.params)
+            row = model.P.getrow(i)
+            got = {model.index.paths[j].symbols: v for j, v in zip(row.indices, row.data)}
+            assert got.keys() == law.keys()
+            for key, mass in law.items():
+                assert got[key] == pytest.approx(mass, abs=1e-15)
+
+    @pytest.mark.parametrize("m", range(1, 6))
     def test_rows_and_stationarity(self, m, model_for):
         model = model_for(m, -1.0, 1.0)
         rows = np.asarray(model.P.sum(axis=1)).ravel()
@@ -138,9 +154,19 @@ class TestSpectral:
     def test_methods_agree(self, m, model_for):
         model = model_for(m, 0.0, 0.0)
         dense = spectral_gap(model, method="dense")
-        power = spectral_gap(model, method="power-iteration")
-        assert abs(dense.gap - power.gap) < 1e-8
-        assert power.residual <= 1e-10
+        lanczos = spectral_gap(model, method="lanczos")
+        assert abs(dense.gap - lanczos.gap) < 1e-8
+        assert lanczos.residual <= 1e-10
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_lanczos_matches_dense_at_auto_sizes(self, m):
+        # "auto" picks Lanczos here; the dense solve is the reference.
+        model = build_transition_model(m, resolve_params("turner04-cg"))
+        lanczos = spectral_gap(model)
+        assert lanczos.method == "lanczos"
+        assert abs(lanczos.gap - spectral_gap(model, method="dense").gap) <= 1e-12
+        assert lanczos.residual <= 1e-10
+        assert lanczos.iterations > 0
 
     def test_spectrum_nonnegative_from_laziness(self, model_for):
         for m in range(1, 7):
@@ -149,12 +175,6 @@ class TestSpectral:
             sym = (root[:, None] * model.P.toarray()) / root[None, :]
             eigvals = np.linalg.eigvalsh(sym)
             assert eigvals.min() >= -1e-12
-
-    def test_power_iteration_seed_flag_converges_to_same_gap(self, model_for):
-        model = model_for(4, 0.0, 0.0)
-        a = spectral_gap(model, method="power-iteration", seed=1)
-        b = spectral_gap(model, method="power-iteration", seed=2)
-        assert a.gap == pytest.approx(b.gap, abs=1e-9)
 
     def test_single_state_rejected(self):
         model = build_transition_model(1, ZERO)
