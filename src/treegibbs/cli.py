@@ -6,8 +6,8 @@ and version; ``treegibbs replay <manifest>`` re-runs it.  Data files
 never embed timestamps, so identical flags and seed reproduce them
 byte for byte.
 
-Exit codes: 0 success, 2 usage, 3 input validation, 4 capacity,
-5 internal-check failure.
+Exit codes: 0 success, 2 usage, 3 input validation, 4 capacity (a size
+cap, or running out of memory), 5 internal-check failure.
 """
 
 from __future__ import annotations
@@ -479,8 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except CapExceededError as exc:
-        sys.stderr.write(f"capacity error: {exc}; lower --m/--n or raise the cap in code\n")
+    except (CapExceededError, MemoryError) as exc:
+        reason = str(exc) or "out of memory"
+        sys.stderr.write(f"capacity error: {reason}; lower --m/--n or raise the cap in code\n")
         return EXIT_CAPACITY
     except (
         PathValidationError,

@@ -9,7 +9,11 @@ the projected k-distribution against its closed form, and checks the
 product lower bound relating the full spectral gap to the projection
 and restriction gaps.
 
-Verification instrument only: dense spectral work keeps it to small m.
+Every state is labelled once per ``StateIndex`` (``label_blocks``) and
+every level groups those labels.  Gaps follow the package's one rule
+(``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500 states,
+Lanczos above.  Restriction chains stay dense matrices, so blocks of a few
+thousand states (m = 8) are the practical limit.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from .energy import EnergyParams, path_energy
-from .errors import EmptyBlockError, NotAPartitionError
+from .energy import EnergyParams
+from .errors import ConfigInvalidError, EmptyBlockError, NotAPartitionError
 from .exact import StateIndex, TransitionModel, build_transition_model
-from .exact import second_eigenvalue, spectral_gap
+from .exact import auto_method, second_eigenvalue, spectral_gap
 from .paths import D, TwoMotzkinPath, U, catalan
 
 
@@ -53,28 +57,32 @@ def classify(x: TwoMotzkinPath) -> PartitionLabel:
     )
 
 
+def _group(index: StateIndex, depth: int) -> dict:
+    """State indices grouped by the first ``depth`` of the (k, q, s) labels.
+
+    Keys are sorted (k alone at depth 1, a tuple otherwise); each block
+    lists its states in ascending index order.  Coarser levels merge the
+    runs of finer blocks that share a prefix, which sorting makes adjacent.
+    """
+    if depth == 3:
+        return dict(index.label_blocks)
+    runs: dict = {}
+    for label, idx in index.label_blocks.items():
+        runs.setdefault(label[0] if depth == 1 else label[:depth], []).append(idx)
+    return {key: np.sort(np.concatenate(parts)) for key, parts in runs.items()}
+
+
 def blocks_by_k(index: StateIndex) -> dict[int, np.ndarray]:
     """State indices grouped by up-step count, keyed 0..floor(m/2)."""
-    grouped: dict[int, list[int]] = {}
-    for i, p in enumerate(index.paths):
-        grouped.setdefault(p.symbols.count(U), []).append(i)
-    return {k: np.array(v, dtype=int) for k, v in sorted(grouped.items())}
+    return _group(index, 1)
 
 
 def blocks_by_kq(index: StateIndex) -> dict[tuple[int, str], np.ndarray]:
-    grouped: dict[tuple[int, str], list[int]] = {}
-    for i, p in enumerate(index.paths):
-        label = classify(p)
-        grouped.setdefault((label.k, label.q), []).append(i)
-    return {key: np.array(v, dtype=int) for key, v in sorted(grouped.items())}
+    return _group(index, 2)
 
 
 def blocks_by_kqs(index: StateIndex) -> dict[tuple[int, str, str], np.ndarray]:
-    grouped: dict[tuple[int, str, str], list[int]] = {}
-    for i, p in enumerate(index.paths):
-        label = classify(p)
-        grouped.setdefault((label.k, label.q, label.s), []).append(i)
-    return {key: np.array(v, dtype=int) for key, v in sorted(grouped.items())}
+    return _group(index, 3)
 
 
 @dataclass
@@ -167,10 +175,14 @@ def projected_k_distribution(m: int, params: EnergyParams) -> np.ndarray:
 
 
 def dense_gap(P: np.ndarray, pi: np.ndarray) -> float:
-    """Spectral gap of a small reversible kernel; one-state chains get gap 1."""
+    """Spectral gap of a reversible kernel; one-state chains get gap 1.
+
+    Solved by the package's one rule, as ``spectral_gap(method="auto")``:
+    dense up to ``DENSE_CAP_STATES`` states, Lanczos above.
+    """
     if len(pi) == 1:
         return 1.0
-    return 1.0 - second_eigenvalue(P, pi, "dense")[0]
+    return 1.0 - second_eigenvalue(P, pi, auto_method(len(pi)))[0]
 
 
 @dataclass
@@ -211,19 +223,25 @@ def check_skeleton_projection(
     Checks that every skeleton family inside the block has size
     binom(m, 2k), that all block states share one energy, that the
     projected chain over skeletons is uniform, and reports the measured
-    off-diagonal projected rates next to the nominal 1 / (4 m^2).
+    off-diagonal projected rates next to the nominal 1 / (4 m^2).  A given
+    ``model`` must be the one built at ``m`` and ``params``.
     """
     if model is None:
         model = build_transition_model(m, params)
-    block_map = blocks_by_kqs(model.index)
-    families = {s: idx for (kk, qq, s), idx in block_map.items() if kk == k and qq == q}
+    elif model.index.m != m or model.params != params:
+        raise ConfigInvalidError(
+            f"model built at m={model.index.m}, {model.params}; check asked for m={m}, {params}"
+        )
+    families = {
+        s: idx for (kk, qq, s), idx in model.index.label_blocks.items() if kk == k and qq == q
+    }
     if not families:
         raise EmptyBlockError(f"no states with k={k}, q={q!r} at m={m}")
     expected_size = comb(m, 2 * k)
     sizes = {s: len(idx) for s, idx in families.items()}
 
     block = np.concatenate(list(families.values()))
-    energies = np.array([path_energy(model.index.paths[i], params) for i in block])
+    energies = model.energies[block]
     energy_spread = float(energies.max() - energies.min())
 
     restricted = restriction_chain(model, block)
@@ -274,13 +292,15 @@ def check_decomposition_bound(
     """Check Gap(P) >= 1/2 * Gap(projection) * min(block restriction gaps).
 
     Defaults to the up-step-count partition.  One-state blocks contribute
-    gap 1 so the product stays meaningful.
+    gap 1 so the product stays meaningful.  Every gap, the full one too,
+    is solved by the auto rule: dense up to ``DENSE_CAP_STATES``, Lanczos
+    above.
     """
     if blocks is None:
         by_k = blocks_by_k(model.index)
         labels = list(by_k)
         blocks = list(by_k.values())
-    gap_full = spectral_gap(model, method="dense").gap
+    gap_full = spectral_gap(model).gap
     proj = projection_chain(model, blocks, labels=labels)
     gap_proj = dense_gap(proj.P, proj.pi)
     restriction_gaps = {}
@@ -335,10 +355,8 @@ def decomposition_report(m: int, params: EnergyParams, level: str = "k") -> dict
     }
     if level in ("kq", "kqs"):
         by_kq = blocks_by_kq(model.index)
-        spreads = []
-        for (k, q), idx in by_kq.items():
-            energies = [path_energy(model.index.paths[i], params) for i in idx]
-            spreads.append(max(energies) - min(energies))
+        energies = model.energies
+        spreads = [energies[idx].max() - energies[idx].min() for idx in by_kq.values()]
         report["kq_partition"] = {
             "num_blocks": len(by_kq),
             "block_size_formula_ok": all(
@@ -351,7 +369,7 @@ def decomposition_report(m: int, params: EnergyParams, level: str = "k") -> dict
         all_sizes_ok = True
         all_uniform_ok = True
         all_rates_ok = True
-        for (k, q) in blocks_by_kq(model.index):
+        for (k, q) in by_kq:
             rep = check_skeleton_projection(m, k, q, params, model=model)
             all_sizes_ok &= rep.sizes_match
             all_uniform_ok &= rep.uniform_ok

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -71,6 +72,25 @@ class StateIndex:
         """SHA-256 of the newline-joined state order; identifies the indexing."""
         return hashlib.sha256(b"\n".join(p.symbols for p in self.paths)).hexdigest()
 
+    @cached_property
+    def label_blocks(self) -> dict[tuple[int, str, str], np.ndarray]:
+        """Ascending state indices of each (k, q, s) label, in sorted label order.
+
+        The label of a word is its up-step count, its level-step color word
+        and its up/down skeleton (``decomposition.classify``), read off the
+        bytes once per index.  The arrays are read-only: they are shared.
+        """
+        grouped: dict[tuple[int, str, str], list[int]] = {}
+        for i, p in enumerate(self.paths):
+            w = p.symbols
+            k, q, s = w.count(b"U"), w.translate(None, b"UD"), w.translate(None, b"HI")
+            grouped.setdefault((k, q.decode(), s.decode()), []).append(i)
+        blocks = {}
+        for label, idx in sorted(grouped.items()):
+            blocks[label] = np.array(idx, dtype=int)
+            blocks[label].flags.writeable = False
+        return blocks
+
 
 @dataclass
 class TransitionModel:
@@ -85,6 +105,11 @@ class TransitionModel:
     @property
     def n(self) -> int:
         return len(self.pi)
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """``path_energy`` of each state under the model's parameters."""
+        return np.array([path_energy(p, self.params) for p in self.index.paths])
 
 
 @dataclass(frozen=True)
@@ -217,7 +242,7 @@ def spectral_gap(
     if n < 2:
         raise ConfigInvalidError("spectral gap needs at least two states")
     if method == "auto":
-        method = "dense" if n <= dense_cap else "lanczos"
+        method = auto_method(n, dense_cap)
     lambda1, residual, iterations = second_eigenvalue(model.P, model.pi, method)
     gap = 1.0 - lambda1
     return SpectralReport(
@@ -228,6 +253,11 @@ def spectral_gap(
         residual=residual,
         iterations=iterations,
     )
+
+
+def auto_method(n: int, dense_cap: int = DENSE_CAP_STATES) -> str:
+    """The solver "auto" picks for n states: dense up to ``dense_cap``, Lanczos above."""
+    return "dense" if n <= dense_cap else "lanczos"
 
 
 def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int]:

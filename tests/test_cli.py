@@ -278,6 +278,19 @@ class TestDecompose:
         rep = json.loads(res.stdout)
         assert rep["params"]["alpha"] == pytest.approx(-0.9, abs=1e-12)
 
+    def test_out_of_memory_is_a_capacity_error(self, monkeypatch, capsys):
+        import treegibbs.decomposition as decomposition
+        from treegibbs.cli import main
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(decomposition, "decomposition_report", out_of_memory)
+        assert main(["decompose", "report", "--m", "10", "--alpha", "0", "--beta", "0"]) == 4
+        err = capsys.readouterr().err
+        assert "capacity error: out of memory" in err
+        assert "lower --m" in err
+
 
 class TestReplayErrors:
     def test_missing_argv(self, tmp_path):

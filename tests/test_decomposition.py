@@ -1,12 +1,16 @@
 """Three-level decomposition: labels, restrictions, projections, gap bound."""
 
+import json
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treegibbs.decomposition as decomposition
 from treegibbs import (
     EnergyParams,
+    StateIndex,
     catalan,
     check_decomposition_bound,
     check_skeleton_projection,
@@ -15,14 +19,18 @@ from treegibbs import (
     enumerate_paths,
     projected_k_distribution,
     projection_chain,
+    resolve_params,
     restriction_chain,
     validate,
 )
+from treegibbs.cli import main
 from treegibbs.decomposition import blocks_by_k, blocks_by_kq, blocks_by_kqs, dense_gap
-from treegibbs.errors import EmptyBlockError, NotAPartitionError
+from treegibbs.errors import ConfigInvalidError, EmptyBlockError, NotAPartitionError
+from treegibbs.exact import second_eigenvalue
 
 ZERO = EnergyParams(0.0, 0.0)
 GRID = [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
+GOLDEN_M6_KQS = Path(__file__).parent / "data" / "decompose_m6_kqs_a1_b-1.json"
 
 
 class TestClassify:
@@ -63,6 +71,36 @@ class TestPartitions:
             assert len(idx) == comb(m, 2 * k) * catalan(k)
         for (k, q, s), idx in blocks_by_kqs(model.index).items():
             assert len(idx) == comb(m, 2 * k)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_grouper_matches_classify_reference(self, m):
+        index = StateIndex.build(m)
+        labels = [classify(p) for p in index.paths]
+        keys = {
+            blocks_by_k: lambda lab: lab.k,
+            blocks_by_kq: lambda lab: (lab.k, lab.q),
+            blocks_by_kqs: lambda lab: (lab.k, lab.q, lab.s),
+        }
+        for blocks, key in keys.items():
+            reference: dict = {}
+            for i, lab in enumerate(labels):
+                reference.setdefault(key(lab), []).append(i)
+            got = blocks(index)
+            assert list(got) == sorted(reference)
+            for label, idx in got.items():
+                assert idx.tolist() == reference[label]
+
+    def test_report_labels_each_state_once(self, monkeypatch):
+        calls = []
+        real = decomposition.classify
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(decomposition, "classify", counting)
+        decomposition_report(6, EnergyParams(1.0, -1.0), level="kqs")
+        assert len(calls) <= catalan(7)
 
 
 class TestRestriction:
@@ -188,6 +226,17 @@ class TestSkeletonProjection:
         with pytest.raises(EmptyBlockError):
             check_skeleton_projection(4, 2, "H", ZERO, model=model_for(4, 0.0, 0.0))
 
+    def test_model_of_another_length_rejected(self, model_for):
+        # (k, q) names a block of the m = 7 model, so only the length check catches it.
+        with pytest.raises(ConfigInvalidError):
+            check_skeleton_projection(6, 1, "HHHHH", ZERO, model=model_for(7, 0.0, 0.0))
+
+    def test_model_with_other_params_rejected(self, model_for):
+        with pytest.raises(ConfigInvalidError):
+            check_skeleton_projection(
+                6, 1, "HHHH", EnergyParams(1.0, -1.0), model=model_for(6, 0.0, 0.0)
+            )
+
 
 class TestDecompositionBound:
     @pytest.mark.parametrize(
@@ -211,6 +260,24 @@ class TestDecompositionBound:
 
     def test_dense_gap_one_state_convention(self):
         assert dense_gap(np.array([[1.0]]), np.array([1.0])) == 1.0
+
+    @pytest.mark.parametrize("m", [7, 8])
+    @pytest.mark.parametrize(
+        "params",
+        [resolve_params("turner04-cg"), ZERO, EnergyParams(1.0, -1.0)],
+        ids=["turner04-cg", "0,0", "1,-1"],
+    )
+    def test_auto_rule_matches_dense_solves(self, m, params, model_for):
+        # Above 500 states the auto rule solves with Lanczos; dense is the reference.
+        model = model_for(m, params.alpha, params.beta)
+        report = check_decomposition_bound(model)
+        dense = 1.0 - second_eigenvalue(model.P, model.pi, "dense")[0]
+        assert abs(report.gap_full - dense) <= 1e-12
+        for k, block in blocks_by_k(model.index).items():
+            restricted = restriction_chain(model, block)
+            if restricted.n > 1:
+                dense = 1.0 - second_eigenvalue(restricted.P, restricted.pi, "dense")[0]
+                assert abs(report.restriction_gaps[k] - dense) <= 1e-12
 
 
 class TestReport:
@@ -237,6 +304,29 @@ class TestReport:
             decomposition_report(3, ZERO, level="qk")
 
     def test_json_serializable(self):
-        import json
-
         json.dumps(decomposition_report(3, EnergyParams(-1.0, 0.5), level="kqs"))
+
+    def test_golden_m6_kqs(self, tmp_path):
+        # Recorded with `decompose report --m 6 --level kqs --alpha 1 --beta -1`
+        # before the labels were cached and the gaps moved to the auto rule.
+        golden = json.loads(GOLDEN_M6_KQS.read_text())
+        out = tmp_path / "report.json"
+        argv = ["decompose", "report", "--m", "6", "--level", "kqs", "--alpha", "1", "--beta", "-1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+
+        def walk(got, want, where):
+            if isinstance(want, dict):
+                assert list(got) == list(want), where
+                for key in want:
+                    walk(got[key], want[key], f"{where}.{key}")
+            elif isinstance(want, list):
+                assert len(got) == len(want), where
+                for i, (g, w) in enumerate(zip(got, want)):
+                    walk(g, w, f"{where}[{i}]")
+            elif isinstance(want, float):
+                assert abs(got - want) <= 1e-12, where
+            else:
+                assert got == want and type(got) is type(want), where
+
+        walk(got, golden, "report")
