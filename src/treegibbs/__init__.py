@@ -17,7 +17,6 @@ from .chain import (
     move_constants,
     neighbors,
     run,
-    step,
     transition_probability,
 )
 from .energy import (
@@ -26,7 +25,6 @@ from .energy import (
     NNTMParams,
     builtin_params,
     derive_params,
-    gibbs_log_weight,
     path_energy,
     resolve_params,
     tree_energy,
@@ -39,8 +37,6 @@ from .paths import (
     enumerate_paths,
     iter_paths,
     motzkin,
-    skeleton,
-    symbol_counts,
     validate,
 )
 from .trees import (
@@ -130,7 +126,6 @@ __all__ = [
     "encode",
     "enumerate_paths",
     "gibbs_distribution",
-    "gibbs_log_weight",
     "iter_paths",
     "motzkin",
     "move_constants",
@@ -141,10 +136,7 @@ __all__ = [
     "resolve_params",
     "restriction_chain",
     "run",
-    "skeleton",
     "spectral_gap",
-    "step",
-    "symbol_counts",
     "text_to_tree",
     "transition_probability",
     "tree_energy",

@@ -213,12 +213,6 @@ class ChainState:
         self._cursor = c
 
 
-def step(state: ChainState) -> ChainState:
-    """Advance one transition and return the same (mutated) state."""
-    state.step()
-    return state
-
-
 class DrawCell(NamedTuple):
     """A move class and the positions its draws pick, drawn with probability
     ``weight``: ``i`` from u1 (``j = i + 1`` for pair moves, ``j = i`` for a

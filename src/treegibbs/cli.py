@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -66,7 +67,7 @@ def _parse_count(value: str) -> int:
         as_float = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not a number") from None
-    if as_float < 0 or as_float != int(as_float):
+    if not math.isfinite(as_float) or as_float < 0 or as_float != int(as_float):
         raise argparse.ArgumentTypeError(f"{value!r} is not a nonnegative integer")
     return int(as_float)
 

@@ -10,10 +10,11 @@ product lower bound relating the full spectral gap to the projection
 and restriction gaps.
 
 Every state is labelled once per ``StateIndex`` (``label_blocks``) and
-every level groups those labels.  Gaps follow the package's one rule
+every level groups those labels.  Restriction chains are CSR slices of the
+verified kernel with the same sparsity, and one routine projects any chain
+onto a partition.  Gaps follow the package's one rule
 (``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500 states,
-Lanczos above.  Restriction chains stay dense matrices, so blocks of a few
-thousand states (m = 8) are the practical limit.
+Lanczos above.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from .energy import EnergyParams
@@ -89,8 +89,8 @@ def blocks_by_kqs(index: StateIndex) -> dict[tuple[int, str, str], np.ndarray]:
 class RestrictionModel:
     """The chain confined to one block; departures fold into the diagonal."""
 
-    block: np.ndarray  # original state indices, in index order
-    P: np.ndarray  # dense |block| x |block| kernel
+    block: np.ndarray  # original state indices, in the order of P's rows
+    P: object  # |block| x |block| CSR slice of the model's kernel
     pi: np.ndarray  # stationary law: pi restricted and renormalized
 
     @property
@@ -103,9 +103,10 @@ def restriction_chain(model: TransitionModel, block: np.ndarray) -> RestrictionM
     block = np.asarray(block, dtype=int)
     if block.size == 0:
         raise EmptyBlockError("restriction over an empty block")
-    sub = np.asarray(model.P[block][:, block].todense())
-    # Rejected mass joins the self-loop, restoring stochastic rows.
-    np.fill_diagonal(sub, sub.diagonal() + (1.0 - sub.sum(axis=1)))
+    sub = model.P[block][:, block]
+    # Rejected mass joins the self-loop, restoring stochastic rows.  Laziness
+    # stores every diagonal entry, so this keeps the sparsity structure.
+    sub.setdiag(sub.diagonal() + (1.0 - np.asarray(sub.sum(axis=1)).ravel()))
     weight = model.pi[block]
     return RestrictionModel(block=block, P=sub, pi=weight / weight.sum())
 
@@ -123,9 +124,18 @@ class ProjectionModel:
         return len(self.labels)
 
 
-def _project(
-    P: sp.spmatrix, pi: np.ndarray, blocks: list[np.ndarray], labels: list | None
+def projection_chain(
+    chain: TransitionModel | RestrictionModel,
+    blocks: list[np.ndarray],
+    labels: list | None = None,
 ) -> ProjectionModel:
+    """Project a chain onto a partition of its states.
+
+    ``chain`` is any model with a sparse kernel ``P`` and its law ``pi``: a
+    ``TransitionModel``, or a ``RestrictionModel`` whose blocks index
+    positions inside the restricted ordering.
+    """
+    P, pi = chain.P, chain.pi
     n = len(pi)
     flat = np.concatenate([np.asarray(b, dtype=int) for b in blocks])
     if flat.size != n or len(np.unique(flat)) != n:
@@ -145,15 +155,6 @@ def _project(
         P=P_bar,
         pi=pi_bar,
     )
-
-
-def projection_chain(
-    model: TransitionModel,
-    blocks: list[np.ndarray],
-    labels: list | None = None,
-) -> ProjectionModel:
-    """Project the kernel onto a partition of the state space."""
-    return _project(model.P, model.pi, blocks, labels)
 
 
 def projected_k_distribution(m: int, params: EnergyParams) -> np.ndarray:
@@ -248,9 +249,7 @@ def check_skeleton_projection(
     # Positions of each skeleton family inside the restricted ordering.
     offsets = np.cumsum([0] + [len(idx) for idx in families.values()])
     sub_blocks = [np.arange(offsets[j], offsets[j + 1]) for j in range(len(families))]
-    proj = _project(
-        sp.csr_matrix(restricted.P), restricted.pi, sub_blocks, list(families)
-    )
+    proj = projection_chain(restricted, sub_blocks, list(families))
     uniform = np.full(proj.n, 1.0 / proj.n)
     pi_dev = float(np.abs(proj.pi - uniform).max())
     off = proj.P[~np.eye(proj.n, dtype=bool)]

@@ -98,11 +98,6 @@ def path_energy(x: TwoMotzkinPath, e: EnergyParams) -> float:
     return e.alpha * (counts.u + counts.h + 1) + e.beta * counts.i
 
 
-def gibbs_log_weight(x: TwoMotzkinPath, e: EnergyParams) -> float:
-    """Unnormalized log-weight of a path; normalization lives in the oracle."""
-    return -path_energy(x, e)
-
-
 _NNTM_KEYS = ("a", "b", "c", "h", "f", "i", "g")
 _DIRECT_KEYS = ("alpha", "beta", "gamma", "delta")
 

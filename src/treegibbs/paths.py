@@ -127,6 +127,7 @@ class TwoMotzkinPath:
         )
 
     def skeleton(self) -> "DyckPath":
+        """Dyck path left after deleting every level step."""
         return DyckPath._trusted(bytes(s for s in self.symbols if s == U or s == D))
 
     def __len__(self) -> int:
@@ -172,15 +173,6 @@ class SymbolCounts(NamedTuple):
 def validate(word: str | bytes | bytearray) -> TwoMotzkinPath:
     """Validate a raw word, raising a typed error at the first offending index."""
     return TwoMotzkinPath(word)
-
-
-def symbol_counts(x: TwoMotzkinPath) -> SymbolCounts:
-    return x.counts()
-
-
-def skeleton(x: TwoMotzkinPath) -> DyckPath:
-    """Dyck path left after deleting every level step of ``x``."""
-    return x.skeleton()
 
 
 def iter_paths(m: int, cap: int = ENUMERATION_CAP) -> Iterator[TwoMotzkinPath]:

@@ -23,7 +23,6 @@ from treegibbs import (
     neighbors,
     path_energy,
     run,
-    step,
     transition_probability,
     validate,
 )
@@ -176,8 +175,7 @@ class TestChainConfig:
 class TestSampler:
     def test_step_mutates_and_counts(self):
         state = ChainState(ChainConfig(m=4, params=ZERO, seed=3))
-        out = step(state)
-        assert out is state
+        state.step()
         assert state.step_count == 1
         validate(state.path.word)
 

@@ -118,6 +118,20 @@ class TestSample:
                    "--steps", "ten").returncode == 2  # bad count literal
         assert cli("sample", "--n", 5, "--params", "nope").returncode == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sample", "--n", 5, "--params", "turner04-cg", "--steps", "inf"),
+            ("sample", "--n", 5, "--params", "turner04-cg", "--steps", "1e400"),
+            ("exact", "tv-curve", "--m", 3, "--params", "turner04-cg", "--horizon", "inf"),
+        ],
+        ids=["steps-inf", "steps-1e400", "horizon-inf"],
+    )
+    def test_infinite_count_is_usage_error(self, args):
+        res = cli(*args)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
     # Pinned SHA-256 of (data file, summary JSON) for fixed runs: a change to
     # the move loop, its RNG use or the row format that alters one byte fails
     # here.  The m > 8 runs take the emission-only path, the m <= 8 run the
@@ -325,10 +339,10 @@ PUBLIC_NAMES = [
     "TransitionModel", "TwoMotzkinPath", "batch_means_stderr", "build_transition_model",
     "builtin_params", "catalan", "check_decomposition_bound", "check_skeleton_projection",
     "classify", "decode", "decomposition_report", "degree_profile", "derive_params",
-    "encode", "enumerate_paths", "gibbs_distribution", "gibbs_log_weight", "iter_paths",
+    "encode", "enumerate_paths", "gibbs_distribution", "iter_paths",
     "motzkin", "move_constants", "neighbors", "path_energy", "projected_k_distribution",
-    "projection_chain", "resolve_params", "restriction_chain", "run", "skeleton",
-    "spectral_gap", "step", "symbol_counts", "text_to_tree", "transition_probability",
+    "projection_chain", "resolve_params", "restriction_chain", "run",
+    "spectral_gap", "text_to_tree", "transition_probability",
     "tree_energy", "tree_to_text", "tv_decay_curve", "tv_distance", "validate",
 ]
 

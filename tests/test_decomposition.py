@@ -1,11 +1,13 @@
 """Three-level decomposition: labels, restrictions, projections, gap bound."""
 
 import json
+import tracemalloc
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import treegibbs.decomposition as decomposition
 from treegibbs import (
@@ -107,7 +109,7 @@ class TestRestriction:
     def test_whole_space_is_identity_operation(self, model_for):
         model = model_for(3, 0.0, 0.0)
         res = restriction_chain(model, np.arange(model.n))
-        assert np.allclose(res.P, model.P.toarray(), atol=1e-15)
+        assert np.allclose(res.P.toarray(), model.P.toarray(), atol=1e-15)
         assert np.allclose(res.pi, model.pi, atol=1e-15)
 
     def test_singleton_block(self, model_for):
@@ -135,6 +137,14 @@ class TestRestriction:
             res = restriction_chain(model, block)
             assert np.abs(res.P.sum(axis=1) - 1.0).max() < 1e-12
             assert res.P.diagonal().min() >= 0.5 - 1e-12
+
+    def test_restriction_is_a_sparse_slice(self, model_for):
+        model = model_for(6, 1.0, -1.0)
+        for block in blocks_by_k(model.index).values():
+            res = restriction_chain(model, block)
+            assert sp.issparse(res.P)
+            assert res.P.nnz == model.P[block][:, block].nnz
+            assert np.abs(np.asarray(res.P.sum(axis=1)).ravel() - 1.0).max() < 1e-12
 
 
 class TestProjection:
@@ -257,6 +267,18 @@ class TestDecompositionBound:
         assert report.gap_projection == pytest.approx(report.gap_full, abs=1e-12)
         assert report.bound == pytest.approx(report.gap_full / 2, abs=1e-12)
         assert report.holds
+
+    def test_bound_peak_memory_stays_sparse(self, model_for):
+        # A dense copy of the 2 240-state k = 2 block alone would take 40 MB.
+        params = resolve_params("turner04-cg")
+        model = model_for(8, params.alpha, params.beta)
+        tracemalloc.start()
+        try:
+            check_decomposition_bound(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_dense_gap_one_state_convention(self):
         assert dense_gap(np.array([[1.0]]), np.array([1.0])) == 1.0

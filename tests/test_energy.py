@@ -10,7 +10,6 @@ from treegibbs import (
     decode,
     derive_params,
     enumerate_paths,
-    gibbs_log_weight,
     path_energy,
     resolve_params,
     tree_energy,
@@ -107,7 +106,7 @@ class TestPathEnergy:
         [("HH", 1.0, 0.0, -3.0), ("II", 0.0, 1.0, -2.0), ("UD", 0.0, 0.0, 0.0)],
     )
     def test_gibbs_log_weight(self, word, alpha, beta, expected):
-        assert gibbs_log_weight(validate(word), EnergyParams(alpha, beta)) == expected
+        assert -path_energy(validate(word), EnergyParams(alpha, beta)) == expected
 
 
 class TestParamsFiles:

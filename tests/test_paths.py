@@ -18,8 +18,6 @@ from treegibbs import (
     enumerate_paths,
     iter_paths,
     motzkin,
-    skeleton,
-    symbol_counts,
     validate,
 )
 from treegibbs.errors import (
@@ -115,7 +113,7 @@ class TestSymbolCounts:
         [("", (0, 0, 0, 0)), ("UHID", (1, 1, 1, 1)), ("UUDD", (2, 0, 0, 2))],
     )
     def test_examples(self, word, expected):
-        assert symbol_counts(validate(word)) == expected
+        assert validate(word).counts() == expected
 
     def test_counts_balance(self):
         for x in enumerate_paths(6):
@@ -129,11 +127,11 @@ class TestSkeleton:
         "word,expected", [("HIHI", ""), ("UHIDUD", "UDUD"), ("UUHDID", "UUDD")]
     )
     def test_examples(self, word, expected):
-        assert skeleton(validate(word)).word == expected
+        assert validate(word).skeleton().word == expected
 
     def test_skeleton_is_dyck_path(self):
         for x in enumerate_paths(6):
-            s = skeleton(x)
+            s = x.skeleton()
             assert isinstance(s, DyckPath)
             assert len(s) == 2 * x.counts().u
             DyckPath(s.word)  # revalidates from scratch
@@ -245,6 +243,6 @@ class TestRandomizedProperties:
     @given(random_path_words())
     @settings(max_examples=200)
     def test_skeleton_valid_and_even(self, word):
-        s = skeleton(validate(word))
+        s = validate(word).skeleton()
         DyckPath(s.word)
         assert len(s) % 2 == 0
