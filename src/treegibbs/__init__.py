@@ -49,8 +49,8 @@ from .trees import (
     tree_to_text,
 )
 
-# The exact oracle needs scipy; its names load on first use, so sampling and
-# conversion run on numpy alone.
+# The oracle's names load on first use.  ``exact`` and ``decomposition`` need
+# scipy, so sampling and conversion run on numpy alone.
 _LAZY = {
     **dict.fromkeys(
         (
@@ -70,16 +70,14 @@ _LAZY = {
     **dict.fromkeys(
         (
             "SpectralReport",
-            "StateIndex",
             "TransitionModel",
             "build_transition_model",
-            "gibbs_distribution",
             "spectral_gap",
             "tv_decay_curve",
-            "tv_distance",
         ),
         "exact",
     ),
+    **dict.fromkeys(("StateIndex", "gibbs_distribution", "tv_distance"), "law"),
 }
 
 

@@ -17,18 +17,20 @@ Classes 1 and 2 change the energy by +/-alpha and +/-(alpha - beta);
 classes 3 and 4 preserve all symbol counts.  Every proposal carries
 acceptance factor 1/2, so the chain is lazy and its spectrum nonnegative.
 
-``ChainState.advance`` is the one loop that applies moves; ``step`` is
-``advance(1)``.  ``draw_cells`` is the exact kernel: the same moves as a
-table of draw cells, each vectorized over a matrix of words, from which
-the oracle builds the transition matrix and ``transition_distribution``
-reads one row.  No other copy of the kernel is kept, and a test injects
-every cell's draws into ``advance`` and requires the cell's target word.
+``ChainState.advance`` is the one loop that applies moves, and counts the
+visits of a run when asked; ``step`` is ``advance(1)``.  ``draw_cells`` is
+the exact kernel: the same moves as a table of draw cells, each vectorized
+over a matrix of words, from which the oracle builds the transition matrix
+and ``transition_distribution`` reads one row.  No other copy of the
+kernel is kept, and a test injects every cell's draws into ``advance`` and
+requires the cell's target word.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import length_hint
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -128,13 +130,18 @@ class ChainState:
         """Apply one transition of the chain in place."""
         self.advance(1)
 
-    def advance(self, steps: int) -> None:
+    def advance(self, steps: int, visits: dict[bytes, int] | None = None) -> None:
         """Apply ``steps`` transitions in place.
 
         Draw ``k`` of a run is the same whatever the split of the run into
         calls: the blocks are refilled only when a step needs a draw past
         the end.  Each draw lands in one cell of :func:`draw_cells`, and
         the step leaves that cell's target word or the word unchanged.
+
+        With ``visits``, the word after each step is counted into it, keyed
+        by its bytes.  The loop counts how many steps each word is held and
+        reads the word's bytes only when a move changes it and at the end of
+        each block of draws.
         """
         if steps <= 0:
             return
@@ -150,7 +157,13 @@ class ChainState:
                 c = 0
             stop = min(c + steps, _RNG_BLOCK)
             steps -= stop - c
-            draws = zip(self._ls[c:stop], self._u1[c:stop], self._u2[c:stop], self._u3[c:stop])
+            # The word is the state after each draw from ``since`` on.  An
+            # accepted move reads its own draw index off ``moves``, the
+            # iterator of the draws not yet taken, so counting visits adds
+            # nothing to a rejected step.
+            since = c
+            moves = iter(self._ls[c:stop])
+            draws = zip(moves, self._u1[c:stop], self._u2[c:stop], self._u3[c:stop])
             c = stop
             for move, u1, u2, u3 in draws:
                 if move == 0:  # UD <-> HH pair resample
@@ -159,10 +172,14 @@ class ChainState:
                         a = w[p]
                         if a == U:
                             if w[p + 1] == D and u2 < ud_to_hh:
+                                if visits is not None:
+                                    since = _hold(visits, w, since, stop - 1 - length_hint(moves))
                                 w[p] = H
                                 w[p + 1] = H
                         elif a == H:
                             if w[p + 1] == H and u2 < hh_to_ud:
+                                if visits is not None:
+                                    since = _hold(visits, w, since, stop - 1 - length_hint(moves))
                                 w[p] = U
                                 w[p + 1] = D
                 elif move == 1:  # H <-> I site resample
@@ -170,9 +187,13 @@ class ChainState:
                     a = w[i]
                     if a == H:
                         if u2 < h_to_i:
+                            if visits is not None:
+                                since = _hold(visits, w, since, stop - 1 - length_hint(moves))
                             w[i] = I
                     elif a == I:
                         if u2 < i_to_h:
+                            if visits is not None:
+                                since = _hold(visits, w, since, stop - 1 - length_hint(moves))
                             w[i] = H
                 elif move == 2:  # up/down transposition anywhere
                     if u3 >= 0.5:
@@ -201,6 +222,8 @@ class ChainState:
                                     break
                         if h < 0:
                             continue
+                    if visits is not None:
+                        since = _hold(visits, w, since, stop - 1 - length_hint(moves))
                     w[i] = b
                     w[j] = a
                 elif pairs and u2 < 0.5:  # adjacent swap of an up/down and a level step
@@ -208,9 +231,22 @@ class ChainState:
                     a = w[p]
                     b = w[p + 1]
                     if (a == U or a == D) != (b == U or b == D):
+                        if visits is not None:
+                            since = _hold(visits, w, since, stop - 1 - length_hint(moves))
                         w[p] = b
                         w[p + 1] = a
+            if visits is not None:
+                _hold(visits, w, since, stop)
         self._cursor = c
+
+
+def _hold(visits: dict[bytes, int], word: bytearray, since: int, now: int) -> int:
+    """Count ``word`` as the state after draws ``since`` to ``now`` - 1 of a
+    block, and return ``now``, the draw from which the next word holds."""
+    if now != since:
+        key = bytes(word)
+        visits[key] = visits.get(key, 0) + now - since
+    return now
 
 
 class DrawCell(NamedTuple):
@@ -352,8 +388,7 @@ def word_fields(word: bytes, params: EnergyParams) -> tuple[float, DegreeProfile
     return energy, DegreeProfile(u + h + 1, i, r, len(word) + 1)
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One emitted observation of the chain."""
 
     step: int
@@ -376,6 +411,17 @@ class RunResult:
     final_path: TwoMotzkinPath | None = None
 
 
+def check_schedule(total_steps: int, burn_in: int, thin: int) -> None:
+    """Raise :class:`ConfigInvalidError` unless ``run`` can take this schedule."""
+    if total_steps < 0 or burn_in < 0 or thin < 1:
+        raise ConfigInvalidError(
+            f"need total_steps >= 0, burn_in >= 0, thin >= 1; "
+            f"got {total_steps}, {burn_in}, {thin}"
+        )
+    if burn_in > total_steps:
+        raise ConfigInvalidError(f"burn_in {burn_in} exceeds total_steps {total_steps}")
+
+
 def run(
     cfg: ChainConfig,
     total_steps: int,
@@ -391,32 +437,15 @@ def run(
 
     With ``track_occupancy`` the visit count of every state strictly after
     burn-in is recorded, independent of thinning; this is the estimator
-    behind total-variation summaries and only makes sense at small m.
+    behind total-variation summaries and only makes sense at small m.  The
+    counting is done by ``ChainState.advance`` in its move loop, so it
+    costs a hash per change of the word and per emission, not per step.
     """
-    if total_steps < 0 or burn_in < 0 or thin < 1:
-        raise ConfigInvalidError(
-            f"need total_steps >= 0, burn_in >= 0, thin >= 1; "
-            f"got {total_steps}, {burn_in}, {thin}"
-        )
-    if burn_in > total_steps:
-        raise ConfigInvalidError(f"burn_in {burn_in} exceeds total_steps {total_steps}")
-
+    check_schedule(total_steps, burn_in, thin)
     state = ChainState(cfg)
-    result = RunResult(cfg, total_steps, burn_in, thin)
+    occupancy: dict[bytes, int] | None = {} if track_occupancy else None
+    result = RunResult(cfg, total_steps, burn_in, thin, occupancy=occupancy)
     word = state.word
-    if track_occupancy:
-        occupancy: dict[bytes, int] = {}
-        result.occupancy = occupancy
-
-        def move(steps: int) -> None:
-            for _ in range(steps):
-                state.step()
-                key = bytes(word)
-                occupancy[key] = occupancy.get(key, 0) + 1
-
-    else:
-        move = state.advance
-
     sink = result.samples.append if collector is None else collector
     # Most proposals are rejected, so the fields of the previous emission
     # are reused while the word has not changed since.
@@ -432,9 +461,9 @@ def run(
         sink(Sample(t, path, energy, degrees))
         if t + thin > total_steps:
             break
-        move(thin)
+        state.advance(thin, occupancy)
         t += thin
-    move(total_steps - t)
+    state.advance(total_steps - t, occupancy)
     result.emitted = (t - burn_in) // thin + 1
     result.final_path = state.path
     return result

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainConfig, Sample, batch_means_stderr, run
+from .chain import ChainConfig, Sample, batch_means_stderr, check_schedule, run
 from .energy import EnergyParams, resolve_params
 from .errors import (
     BalanceViolationError,
@@ -202,7 +202,7 @@ def _sample_chain(
         "d1_histogram": histogram(d1s),
     }
     if track and result.occupancy:
-        from .exact import StateIndex, empirical_distribution, gibbs_distribution, tv_distance
+        from .law import StateIndex, empirical_distribution, gibbs_distribution, tv_distance
 
         index = StateIndex.build(m)
         emp = empirical_distribution(result.occupancy, index)
@@ -219,6 +219,8 @@ def cmd_sample(args, argv: list[str]) -> int:
         raise ConfigInvalidError(f"--n must be at least 2, got {args.n}")
     if args.chains < 1:
         raise ConfigInvalidError("--chains must be positive")
+    # Before any output is opened: a rejected run leaves no file behind.
+    check_schedule(args.steps, args.burn_in, args.thin)
     started = datetime.now(timezone.utc).isoformat()
     out = _resolve_out(args.out)
     if out is None and args.chains > 1:

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, EmptyBlockError, NotAPartitionError
 from .exact import StateIndex, TransitionModel, build_transition_model
 from .exact import auto_method, second_eigenvalue, spectral_gap
+from .law import logsumexp
 from .paths import D, TwoMotzkinPath, U, catalan
 
 

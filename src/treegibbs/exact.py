@@ -1,10 +1,12 @@
 """Exhaustive small-instance ground truth for the path chain.
 
-Builds the full transition matrix over all catalan(m + 1) states, the
-exact Gibbs distribution, and spectral diagnostics.  Everything here is
-a verification instrument: state spaces are enumerated, matrices are
-sparse but complete, and every model is checked for stochasticity,
-stationarity, and detailed balance before it is handed out.
+Builds the full transition matrix over all catalan(m + 1) states and its
+spectral diagnostics, on the state index and exact Gibbs law of
+:mod:`treegibbs.law` (numpy only; its names import from here too).
+Everything here is a verification instrument: state spaces are
+enumerated, matrices are sparse but complete, and every model is checked
+for stochasticity, stationarity, and detailed balance before it is
+handed out.
 
 The kernel is the sampler's draw-cell table (``chain.draw_cells``) applied
 to the whole state matrix; no mirror of it is kept, so the checks certify
@@ -14,7 +16,6 @@ a kernel becomes a second eigenvalue: dense, or Lanczos (ARPACK).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,73 +24,26 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-from scipy.special import logsumexp
 
 from .chain import draw_cells
 from .energy import EnergyParams, path_energy
 from .errors import (
     BalanceViolationError,
-    CapExceededError,
     ConfigInvalidError,
     InternalInvariantViolationError,
-    LengthMismatchError,
     NoConvergenceError,
 )
-from .paths import SYMBOL_ORDER, TwoMotzkinPath, enumerate_paths
+from .law import (  # noqa: F401  (re-exported: the oracle's names stay importable from here)
+    EXACT_CAP,
+    StateIndex,
+    _codes,
+    empirical_distribution,
+    gibbs_distribution,
+    tv_distance,
+)
+from .paths import TwoMotzkinPath
 
-EXACT_CAP = 10  # catalan(11) = 58786 states; sparse machinery only
 DENSE_CAP_STATES = 500  # above this "auto" solves with Lanczos
-
-# Base-4 digit of each symbol in enumeration order (U < H < I < D), so the
-# codes of a StateIndex's words ascend and fit in int64 for m <= 31.
-_DIGIT = np.zeros(256, dtype=np.int64)
-_DIGIT[list(SYMBOL_ORDER)] = np.arange(4)
-
-
-@dataclass(frozen=True)
-class StateIndex:
-    """Bidirectional map between paths of length m and dense indices."""
-
-    m: int
-    paths: tuple[TwoMotzkinPath, ...]
-    _pos: dict[bytes, int]
-
-    @classmethod
-    def build(cls, m: int, cap: int = EXACT_CAP) -> "StateIndex":
-        if m > cap:
-            raise CapExceededError("exact state space length m", m, cap)
-        paths = tuple(enumerate_paths(m))
-        pos = {p.symbols: i for i, p in enumerate(paths)}
-        return cls(m=m, paths=paths, _pos=pos)
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def index_of(self, path: TwoMotzkinPath) -> int:
-        return self._pos[path.symbols]
-
-    def order_hash(self) -> str:
-        """SHA-256 of the newline-joined state order; identifies the indexing."""
-        return hashlib.sha256(b"\n".join(p.symbols for p in self.paths)).hexdigest()
-
-    @cached_property
-    def label_blocks(self) -> dict[tuple[int, str, str], np.ndarray]:
-        """Ascending state indices of each (k, q, s) label, in sorted label order.
-
-        The label of a word is its up-step count, its level-step color word
-        and its up/down skeleton (``decomposition.classify``), read off the
-        bytes once per index.  The arrays are read-only: they are shared.
-        """
-        grouped: dict[tuple[int, str, str], list[int]] = {}
-        for i, p in enumerate(self.paths):
-            w = p.symbols
-            k, q, s = w.count(b"U"), w.translate(None, b"UD"), w.translate(None, b"HI")
-            grouped.setdefault((k, q.decode(), s.decode()), []).append(i)
-        blocks = {}
-        for label, idx in sorted(grouped.items()):
-            blocks[label] = np.array(idx, dtype=int)
-            blocks[label].flags.writeable = False
-        return blocks
 
 
 @dataclass
@@ -122,20 +76,6 @@ class SpectralReport:
     method: str
     residual: float
     iterations: int = 0
-
-
-def gibbs_distribution(
-    m: int,
-    params: EnergyParams,
-    cap: int = EXACT_CAP,
-    index: StateIndex | None = None,
-) -> tuple[np.ndarray, float]:
-    """Exact Gibbs law over all paths of length m and its log partition value."""
-    if index is None:
-        index = StateIndex.build(m, cap)
-    log_w = np.array([-path_energy(p, params) for p in index.paths])
-    log_z = float(logsumexp(log_w))
-    return np.exp(log_w - log_z), log_z
 
 
 def build_transition_model(
@@ -174,11 +114,6 @@ def build_transition_model(
     if verify:
         verify_model(model)
     return model
-
-
-def _codes(words: np.ndarray) -> np.ndarray:
-    """Base-4 code of each row of a word matrix; ascending in enumeration order."""
-    return _DIGIT[words] @ (4 ** np.arange(words.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def verify_model(model: TransitionModel, tol: float = 1e-12) -> None:
@@ -301,15 +236,6 @@ def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int
     return float(vals.min()), residual, products
 
 
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance (half the L1 distance) between two laws."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise LengthMismatchError(f"distributions of size {p.size} and {q.size}")
-    return float(0.5 * np.abs(p - q).sum())
-
-
 def tv_decay_curve(
     model: TransitionModel,
     x0: TwoMotzkinPath | int,
@@ -326,16 +252,3 @@ def tv_decay_curve(
         dist = dist @ model.P
         curve.append((t, tv_distance(dist, model.pi)))
     return curve
-
-
-def empirical_distribution(
-    occupancy: dict[bytes, int], index: StateIndex
-) -> np.ndarray:
-    """Normalized visit counts aligned with a state index."""
-    total = sum(occupancy.values())
-    if total == 0:
-        raise ConfigInvalidError("occupancy is empty")
-    out = np.zeros(len(index))
-    for key, count in occupancy.items():
-        out[index._pos[key]] = count / total
-    return out

@@ -386,6 +386,46 @@ class TestMoveLoop:
         assert _rng_position(split) == _rng_position(whole)
 
 
+def _reference_visits(cfg: ChainConfig, total_steps: int, burn_in: int):
+    """Visit counts one step at a time: the word read after every step past burn-in."""
+    state = ChainState(cfg)
+    state.advance(burn_in)
+    visits: dict[bytes, int] = {}
+    for _ in range(total_steps - burn_in):
+        state.advance(1)
+        key = bytes(state.word)
+        visits[key] = visits.get(key, 0) + 1
+    return visits, state
+
+
+class TestOccupancy:
+    @pytest.mark.parametrize("burn_in", [0, 17])
+    @pytest.mark.parametrize("thin", [1, 3, 100])
+    @pytest.mark.parametrize("m", [1, 2, 6, 8])
+    def test_run_counts_match_single_steps(self, m, thin, burn_in):
+        # 9 000 steps cross two draw blocks.
+        cfg = ChainConfig(m=m, params=resolve_params("turner04-cg"), seed=m * thin + burn_in)
+        res = run(cfg, total_steps=9000, burn_in=burn_in, thin=thin, track_occupancy=True)
+        visits, state = _reference_visits(cfg, 9000, burn_in)
+        assert res.occupancy == visits
+        assert res.final_path == state.path
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 8])
+    def test_split_counting_matches_one_call(self, m):
+        cfg = ChainConfig(m=m, params=EnergyParams(1.0, -1.0), seed=m)
+        whole, split, plain = ChainState(cfg), ChainState(cfg), ChainState(cfg)
+        whole_visits: dict[bytes, int] = {}
+        split_visits: dict[bytes, int] = {}
+        whole.advance(12_345, whole_visits)
+        for n in (0, 4096, 1, 4095, 4152, 1):
+            split.advance(n, split_visits)
+        plain.advance(12_345)
+        assert split_visits == whole_visits
+        assert sum(whole_visits.values()) == 12_345
+        assert _rng_position(split) == _rng_position(whole)
+        assert _rng_position(plain) == _rng_position(whole)
+
+
 def _inject(state: ChainState, word: bytes, move: int, u1: float, u2: float, u3: float) -> bytes:
     """The word one step leaves when its draws are (move, u1, u2, u3)."""
     state.word[:] = word

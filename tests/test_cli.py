@@ -118,6 +118,18 @@ class TestSample:
                    "--steps", "ten").returncode == 2  # bad count literal
         assert cli("sample", "--n", 5, "--params", "nope").returncode == 3
 
+    @pytest.mark.parametrize("chains", [1, 2])
+    @pytest.mark.parametrize(
+        "schedule",
+        [("--steps", 100, "--thin", 0), ("--steps", 100, "--burn-in", 200)],
+        ids=["thin-0", "burn-in-past-steps"],
+    )
+    def test_rejected_schedule_leaves_no_file(self, tmp_path, schedule, chains):
+        res = cli("sample", "--n", 8, "--params", "turner04-cg", *schedule,
+                  "--chains", chains, "--out", tmp_path / "a.csv")
+        assert res.returncode == 3, res.stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -357,6 +369,8 @@ from treegibbs import cli
 rc = [
     cli.main(["sample", "--n", "20", "--params", "turner04-cg", "--steps", "100",
               "--out", {str(tmp_path / "s.csv")!r}]),
+    cli.main(["sample", "--n", "8", "--params", "turner04-cg", "--steps", "100",
+              "--out", {str(tmp_path / "small.csv")!r}]),
     cli.main(["convert", "--to", "trees", "--degrees", "--in", {str(paths)!r},
               "--out", {str(tmp_path / "t.txt")!r}]),
 ]
@@ -370,8 +384,11 @@ print(json.dumps([rc, before, "scipy" in sys.modules, treegibbs.__all__, missing
                              text=True, timeout=300)
         assert res.returncode == 0, res.stderr
         rc, before, after, names, missing = json.loads(res.stdout.splitlines()[-1])
-        assert rc == [0, 0]
+        assert rc == [0, 0, 0]
         assert not before, "sample/convert imported scipy"
+        # The n = 8 run took the exact-law summary, still without scipy.
+        summary = json.loads((tmp_path / "small.csv.summary.json").read_text())
+        assert "tv_vs_exact" in summary["per_chain"][0]
         assert after
         assert names == PUBLIC_NAMES
         assert missing == []

@@ -11,7 +11,9 @@ from treegibbs import (
     EnergyParams,
     StateIndex,
     build_transition_model,
+    catalan,
     gibbs_distribution,
+    path_energy,
     resolve_params,
     spectral_gap,
     tv_decay_curve,
@@ -31,6 +33,7 @@ from treegibbs.errors import (
     ConfigInvalidError,
     LengthMismatchError,
 )
+from treegibbs.law import logsumexp
 
 ZERO = EnergyParams(0.0, 0.0)
 
@@ -76,6 +79,44 @@ class TestGibbsDistribution:
         pi, log_z = gibbs_distribution(4, EnergyParams(300.0, -300.0))
         assert np.isfinite(pi).all() and np.isfinite(log_z)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+LSE_PARAMS = [resolve_params("turner04-cg"), ZERO, EnergyParams(1.0, -1.0), EnergyParams(-0.7, 2.3)]
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_scipy_on_the_callers_inputs(self, m):
+        # The Gibbs log-weights of every state and the closed-form log-weights
+        # of each up-step count k: what gibbs_distribution and
+        # projected_k_distribution normalize.
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        paths = StateIndex.build(m).paths
+        for params in LSE_PARAMS:
+            a, b = params.alpha, params.beta
+            log_t = np.logaddexp(-a, -b)
+            by_k = [
+                math.log(math.comb(m, 2 * k) * catalan(k)) - a * k + (m - 2 * k) * log_t
+                for k in range(m // 2 + 1)
+            ]
+            for log_w in (np.array([-path_energy(p, params) for p in paths]), np.array(by_k)):
+                assert logsumexp(log_w) == pytest.approx(
+                    float(scipy_logsumexp(log_w)), rel=1e-15, abs=0.0
+                )
+
+    @pytest.mark.parametrize(
+        "a, expected",
+        [
+            ([3.0, 3.0, 1.0], 3.0 + math.log(2.0 + math.exp(-2.0))),
+            ([-math.inf, -math.inf], -math.inf),
+            ([math.inf, 0.0], math.inf),
+            ([math.inf, -math.inf, math.inf], math.inf),
+            ([-math.inf, 0.0, 1.0], 1.0 + math.log1p(math.exp(-1.0))),
+        ],
+    )
+    def test_ties_and_infinities(self, a, expected):
+        assert logsumexp(a) == pytest.approx(expected, rel=1e-15)
 
 
 class TestTransitionModel:
