@@ -17,8 +17,9 @@ Classes 1 and 2 change the energy by +/-alpha and +/-(alpha - beta);
 classes 3 and 4 preserve all symbol counts.  Every proposal carries
 acceptance factor 1/2, so the chain is lazy and its spectrum nonnegative.
 
-``ChainState.advance`` is the one loop that applies moves, and counts the
-visits of a run when asked; ``step`` is ``advance(1)``.  ``draw_cells`` is
+``ChainState.advance`` is the one loop that applies moves; when asked, it
+reports how long it holds each word, and ``run`` reads its rows and visit
+counts off those reports.  ``step`` is ``advance(1)``.  ``draw_cells`` is
 the exact kernel: the same moves as a table of draw cells, each vectorized
 over a matrix of words, from which the oracle builds the transition matrix
 and ``transition_distribution`` reads one row.  No other copy of the
@@ -41,6 +42,13 @@ from .paths import D, H, I, U, TwoMotzkinPath
 from .trees import DegreeProfile
 
 _RNG_BLOCK = 4096
+
+# ``hold(word, since, now)``: ``word`` is the chain's state at times
+# ``since + 1`` to ``now``; see ``ChainState.advance``.
+Hold = Callable[[bytearray, int, int], None]
+# From this thin on, ``run`` without occupancy steps one ``advance(thin)``
+# per row instead of taking hold reports (see there).
+_PER_ROW_THIN = 16
 
 
 def _sigmoid(z: float) -> float:
@@ -130,7 +138,7 @@ class ChainState:
         """Apply one transition of the chain in place."""
         self.advance(1)
 
-    def advance(self, steps: int, visits: dict[bytes, int] | None = None) -> None:
+    def advance(self, steps: int, hold: Hold | None = None) -> None:
         """Apply ``steps`` transitions in place.
 
         Draw ``k`` of a run is the same whatever the split of the run into
@@ -138,10 +146,14 @@ class ChainState:
         the end.  Each draw lands in one cell of :func:`draw_cells`, and
         the step leaves that cell's target word or the word unchanged.
 
-        With ``visits``, the word after each step is counted into it, keyed
-        by its bytes.  The loop counts how many steps each word is held and
-        reads the word's bytes only when a move changes it and at the end of
-        each block of draws.
+        With ``hold``, every step of the call is reported as part of one
+        held segment: ``hold(word, since, now)`` says that ``word`` is the
+        state at times ``since + 1`` to ``now`` (time ``t`` is the state
+        after ``t`` steps of the chain, counted by ``step_count``).  The
+        segments are reported in order, are never empty and cover the call's
+        steps once: one ends before each move that changes the word and one
+        at the end of each block of draws, so a rejected step costs nothing.
+        ``hold`` must not change the word.
         """
         if steps <= 0:
             return
@@ -150,6 +162,7 @@ class ChainState:
         pairs = m - 1
         ud_to_hh, hh_to_ud, h_to_i, i_to_h = self._consts
         c = self._cursor
+        t = self.step_count
         self.step_count += steps
         while steps:
             if c >= _RNG_BLOCK:
@@ -157,52 +170,57 @@ class ChainState:
                 c = 0
             stop = min(c + steps, _RNG_BLOCK)
             steps -= stop - c
-            # The word is the state after each draw from ``since`` on.  An
-            # accepted move reads its own draw index off ``moves``, the
-            # iterator of the draws not yet taken, so counting visits adds
-            # nothing to a rejected step.
-            since = c
+            # ``since`` is the time the word last changed (or the block
+            # began).  ``moves`` iterates over the draws not yet taken, so
+            # ``last - length_hint(moves)`` is the time before the draw being
+            # taken, and reporting holds adds nothing to a rejected step.
+            since = t
+            t += stop - c
+            last = t - 1
             moves = iter(self._ls[c:stop])
             draws = zip(moves, self._u1[c:stop], self._u2[c:stop], self._u3[c:stop])
             c = stop
+            # Each accepted move sets positions i and j to x and y below.
             for move, u1, u2, u3 in draws:
                 if move == 0:  # UD <-> HH pair resample
-                    if pairs:
-                        p = int(u1 * pairs)
-                        a = w[p]
-                        if a == U:
-                            if w[p + 1] == D and u2 < ud_to_hh:
-                                if visits is not None:
-                                    since = _hold(visits, w, since, stop - 1 - length_hint(moves))
-                                w[p] = H
-                                w[p + 1] = H
-                        elif a == H:
-                            if w[p + 1] == H and u2 < hh_to_ud:
-                                if visits is not None:
-                                    since = _hold(visits, w, since, stop - 1 - length_hint(moves))
-                                w[p] = U
-                                w[p + 1] = D
+                    if not pairs:
+                        continue
+                    i = int(u1 * pairs)
+                    a = w[i]
+                    if a == U:
+                        if w[i + 1] != D or u2 >= ud_to_hh:
+                            continue
+                        x = y = H
+                    elif a == H:
+                        if w[i + 1] != H or u2 >= hh_to_ud:
+                            continue
+                        x = U
+                        y = D
+                    else:
+                        continue
+                    j = i + 1
                 elif move == 1:  # H <-> I site resample
                     i = int(u1 * m)
                     a = w[i]
                     if a == H:
-                        if u2 < h_to_i:
-                            if visits is not None:
-                                since = _hold(visits, w, since, stop - 1 - length_hint(moves))
-                            w[i] = I
+                        if u2 >= h_to_i:
+                            continue
+                        x = y = I
                     elif a == I:
-                        if u2 < i_to_h:
-                            if visits is not None:
-                                since = _hold(visits, w, since, stop - 1 - length_hint(moves))
-                            w[i] = H
+                        if u2 >= i_to_h:
+                            continue
+                        x = y = H
+                    else:
+                        continue
+                    j = i
                 elif move == 2:  # up/down transposition anywhere
                     if u3 >= 0.5:
                         continue
                     i = int(u1 * m)
                     j = int(u2 * m)
-                    a = w[i]
-                    b = w[j]
-                    if not ((a == U and b == D) or (a == D and b == U)):
+                    y = w[i]
+                    x = w[j]
+                    if not ((y == U and x == D) or (y == D and x == U)):
                         continue
                     lo, hi = (i, j) if i < j else (j, i)
                     if w[lo] == U:
@@ -222,31 +240,25 @@ class ChainState:
                                     break
                         if h < 0:
                             continue
-                    if visits is not None:
-                        since = _hold(visits, w, since, stop - 1 - length_hint(moves))
-                    w[i] = b
-                    w[j] = a
                 elif pairs and u2 < 0.5:  # adjacent swap of an up/down and a level step
-                    p = int(u1 * pairs)
-                    a = w[p]
-                    b = w[p + 1]
-                    if (a == U or a == D) != (b == U or b == D):
-                        if visits is not None:
-                            since = _hold(visits, w, since, stop - 1 - length_hint(moves))
-                        w[p] = b
-                        w[p + 1] = a
-            if visits is not None:
-                _hold(visits, w, since, stop)
+                    i = int(u1 * pairs)
+                    y = w[i]
+                    x = w[i + 1]
+                    if (y == U or y == D) == (x == U or x == D):
+                        continue
+                    j = i + 1
+                else:
+                    continue
+                if hold is not None:
+                    now = last - length_hint(moves)
+                    if now != since:
+                        hold(w, since, now)
+                    since = now
+                w[i] = x
+                w[j] = y
+            if hold is not None and since != t:
+                hold(w, since, t)
         self._cursor = c
-
-
-def _hold(visits: dict[bytes, int], word: bytearray, since: int, now: int) -> int:
-    """Count ``word`` as the state after draws ``since`` to ``now`` - 1 of a
-    block, and return ``now``, the draw from which the next word holds."""
-    if now != since:
-        key = bytes(word)
-        visits[key] = visits.get(key, 0) + now - since
-    return now
 
 
 class DrawCell(NamedTuple):
@@ -437,34 +449,60 @@ def run(
 
     With ``track_occupancy`` the visit count of every state strictly after
     burn-in is recorded, independent of thinning; this is the estimator
-    behind total-variation summaries and only makes sense at small m.  The
-    counting is done by ``ChainState.advance`` in its move loop, so it
-    costs a hash per change of the word and per emission, not per step.
+    behind total-variation summaries and only makes sense at small m.
+
+    After burn-in one ``ChainState.advance`` call takes the whole run, and
+    both the rows and the visit counts are read off the segments it holds
+    each word for: a row is due at each emission time inside a segment,
+    and a segment adds its length to its word's count.  So the cost is a
+    hash per change of the word and per row, not per step.  Without
+    occupancy and at a thin of at least ``_PER_ROW_THIN``, ``advance(thin)``
+    is called once per row instead.
     """
     check_schedule(total_steps, burn_in, thin)
     state = ChainState(cfg)
     occupancy: dict[bytes, int] | None = {} if track_occupancy else None
     result = RunResult(cfg, total_steps, burn_in, thin, occupancy=occupancy)
     word = state.word
+    params = cfg.params
     sink = result.samples.append if collector is None else collector
     # Most proposals are rejected, so the fields of the previous emission
     # are reused while the word has not changed since.
     last = path = energy = degrees = None
-    state.advance(burn_in)
-    t = burn_in
-    while True:
+    due = burn_in  # the time of the next row
+
+    def emit(word: bytearray, since: int, now: int) -> None:
+        nonlocal last, path, energy, degrees, due
+        if due > now:
+            return
         if word != last:
             last = bytes(word)
             path = TwoMotzkinPath._trusted(last)
-            energy, profile = word_fields(last, cfg.params)
+            energy, profile = word_fields(last, params)
             degrees = profile if include_degrees else None
-        sink(Sample(t, path, energy, degrees))
-        if t + thin > total_steps:
-            break
-        state.advance(thin, occupancy)
-        t += thin
-    state.advance(total_steps - t, occupancy)
-    result.emitted = (t - burn_in) // thin + 1
+        for t in range(due, now + 1, thin):
+            sink(Sample(t, path, energy, degrees))
+        due = t + thin
+
+    def count(word: bytearray, since: int, now: int) -> None:
+        key = bytes(word)
+        occupancy[key] = occupancy.get(key, 0) + now - since
+        emit(word, since, now)
+
+    state.advance(burn_in)
+    emit(word, burn_in - 1, burn_in)
+    if track_occupancy or thin < _PER_ROW_THIN:
+        state.advance(total_steps - burn_in, count if track_occupancy else emit)
+    else:
+        # A hold is reported before every accepted move.  With no visits to
+        # count and rows this sparse, one call per row costs less than a hook
+        # call per change of the word: at m = 49 and m = 999 the two broke
+        # even near thin = 16 (2-core x86-64 host, Python 3.11).
+        while due <= total_steps:
+            state.advance(thin)
+            emit(word, due - 1, due)
+        state.advance(total_steps - state.step_count)
+    result.emitted = (total_steps - burn_in) // thin + 1
     result.final_path = state.path
     return result
 

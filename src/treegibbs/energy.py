@@ -14,6 +14,7 @@ as literals so no data file is needed at runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,13 @@ class EnergyParams:
     beta: float
     gamma: float = 0.0
     delta: float = 0.0
+
+    def __post_init__(self):
+        # Every route to a parameter set (--alpha/--beta, a key=value file,
+        # NNTM constants) ends here: a nan or inf would turn every energy,
+        # weight and summary it reaches into nan.
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma, self.delta))):
+            raise ConfigInvalidError(f"energy coefficients must be finite, got {self}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import (
     CapExceededError,
+    ConfigInvalidError,
     InvalidSymbolError,
     NegativePrefixError,
     UnbalancedError,
@@ -178,7 +179,7 @@ def validate(word: str | bytes | bytearray) -> TwoMotzkinPath:
 def iter_paths(m: int, cap: int = ENUMERATION_CAP) -> Iterator[TwoMotzkinPath]:
     """Yield all valid paths of length m in lexicographic order (U < H < I < D)."""
     if m < 0:
-        raise ValueError("path length must be nonnegative")
+        raise ConfigInvalidError(f"path length must be nonnegative, got m={m}")
     if m > cap:
         raise CapExceededError("enumeration length m", m, cap)
 

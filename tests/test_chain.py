@@ -27,6 +27,7 @@ from treegibbs import (
     validate,
 )
 from treegibbs import decode, degree_profile, iter_paths, resolve_params
+from treegibbs import chain as chain_module
 from treegibbs.chain import draw_cells, transition_distribution, word_fields
 from treegibbs.paths import D, H, I, U
 from treegibbs.errors import ConfigInvalidError, LengthMismatchError
@@ -386,29 +387,72 @@ class TestMoveLoop:
         assert _rng_position(split) == _rng_position(whole)
 
 
-def _reference_visits(cfg: ChainConfig, total_steps: int, burn_in: int):
-    """Visit counts one step at a time: the word read after every step past burn-in."""
+def _counter(visits: dict[bytes, int]):
+    """A hold hook for ``ChainState.advance`` that counts each held segment into ``visits``."""
+
+    def hold(word, since, now):
+        assert since < now
+        key = bytes(word)
+        visits[key] = visits.get(key, 0) + now - since
+
+    return hold
+
+
+def _reference_run(cfg: ChainConfig, total_steps: int, burn_in: int, thin: int):
+    """Rows and visit counts one step at a time: the word read after every step.
+
+    Returns the (step, word, energy, degrees) rows, the visits strictly after
+    burn-in and the final state.
+    """
     state = ChainState(cfg)
     state.advance(burn_in)
+    fields = {}
+
+    def row(t):
+        key = bytes(state.word)
+        if key not in fields:
+            x = TwoMotzkinPath(key.decode())
+            fields[key] = (path_energy(x, cfg.params), degree_profile(decode(x)))
+        return (t, key, *fields[key])
+
+    rows = [row(burn_in)]
     visits: dict[bytes, int] = {}
-    for _ in range(total_steps - burn_in):
+    for t in range(burn_in + 1, total_steps + 1):
         state.advance(1)
         key = bytes(state.word)
         visits[key] = visits.get(key, 0) + 1
-    return visits, state
+        if (t - burn_in) % thin == 0:
+            rows.append(row(t))
+    return rows, visits, state
 
 
 class TestOccupancy:
-    @pytest.mark.parametrize("burn_in", [0, 17])
-    @pytest.mark.parametrize("thin", [1, 3, 100])
-    @pytest.mark.parametrize("m", [1, 2, 6, 8])
-    def test_run_counts_match_single_steps(self, m, thin, burn_in):
+    @pytest.mark.parametrize("burn_in", [0, 17, 9000])
+    @pytest.mark.parametrize("thin", [1, 2, 3, 100, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 6, 8, 49])
+    def test_run_counts_match_single_steps(self, m, thin, burn_in, monkeypatch):
         # 9 000 steps cross two draw blocks.
         cfg = ChainConfig(m=m, params=resolve_params("turner04-cg"), seed=m * thin + burn_in)
-        res = run(cfg, total_steps=9000, burn_in=burn_in, thin=thin, track_occupancy=True)
-        visits, state = _reference_visits(cfg, 9000, burn_in)
-        assert res.occupancy == visits
-        assert res.final_path == state.path
+        rows, visits, reference = _reference_run(cfg, 9000, burn_in, thin)
+        states = []
+
+        class Recorded(ChainState):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                states.append(self)
+
+        monkeypatch.setattr(chain_module, "ChainState", Recorded)
+        for track in (True, False):
+            res = run(cfg, total_steps=9000, burn_in=burn_in, thin=thin,
+                      include_degrees=True, track_occupancy=track)
+            assert res.occupancy == (visits if track else None)
+            got = [(s.step, s.path.symbols, s.energy, s.degrees) for s in res.samples]
+            assert got == rows
+            assert res.emitted == len(rows)
+            for prev, s in zip(res.samples, res.samples[1:]):
+                assert (s.path is prev.path) == (s.path.symbols == prev.path.symbols)
+            assert res.final_path == reference.path
+            assert _rng_position(states.pop()) == _rng_position(reference)
 
     @pytest.mark.parametrize("m", [1, 2, 6, 8])
     def test_split_counting_matches_one_call(self, m):
@@ -416,9 +460,9 @@ class TestOccupancy:
         whole, split, plain = ChainState(cfg), ChainState(cfg), ChainState(cfg)
         whole_visits: dict[bytes, int] = {}
         split_visits: dict[bytes, int] = {}
-        whole.advance(12_345, whole_visits)
+        whole.advance(12_345, _counter(whole_visits))
         for n in (0, 4096, 1, 4095, 4152, 1):
-            split.advance(n, split_visits)
+            split.advance(n, _counter(split_visits))
         plain.advance(12_345)
         assert split_visits == whole_visits
         assert sum(whole_visits.values()) == 12_345

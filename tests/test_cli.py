@@ -146,8 +146,8 @@ class TestSample:
 
     # Pinned SHA-256 of (data file, summary JSON) for fixed runs: a change to
     # the move loop, its RNG use or the row format that alters one byte fails
-    # here.  The m > 8 runs take the emission-only path, the m <= 8 run the
-    # occupancy-tracking one.
+    # here.  The m > 8 runs take the emission-only path, the m <= 8 runs the
+    # occupancy-tracking one (the last at thin 1).
     GOLDEN = [
         (["--n", 12, "--params", "turner04-cg", "--steps", "2e4", "--burn-in", 100,
           "--thin", 3, "--seed", 7], "csv",
@@ -160,6 +160,9 @@ class TestSample:
         (["--n", 7, "--alpha", 0, "--beta", 0, "--steps", "2e4", "--seed", 7], "csv",
          "569df8e22b16b83e849af4187cd32b6c5c90d05014dde7e6fc806ff0db4ad3b8",
          "38403298a9b09522b517979ace7fb33c8adf5faccef26266bffbec941e6ad113"),
+        (["--n", 8, "--params", "turner04-cg", "--steps", "5e4", "--thin", 1], "csv",
+         "ff4b542aedbfd16f35259ac8a1edfef3aa5130452bdee5a96642c1c9f74aac93",
+         "bd5754608601269d4043f1cc863ec461841a323dd00c5c8bce54622e47f2cf21"),
     ]
 
     @pytest.mark.parametrize("flags,fmt,data_sha,summary_sha", GOLDEN)
@@ -179,6 +182,27 @@ class TestSample:
         res = cli("sample", "--n", 3, "--params", pf, "--steps", 10,
                   "--out", tmp_path / "s.csv")
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [("--alpha", "nan", "--beta", 0), ("--alpha", "inf", "--beta", 0),
+         ("--alpha", 0, "--beta=-inf"), ("--alpha", "1e400", "--beta", 0),
+         ("params", "alpha=nan\nbeta=0\n"),
+         ("params", "a=9.3\nb=0\nc=-0.9\nh=-12.9\nf=inf\ni=2.3\ng=-1.1\n")],
+        ids=["alpha-nan", "alpha-inf", "beta-minus-inf", "alpha-overflow", "file-nan",
+             "nntm-inf"],
+    )
+    def test_non_finite_coefficients_are_validation_errors(self, tmp_path, coefficients):
+        if coefficients[0] == "params":
+            pf = tmp_path / "p.txt"
+            pf.write_text(coefficients[1])
+            coefficients = ("--params", pf)
+        out = tmp_path / "s.csv"
+        res = cli("sample", "--n", 3, *coefficients, "--steps", 10, "--out", out)
+        assert res.returncode == 3, res.stderr
+        assert "must be finite" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
 
 class TestConvert:
@@ -264,6 +288,18 @@ class TestExact:
     def test_cap_exceeded_exit_4(self):
         assert cli("exact", "pi", "--m", 11, "--alpha", 0, "--beta", 0).returncode == 4
 
+    @pytest.mark.parametrize("command", ["pi", "gap", "tv-curve"])
+    def test_negative_m_is_a_validation_error(self, command):
+        res = cli("exact", command, "--m", -1, "--alpha", 0, "--beta", 0)
+        assert res.returncode == 3, res.stderr
+        assert "nonnegative" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_non_finite_coefficient_is_a_validation_error(self):
+        res = cli("exact", "pi", "--m", 3, "--alpha", "nan", "--beta", 0)
+        assert res.returncode == 3, res.stderr
+        assert res.stdout == ""
+
     def test_wrong_start_length(self):
         res = cli("exact", "tv-curve", "--m", 3, "--alpha", 0, "--beta", 0, "--from", "UD")
         assert res.returncode == 3
@@ -283,6 +319,12 @@ class TestExact:
 
 
 class TestDecompose:
+    def test_negative_m_is_a_validation_error(self):
+        res = cli("decompose", "report", "--m", -2, "--alpha", 0, "--beta", 0)
+        assert res.returncode == 3, res.stderr
+        assert "nonnegative" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_report_all_checks_pass(self, tmp_path):
         out = tmp_path / "d.json"
         res = cli("decompose", "report", "--m", 4, "--alpha", 1, "--beta", -1,

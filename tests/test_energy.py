@@ -53,6 +53,20 @@ class TestDeriveParams:
         assert got.delta == 1.0 + 16.0 + 6.0 + 4.0 + 14.0
 
 
+class TestFiniteCoefficients:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta"])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"alpha": 0.0, "beta": 0.0, "gamma": 0.0, "delta": 0.0, field: value}
+        with pytest.raises(ConfigInvalidError):
+            EnergyParams(**kwargs)
+
+    def test_overflowing_derivation_rejected(self):
+        # Finite constants whose derived alpha overflows to -inf.
+        with pytest.raises(ConfigInvalidError):
+            derive_params(NNTMParams(a=1e308, b=1e308, c=0, h=0, f=0, i=0, g=0))
+
+
 class TestBuiltinParams:
     @pytest.mark.parametrize(
         "name,row",
@@ -135,6 +149,14 @@ class TestParamsFiles:
             parse_params_text("alpha=fast\nbeta=1\n")
         with pytest.raises(ConfigInvalidError):
             parse_params_text("zeta=1\n")
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ConfigInvalidError):
+            parse_params_text("alpha=nan\nbeta=1\n")
+        with pytest.raises(ConfigInvalidError):
+            parse_params_text("alpha=1\nbeta=1\ngamma=-inf\n")
+        with pytest.raises(ConfigInvalidError):
+            parse_params_text("a=1\nb=0\nc=0\nh=inf\nf=0\ni=0\ng=0\n")
 
     def test_resolve_builtin_and_file(self, tmp_path):
         assert resolve_params("turner04-cg").alpha == pytest.approx(-2.8, abs=1e-12)
