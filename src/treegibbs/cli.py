@@ -405,10 +405,15 @@ def cmd_decompose(args, argv: list[str]) -> int:
 
 
 def cmd_replay(args, argv: list[str]) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    recorded = manifest.get("argv")
-    if not isinstance(recorded, list) or not recorded:
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigInvalidError(f"{args.manifest} is not JSON: {exc}") from None
+    recorded = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(recorded, list) and recorded and all(isinstance(a, str) for a in recorded)):
         raise ConfigInvalidError(f"{args.manifest} has no recorded argv")
+    if recorded[0] == "replay":  # no command records one, and it could replay itself
+        raise ConfigInvalidError(f"{args.manifest} records a replay, not a command")
     return main(recorded)
 
 

@@ -12,9 +12,9 @@ and restriction gaps.
 Every state is labelled once per ``StateIndex`` (``label_blocks``) and
 every level groups those labels.  Restriction chains are CSR slices of the
 verified kernel with the same sparsity, and one routine projects any chain
-onto a partition.  Gaps follow the package's one rule
-(``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500 states,
-Lanczos above.
+onto a partition.  Every gap is ``exact.spectral_gap`` under its one
+rule (``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500
+states, Lanczos above.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import numpy as np
 
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, EmptyBlockError, NotAPartitionError
-from .exact import StateIndex, TransitionModel, build_transition_model
-from .exact import auto_method, second_eigenvalue, spectral_gap
+from .exact import StateIndex, TransitionModel, build_transition_model, spectral_gap
 from .law import logsumexp
-from .paths import D, TwoMotzkinPath, U, catalan
+from .paths import TwoMotzkinPath, U, catalan
 
 
 @dataclass(frozen=True)
@@ -43,26 +42,18 @@ class PartitionLabel:
 
 def classify(x: TwoMotzkinPath) -> PartitionLabel:
     """Split a path into its (k, q, s) coordinates."""
-    vertical = []
-    level = []
-    for sym in x.symbols:
-        if sym == U or sym == D:
-            vertical.append(sym)
-        else:
-            level.append(sym)
-    return PartitionLabel(
-        k=sum(1 for sym in vertical if sym == U),
-        q=bytes(level).decode("ascii"),
-        s=bytes(vertical).decode("ascii"),
-    )
+    w = x.symbols
+    q, s = w.translate(None, b"UD"), w.translate(None, b"HI")
+    return PartitionLabel(w.count(U), q.decode(), s.decode())
 
 
-def _group(index: StateIndex, depth: int) -> dict:
+def blocks_at(index: StateIndex, depth: int) -> dict:
     """State indices grouped by the first ``depth`` of the (k, q, s) labels.
 
-    Keys are sorted (k alone at depth 1, a tuple otherwise); each block
-    lists its states in ascending index order.  Coarser levels merge the
-    runs of finer blocks that share a prefix, which sorting makes adjacent.
+    Keys are sorted (k = 0..floor(m/2) alone at depth 1, a tuple otherwise);
+    each block lists its states in ascending index order.  Coarser levels
+    merge the runs of finer blocks that share a prefix, which sorting makes
+    adjacent.
     """
     if depth == 3:
         return dict(index.label_blocks)
@@ -70,19 +61,6 @@ def _group(index: StateIndex, depth: int) -> dict:
     for label, idx in index.label_blocks.items():
         runs.setdefault(label[0] if depth == 1 else label[:depth], []).append(idx)
     return {key: np.sort(np.concatenate(parts)) for key, parts in runs.items()}
-
-
-def blocks_by_k(index: StateIndex) -> dict[int, np.ndarray]:
-    """State indices grouped by up-step count, keyed 0..floor(m/2)."""
-    return _group(index, 1)
-
-
-def blocks_by_kq(index: StateIndex) -> dict[tuple[int, str], np.ndarray]:
-    return _group(index, 2)
-
-
-def blocks_by_kqs(index: StateIndex) -> dict[tuple[int, str, str], np.ndarray]:
-    return _group(index, 3)
 
 
 @dataclass
@@ -173,17 +151,6 @@ def projected_k_distribution(m: int, params: EnergyParams) -> np.ndarray:
         ]
     )
     return np.exp(log_w - logsumexp(log_w))
-
-
-def dense_gap(P: np.ndarray, pi: np.ndarray) -> float:
-    """Spectral gap of a reversible kernel; one-state chains get gap 1.
-
-    Solved by the package's one rule, as ``spectral_gap(method="auto")``:
-    dense up to ``DENSE_CAP_STATES`` states, Lanczos above.
-    """
-    if len(pi) == 1:
-        return 1.0
-    return 1.0 - second_eigenvalue(P, pi, auto_method(len(pi)))[0]
 
 
 @dataclass
@@ -290,22 +257,25 @@ def check_decomposition_bound(
 ) -> DecompositionBoundReport:
     """Check Gap(P) >= 1/2 * Gap(projection) * min(block restriction gaps).
 
-    Defaults to the up-step-count partition.  One-state blocks contribute
-    gap 1 so the product stays meaningful.  Every gap, the full one too,
-    is solved by the auto rule: dense up to ``DENSE_CAP_STATES``, Lanczos
-    above.
+    Defaults to the up-step-count partition.  A one-state block or
+    projection contributes gap 1 so the product stays meaningful.  Every
+    other gap, the full one too, is ``spectral_gap`` by the auto rule:
+    dense up to ``DENSE_CAP_STATES``, Lanczos above.
     """
+
+    def gap(chain) -> float:
+        return 1.0 if chain.n == 1 else spectral_gap(chain).gap
+
     if blocks is None:
-        by_k = blocks_by_k(model.index)
+        by_k = blocks_at(model.index, 1)
         labels = list(by_k)
         blocks = list(by_k.values())
     gap_full = spectral_gap(model).gap
     proj = projection_chain(model, blocks, labels=labels)
-    gap_proj = dense_gap(proj.P, proj.pi)
-    restriction_gaps = {}
-    for label, block in zip(proj.labels, blocks):
-        restricted = restriction_chain(model, block)
-        restriction_gaps[label] = dense_gap(restricted.P, restricted.pi)
+    gap_proj = gap(proj)
+    restriction_gaps = {
+        label: gap(restriction_chain(model, block)) for label, block in zip(proj.labels, blocks)
+    }
     min_gap = min(restriction_gaps.values())
     bound = 0.5 * gap_proj * min_gap
     return DecompositionBoundReport(
@@ -323,7 +293,7 @@ def decomposition_report(m: int, params: EnergyParams, level: str = "k") -> dict
     if level not in ("k", "kq", "kqs"):
         raise ValueError(f"level must be one of k, kq, kqs; got {level!r}")
     model = build_transition_model(m, params)
-    by_k = blocks_by_k(model.index)
+    by_k = blocks_at(model.index, 1)
 
     closed = projected_k_distribution(m, params)
     pi_bar = np.array([model.pi[idx].sum() for idx in by_k.values()])
@@ -353,7 +323,7 @@ def decomposition_report(m: int, params: EnergyParams, level: str = "k") -> dict
         },
     }
     if level in ("kq", "kqs"):
-        by_kq = blocks_by_kq(model.index)
+        by_kq = blocks_at(model.index, 2)
         energies = model.energies
         spreads = [energies[idx].max() - energies[idx].min() for idx in by_kq.values()]
         report["kq_partition"] = {

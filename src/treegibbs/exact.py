@@ -1,15 +1,15 @@
 """Exhaustive small-instance ground truth for the path chain.
 
 Builds the full transition matrix over all catalan(m + 1) states and its
-spectral diagnostics, on the state index and exact Gibbs law of
-:mod:`treegibbs.law` (numpy only; its names import from here too).
+spectral diagnostics, on the state index (one word matrix) and exact
+Gibbs law of :mod:`treegibbs.law` (numpy only; its names import from here too).
 Everything here is a verification instrument: state spaces are
 enumerated, matrices are sparse but complete, and every model is checked
 for stochasticity, stationarity, and detailed balance before it is
 handed out.
 
 The kernel is the sampler's draw-cell table (``chain.draw_cells``) applied
-to the whole state matrix; no mirror of it is kept, so the checks certify
+to that matrix; no mirror of it is kept, so the checks certify
 the moves the sampler makes.  :func:`second_eigenvalue` is the one place
 a kernel becomes a second eigenvalue: dense, or Lanczos (ARPACK).
 """
@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .chain import draw_cells
-from .energy import EnergyParams, path_energy
+from .energy import EnergyParams
 from .errors import (
     BalanceViolationError,
     ConfigInvalidError,
@@ -63,7 +63,7 @@ class TransitionModel:
     @cached_property
     def energies(self) -> np.ndarray:
         """``path_energy`` of each state under the model's parameters."""
-        return np.array([path_energy(p, self.params) for p in self.index.paths])
+        return self.index.energies(self.params)
 
 
 @dataclass(frozen=True)
@@ -78,29 +78,23 @@ class SpectralReport:
     iterations: int = 0
 
 
-def build_transition_model(
-    m: int,
-    params: EnergyParams,
-    cap: int = EXACT_CAP,
-    verify: bool = True,
-) -> TransitionModel:
+def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     """Assemble and verify the full kernel at length m.
 
     Raises :class:`BalanceViolationError` if row sums, stationarity, or
     detailed balance fail their 1e-12-scale checks.
     """
-    index = StateIndex.build(m, cap)
-    pi, log_z = gibbs_distribution(m, params, cap=cap, index=index)
+    index = StateIndex.build(m)
+    pi, log_z = gibbs_distribution(m, params, index=index)
 
     n = len(index)
-    words = np.frombuffer(b"".join(p.symbols for p in index.paths), np.uint8).reshape(n, m)
+    codes = index.codes
     rows, target_codes, vals = [], [], []
-    for cell, r, targets, accept in draw_cells(words, params):
+    for cell, r, targets, accept in draw_cells(index.words, params):
         rows.append(r)
         target_codes.append(_codes(targets))
         vals.append(cell.weight * accept)
     rows, target_codes, vals = map(np.concatenate, (rows, target_codes, vals))
-    codes = _codes(words)
     cols = np.searchsorted(codes, target_codes)
     if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
         raise InternalInvariantViolationError("a move left the enumerated state space")
@@ -111,8 +105,7 @@ def build_transition_model(
         (np.append(vals, stay), (np.append(rows, diag), np.append(cols, diag))), shape=(n, n)
     )
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
-    if verify:
-        verify_model(model)
+    verify_model(model)
     return model
 
 
@@ -153,31 +146,24 @@ def detailed_balance_violation(model: TransitionModel) -> tuple[float, tuple[int
 
 def is_strongly_connected(model: TransitionModel) -> bool:
     """Strong connectivity of the positive-transition directed graph."""
-    off = model.P.tocoo()
-    mask = off.row != off.col
-    graph = sp.csr_matrix(
-        (np.ones(mask.sum()), (off.row[mask], off.col[mask])), shape=off.shape
-    )
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
+    # Self-loops do not join components, so the kernel's pattern is the graph.
+    n_comp, _ = connected_components(model.P, directed=True, connection="strong")
     return n_comp == 1
 
 
-def spectral_gap(
-    model: TransitionModel,
-    method: str = "auto",
-    dense_cap: int = DENSE_CAP_STATES,
-) -> SpectralReport:
+def spectral_gap(model, method: str = "auto") -> SpectralReport:
     """Second-largest eigenvalue of the kernel and the gap 1 - lambda1.
 
-    ``"auto"`` solves densely up to ``dense_cap`` states and with Lanczos
-    above.  Laziness makes the spectrum nonnegative, so the second
+    ``model`` is any chain with a kernel ``P``, its law ``pi`` and size ``n``.
+    ``"auto"`` solves densely up to ``DENSE_CAP_STATES`` states and with
+    Lanczos above.  Laziness makes the spectrum nonnegative, so the second
     eigenvalue is also the second-largest modulus.
     """
     n = model.n
     if n < 2:
         raise ConfigInvalidError("spectral gap needs at least two states")
     if method == "auto":
-        method = auto_method(n, dense_cap)
+        method = auto_method(n)
     lambda1, residual, iterations = second_eigenvalue(model.P, model.pi, method)
     gap = 1.0 - lambda1
     return SpectralReport(
@@ -190,9 +176,9 @@ def spectral_gap(
     )
 
 
-def auto_method(n: int, dense_cap: int = DENSE_CAP_STATES) -> str:
-    """The solver "auto" picks for n states: dense up to ``dense_cap``, Lanczos above."""
-    return "dense" if n <= dense_cap else "lanczos"
+def auto_method(n: int) -> str:
+    """The solver "auto" picks for n states: dense up to ``DENSE_CAP_STATES``, Lanczos above."""
+    return "dense" if n <= DENSE_CAP_STATES else "lanczos"
 
 
 def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int]:

@@ -1,11 +1,12 @@
 """The enumerated state space and the exact Gibbs law on it, on numpy alone.
 
-This is the half of the exact oracle that sample summaries need: the
-indexed list of all paths of length m, their Gibbs weights and log
+This is the half of the exact oracle that sample summaries need: all
+paths of length m as one word matrix, their Gibbs weights and log
 partition value, the empirical law of a run's visit counts, and the
-total-variation distance between two laws.  Nothing here imports scipy,
-so ``treegibbs sample`` at small m runs without it; :mod:`treegibbs.exact`
-builds kernels and spectra on top of these names.
+total-variation distance between two laws.  Every per-state quantity is
+computed on the matrix; path objects are made only on access.  Nothing
+here imports scipy, so ``treegibbs sample`` at small m runs without it;
+:mod:`treegibbs.exact` builds kernels and spectra on top of these names.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .energy import EnergyParams, path_energy
+from .energy import EnergyParams
 from .errors import CapExceededError, ConfigInvalidError, LengthMismatchError
-from .paths import SYMBOL_ORDER, TwoMotzkinPath, enumerate_paths
+from .paths import D, H, I, SYMBOL_ORDER, U, PathSequence, TwoMotzkinPath, enumerate_paths
 
 EXACT_CAP = 10  # catalan(11) = 58786 states; sparse machinery only
 
@@ -28,49 +29,78 @@ _DIGIT = np.zeros(256, dtype=np.int64)
 _DIGIT[list(SYMBOL_ORDER)] = np.arange(4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateIndex:
-    """Bidirectional map between paths of length m and dense indices."""
+    """Row i of the read-only uint8 matrix ``words`` is state i; ``codes``
+    are the rows' base-4 codes, ascending, for ``searchsorted`` lookups."""
 
     m: int
-    paths: tuple[TwoMotzkinPath, ...]
-    _pos: dict[bytes, int]
+    words: np.ndarray
+    codes: np.ndarray
 
     @classmethod
-    def build(cls, m: int, cap: int = EXACT_CAP) -> "StateIndex":
-        if m > cap:
-            raise CapExceededError("exact state space length m", m, cap)
-        paths = tuple(enumerate_paths(m))
-        pos = {p.symbols: i for i, p in enumerate(paths)}
-        return cls(m=m, paths=paths, _pos=pos)
+    def build(cls, m: int) -> "StateIndex":
+        if m > EXACT_CAP:
+            raise CapExceededError("exact state space length m", m, EXACT_CAP)
+        words = enumerate_paths(m).words
+        return cls(m=m, words=words, codes=_codes(words))
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.words)
+
+    @property
+    def paths(self) -> PathSequence:
+        """The states as :class:`TwoMotzkinPath` objects, made on access."""
+        return PathSequence(self.words)
 
     def index_of(self, path: TwoMotzkinPath) -> int:
-        return self._pos[path.symbols]
+        return int(self._rows([path.symbols])[0])
+
+    def _rows(self, words: list[bytes]) -> np.ndarray:
+        """Index of each word; ``KeyError`` for the first that is not a state."""
+        if any(len(word) != self.m for word in words):
+            raise KeyError(next(word for word in words if len(word) != self.m))
+        matrix = np.frombuffer(b"".join(words), np.uint8).reshape(len(words), self.m)
+        rows = np.searchsorted(self.codes, _codes(matrix)).clip(max=len(self) - 1)
+        # Codes read any byte outside U/H/I/D as a U, so compare the words.
+        missing = (self.words[rows] != matrix).any(axis=1)
+        if missing.any():
+            raise KeyError(words[int(missing.argmax())])
+        return rows
 
     def order_hash(self) -> str:
         """SHA-256 of the newline-joined state order; identifies the indexing."""
-        return hashlib.sha256(b"\n".join(p.symbols for p in self.paths)).hexdigest()
+        lines = np.pad(self.words, ((0, 0), (0, 1)), constant_values=ord("\n"))
+        return hashlib.sha256(lines.tobytes()[:-1]).hexdigest()
+
+    def energies(self, params: EnergyParams) -> np.ndarray:
+        """``path_energy`` of every state: the same float64 expression, on column counts."""
+        u, h, i = ((self.words == s).sum(axis=1) for s in (U, H, I))
+        return params.alpha * (u + h + 1) + params.beta * i
 
     @cached_property
     def label_blocks(self) -> dict[tuple[int, str, str], np.ndarray]:
         """Ascending state indices of each (k, q, s) label, in sorted label order.
 
         The label of a word is its up-step count, its level-step color word
-        and its up/down skeleton (``decomposition.classify``), read off the
-        bytes once per index.  The arrays are read-only: they are shared.
+        and its up/down skeleton (``decomposition.classify``).  Each row,
+        stably sorted to put its U/D steps last, reads q then s, split at one
+        place per k; so rows sorted by k and then by these bytes are sorted
+        by label.  The arrays are read-only: they are shared.
         """
-        grouped: dict[tuple[int, str, str], list[int]] = {}
-        for i, p in enumerate(self.paths):
-            w = p.symbols
-            k, q, s = w.count(b"U"), w.translate(None, b"UD"), w.translate(None, b"HI")
-            grouped.setdefault((k, q.decode(), s.decode()), []).append(i)
+        words = self.words
+        vertical = (words == U) | (words == D)
+        qs = np.take_along_axis(words, np.argsort(vertical, axis=1, kind="stable"), axis=1)
+        # 2k first, then the bytes; ties keep index order.
+        order = np.lexsort(np.vstack([qs.T[::-1], vertical.sum(axis=1)]))
+        qs = qs[order]  # the bytes alone tell labels apart: they hold 2k U/D steps
+        starts = np.flatnonzero(np.r_[True, (qs[1:] != qs[:-1]).any(axis=1)])
         blocks = {}
-        for label, idx in sorted(grouped.items()):
-            blocks[label] = np.array(idx, dtype=int)
-            blocks[label].flags.writeable = False
+        for start, idx in zip(starts, np.split(order, starts[1:])):
+            row = qs[start].tobytes().decode()
+            kk = row.count("U")
+            idx.flags.writeable = False
+            blocks[kk, row[: self.m - 2 * kk], row[self.m - 2 * kk :]] = idx
         return blocks
 
 
@@ -100,15 +130,12 @@ def logsumexp(a) -> float:
 
 
 def gibbs_distribution(
-    m: int,
-    params: EnergyParams,
-    cap: int = EXACT_CAP,
-    index: StateIndex | None = None,
+    m: int, params: EnergyParams, index: StateIndex | None = None
 ) -> tuple[np.ndarray, float]:
     """Exact Gibbs law over all paths of length m and its log partition value."""
     if index is None:
-        index = StateIndex.build(m, cap)
-    log_w = np.array([-path_energy(p, params) for p in index.paths])
+        index = StateIndex.build(m)
+    log_w = -index.energies(params)
     log_z = logsumexp(log_w)
     return np.exp(log_w - log_z), log_z
 
@@ -116,13 +143,12 @@ def gibbs_distribution(
 def empirical_distribution(
     occupancy: dict[bytes, int], index: StateIndex
 ) -> np.ndarray:
-    """Normalized visit counts aligned with a state index."""
+    """Normalized visit counts aligned with a state index; ``KeyError`` for a non-state."""
     total = sum(occupancy.values())
     if total == 0:
         raise ConfigInvalidError("occupancy is empty")
     out = np.zeros(len(index))
-    for key, count in occupancy.items():
-        out[index._pos[key]] = count / total
+    out[index._rows(list(occupancy))] = np.fromiter(occupancy.values(), float, len(occupancy)) / total
     return out
 
 

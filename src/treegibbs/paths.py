@@ -4,13 +4,18 @@ A 2-Motzkin path of length m is a word over {U, H, I, D} in which no
 prefix contains more D's than U's and the whole word balances.  U/D are
 up/down steps; H and I are two distinguishable colors of level step.
 There are catalan(m + 1) such words.  Symbols are stored as ASCII bytes
-so file round-trips are bit-exact and inner-loop comparisons stay cheap.
+so file round-trips are bit-exact and inner-loop comparisons stay cheap;
+all words of one length form one uint8 matrix (:func:`enumerate_paths`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import (
     CapExceededError,
@@ -25,43 +30,20 @@ ALPHABET = frozenset((U, H, I, D))
 
 # Canonical symbol order for enumeration and lexicographic comparisons.
 SYMBOL_ORDER = bytes((U, H, I, D))
+_SYMBOLS = np.frombuffer(SYMBOL_ORDER, np.uint8)
+_RISE = np.array([1, 0, 0, -1], np.int8)  # height change of each, in that order
 
 ENUMERATION_CAP = 12
 
 
 def _first_unmatched_up(symbols: bytes) -> int:
     """Index of the first U whose matching D never arrives."""
-    # A U opening at height h is unmatched iff the path never returns to
-    # height h afterwards.
-    height = 0
-    suffix_min = _suffix_min_heights(symbols)
-    for idx, s in enumerate(symbols):
-        if s == U:
-            if suffix_min[idx + 1] > height:
-                return idx
-            height += 1
-        elif s == D:
-            height -= 1
-    raise AssertionError("no unmatched U in an unbalanced word")
-
-
-def _suffix_min_heights(symbols: bytes) -> list[int]:
-    """suffix_min[i] = min height over positions i..end (heights after each step)."""
-    n = len(symbols)
-    heights = [0] * (n + 1)
-    h = 0
-    for idx, s in enumerate(symbols):
-        if s == U:
-            h += 1
-        elif s == D:
-            h -= 1
-        heights[idx + 1] = h
-    suffix = [0] * (n + 1)
-    running = heights[n]
-    for idx in range(n, -1, -1):
-        running = min(running, heights[idx])
-        suffix[idx] = running
-    return suffix
+    # A U is unmatched iff the path never comes back down below the height
+    # it climbs to, so that height is the lowest from there to the end.
+    steps = np.frombuffer(symbols, np.uint8)
+    heights = np.cumsum((steps == U).astype(np.int64) - (steps == D))
+    lowest_ahead = np.minimum.accumulate(heights[::-1])[::-1]
+    return int(np.flatnonzero((steps == U) & (heights == lowest_ahead))[0])
 
 
 def _check_word(word: str | bytes | bytearray) -> bytes:
@@ -176,39 +158,47 @@ def validate(word: str | bytes | bytearray) -> TwoMotzkinPath:
     return TwoMotzkinPath(word)
 
 
-def iter_paths(m: int, cap: int = ENUMERATION_CAP) -> Iterator[TwoMotzkinPath]:
-    """Yield all valid paths of length m in lexicographic order (U < H < I < D)."""
+class PathSequence(Sequence[TwoMotzkinPath]):
+    """The rows of a read-only ``(n, m)`` uint8 matrix ``words`` as paths, made on access."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i: int) -> TwoMotzkinPath:
+        return TwoMotzkinPath._trusted(self.words[operator.index(i)].tobytes())
+
+
+def enumerate_paths(m: int, cap: int = ENUMERATION_CAP) -> PathSequence:
+    """All catalan(m + 1) paths of length m in lexicographic order (U < H < I < D).
+
+    Each prefix grows by U, H, I and D in turn, and survives while its height
+    stays in [0, steps remaining], so it can still return to 0.
+    """
     if m < 0:
         raise ConfigInvalidError(f"path length must be nonnegative, got m={m}")
     if m > cap:
         raise CapExceededError("enumeration length m", m, cap)
-
-    word = bytearray(m)
-
-    def rec(pos: int, height: int) -> Iterator[TwoMotzkinPath]:
-        if pos == m:
-            yield TwoMotzkinPath._trusted(bytes(word))
-            return
-        remaining = m - pos - 1
-        for s in SYMBOL_ORDER:
-            if s == U:
-                new_height = height + 1
-            elif s == D:
-                new_height = height - 1
-            else:
-                new_height = height
-            # Prune: must stay nonnegative and still be able to descend to 0.
-            if new_height < 0 or new_height > remaining:
-                continue
-            word[pos] = s
-            yield from rec(pos + 1, new_height)
-
-    return rec(0, 0)
+    words = np.zeros((1, m), np.uint8)
+    heights = np.zeros(1, np.int8)
+    for pos in range(m):
+        grown = heights[:, None] + _RISE
+        # Row-major order: by prefix, then by symbol, so rows stay sorted.
+        prefix, symbol = np.nonzero((grown >= 0) & (grown <= m - pos - 1))
+        words = words[prefix]
+        words[:, pos] = _SYMBOLS[symbol]
+        heights = grown[prefix, symbol]
+    words.flags.writeable = False
+    return PathSequence(words)
 
 
-def enumerate_paths(m: int, cap: int = ENUMERATION_CAP) -> list[TwoMotzkinPath]:
-    """All valid paths of length m, in a fixed order; len equals catalan(m + 1)."""
-    return list(iter_paths(m, cap))
+def iter_paths(m: int, cap: int = ENUMERATION_CAP) -> Iterator[TwoMotzkinPath]:
+    """Iterate over :func:`enumerate_paths`; its errors raise on the call."""
+    return iter(enumerate_paths(m, cap))
 
 
 def catalan(n: int) -> int:

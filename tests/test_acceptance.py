@@ -34,7 +34,7 @@ from treegibbs import (
     spectral_gap,
     tv_distance,
 )
-from treegibbs.decomposition import blocks_by_k, blocks_by_kq
+from treegibbs.decomposition import blocks_at
 from treegibbs.exact import empirical_distribution, is_strongly_connected
 
 from conftest import PARAM_GRID, cached_model
@@ -208,13 +208,13 @@ def test_07_decomposition_structure():
             params = EnergyParams(alpha, beta)
             model = cached_model(m, alpha, beta)
             closed = projected_k_distribution(m, params)
-            masses = np.array([model.pi[idx].sum() for idx in blocks_by_k(model.index).values()])
+            masses = np.array([model.pi[idx].sum() for idx in blocks_at(model.index, 1).values()])
             worst_kdist = max(worst_kdist, float(np.abs(closed - masses).max()))
             logs = np.log(closed)
             for i in range(1, len(logs) - 1):
                 if 2 * logs[i] + 1e-12 < logs[i - 1] + logs[i + 1]:
                     log_concave_ok = False
-            for (k, q) in blocks_by_kq(model.index):
+            for (k, q) in blocks_at(model.index, 2):
                 rep = check_skeleton_projection(m, k, q, params, model=model)
                 sizes_ok = sizes_ok and rep.sizes_match
                 worst_energy_spread = max(worst_energy_spread, rep.energy_spread)

@@ -366,6 +366,25 @@ class TestReplayErrors:
         bad.write_text(json.dumps({"subcommand": "sample"}))
         assert cli("replay", bad).returncode == 3
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"argv": ["exact", "pi", "--m", "2"]',
+            b'["exact", "pi", "--m", "2"]',
+            b"\xff\xfe{}",
+            b'{"argv": ["exact", "pi", "--m", 2]}',
+            b'{"argv": ["replay", "m.json"]}',
+        ],
+        ids=["not-json", "not-an-object", "not-utf8", "argv-not-strings", "replays-itself"],
+    )
+    def test_malformed_manifest_is_a_validation_error(self, tmp_path, content):
+        bad = tmp_path / "m.json"
+        bad.write_bytes(content)
+        res = cli("replay", bad)
+        assert res.returncode == 3
+        assert "validation error" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_power_iteration_manifest_points_to_lanczos(self, tmp_path):
         old = tmp_path / "m.json"
         argv = ["exact", "gap", "--m", "4", "--alpha", "0", "--beta", "0",

@@ -26,7 +26,7 @@ from treegibbs import (
     validate,
 )
 from treegibbs.cli import main
-from treegibbs.decomposition import blocks_by_k, blocks_by_kq, blocks_by_kqs, dense_gap
+from treegibbs.decomposition import blocks_at
 from treegibbs.errors import ConfigInvalidError, EmptyBlockError, NotAPartitionError
 from treegibbs.exact import second_eigenvalue
 
@@ -60,18 +60,18 @@ class TestPartitions:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_blocks_cover_and_are_disjoint(self, m, model_for):
         model = model_for(m, 0.0, 0.0)
-        for blocks in (blocks_by_k, blocks_by_kq, blocks_by_kqs):
-            idxs = np.concatenate(list(blocks(model.index).values()))
+        for depth in (1, 2, 3):
+            idxs = np.concatenate(list(blocks_at(model.index, depth).values()))
             assert sorted(idxs) == list(range(model.n))
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_block_sizes(self, m, model_for):
         model = model_for(m, 0.0, 0.0)
-        for k, idx in blocks_by_k(model.index).items():
+        for k, idx in blocks_at(model.index, 1).items():
             assert len(idx) == comb(m, 2 * k) * catalan(k) * 2 ** (m - 2 * k)
-        for (k, q), idx in blocks_by_kq(model.index).items():
+        for (k, q), idx in blocks_at(model.index, 2).items():
             assert len(idx) == comb(m, 2 * k) * catalan(k)
-        for (k, q, s), idx in blocks_by_kqs(model.index).items():
+        for (k, q, s), idx in blocks_at(model.index, 3).items():
             assert len(idx) == comb(m, 2 * k)
 
     @pytest.mark.parametrize("m", range(1, 9))
@@ -79,15 +79,15 @@ class TestPartitions:
         index = StateIndex.build(m)
         labels = [classify(p) for p in index.paths]
         keys = {
-            blocks_by_k: lambda lab: lab.k,
-            blocks_by_kq: lambda lab: (lab.k, lab.q),
-            blocks_by_kqs: lambda lab: (lab.k, lab.q, lab.s),
+            1: lambda lab: lab.k,
+            2: lambda lab: (lab.k, lab.q),
+            3: lambda lab: (lab.k, lab.q, lab.s),
         }
-        for blocks, key in keys.items():
+        for depth, key in keys.items():
             reference: dict = {}
             for i, lab in enumerate(labels):
                 reference.setdefault(key(lab), []).append(i)
-            got = blocks(index)
+            got = blocks_at(index, depth)
             assert list(got) == sorted(reference)
             for label, idx in got.items():
                 assert idx.tolist() == reference[label]
@@ -125,7 +125,7 @@ class TestRestriction:
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_stationarity_of_renormalized_pi(self, alpha, beta, model_for):
         model = model_for(4, alpha, beta)
-        for k, block in blocks_by_k(model.index).items():
+        for k, block in blocks_at(model.index, 1).items():
             res = restriction_chain(model, block)
             assert np.abs(res.pi @ res.P - res.pi).max() < 1e-12
             expected = model.pi[block] / model.pi[block].sum()
@@ -133,14 +133,14 @@ class TestRestriction:
 
     def test_rows_stochastic_and_lazy(self, model_for):
         model = model_for(5, 1.0, -1.0)
-        for block in blocks_by_k(model.index).values():
+        for block in blocks_at(model.index, 1).values():
             res = restriction_chain(model, block)
             assert np.abs(res.P.sum(axis=1) - 1.0).max() < 1e-12
             assert res.P.diagonal().min() >= 0.5 - 1e-12
 
     def test_restriction_is_a_sparse_slice(self, model_for):
         model = model_for(6, 1.0, -1.0)
-        for block in blocks_by_k(model.index).values():
+        for block in blocks_at(model.index, 1).values():
             res = restriction_chain(model, block)
             assert sp.issparse(res.P)
             assert res.P.nnz == model.P[block][:, block].nnz
@@ -163,14 +163,14 @@ class TestProjection:
     def test_uniform_m4_block_masses(self, model_for):
         # Brute-force masses at alpha = beta = 0: |S_k| / 42 = (16, 24, 2) / 42.
         model = model_for(4, 0.0, 0.0)
-        by_k = blocks_by_k(model.index)
+        by_k = blocks_at(model.index, 1)
         proj = projection_chain(model, list(by_k.values()), labels=list(by_k))
         assert np.allclose(proj.pi, np.array([16, 24, 2]) / 42, atol=1e-14)
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_projection_reversible_and_stochastic(self, alpha, beta, model_for):
         model = model_for(4, alpha, beta)
-        by_k = blocks_by_k(model.index)
+        by_k = blocks_at(model.index, 1)
         proj = projection_chain(model, list(by_k.values()))
         assert np.abs(proj.P.sum(axis=1) - 1.0).max() < 1e-12
         flows = proj.pi[:, None] * proj.P
@@ -186,7 +186,7 @@ class TestProjectedKDistribution:
     @pytest.mark.parametrize("alpha,beta", [(-1.0, 0.0), (0.0, 0.0), (1.0, -1.0)])
     def test_matches_oracle_blocks(self, m, alpha, beta, model_for):
         model = model_for(m, alpha, beta)
-        masses = np.array([model.pi[idx].sum() for idx in blocks_by_k(model.index).values()])
+        masses = np.array([model.pi[idx].sum() for idx in blocks_at(model.index, 1).values()])
         assert np.abs(masses - projected_k_distribution(m, EnergyParams(alpha, beta))).max() < 1e-12
 
     @pytest.mark.parametrize("m", range(2, 13))
@@ -225,7 +225,7 @@ class TestSkeletonProjection:
     def test_all_blocks_m5(self, alpha, beta, model_for):
         model = model_for(5, alpha, beta)
         params = EnergyParams(alpha, beta)
-        for (k, q) in blocks_by_kq(model.index):
+        for (k, q) in blocks_at(model.index, 2):
             rep = check_skeleton_projection(5, k, q, params, model=model)
             assert rep.sizes_match
             assert rep.energy_spread == 0.0
@@ -280,8 +280,14 @@ class TestDecompositionBound:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_dense_gap_one_state_convention(self):
-        assert dense_gap(np.array([[1.0]]), np.array([1.0])) == 1.0
+    def test_one_state_gap_convention(self, model_for):
+        # At m = 2, {UD} is the one-state k = 1 block.
+        model = model_for(2, 0.0, 0.0)
+        assert [len(b) for b in blocks_at(model.index, 1).values()] == [4, 1]
+        assert check_decomposition_bound(model).restriction_gaps[1] == 1.0
+        # At m = 1 (H and I) the k-projection has one block.
+        report = check_decomposition_bound(model_for(1, 0.0, 0.0))
+        assert report.gap_projection == 1.0
 
     @pytest.mark.parametrize("m", [7, 8])
     @pytest.mark.parametrize(
@@ -295,7 +301,7 @@ class TestDecompositionBound:
         report = check_decomposition_bound(model)
         dense = 1.0 - second_eigenvalue(model.P, model.pi, "dense")[0]
         assert abs(report.gap_full - dense) <= 1e-12
-        for k, block in blocks_by_k(model.index).items():
+        for k, block in blocks_at(model.index, 1).items():
             restricted = restriction_chain(model, block)
             if restricted.n > 1:
                 dense = 1.0 - second_eigenvalue(restricted.P, restricted.pi, "dense")[0]

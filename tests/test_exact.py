@@ -1,6 +1,9 @@
 """Exact oracle: Gibbs law, verified transition models, spectra, TV curves."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +37,15 @@ from treegibbs.errors import (
     LengthMismatchError,
 )
 from treegibbs.law import logsumexp
+from treegibbs.paths import TwoMotzkinPath
 
 ZERO = EnergyParams(0.0, 0.0)
+PINS = json.loads((Path(__file__).parent / "data" / "law_pins_m0-10.json").read_text())
+PIN_PARAMS = {
+    "turner04-cg": resolve_params("turner04-cg"),
+    "0,0": ZERO,
+    "1,-1": EnergyParams(1.0, -1.0),
+}
 
 
 class TestStateIndex:
@@ -53,8 +63,40 @@ class TestStateIndex:
         with pytest.raises(CapExceededError):
             StateIndex.build(11)
 
+    @pytest.mark.parametrize("m", range(11))
+    def test_order_hash_pinned(self, m):
+        assert StateIndex.build(m).order_hash() == PINS["order_hash"][str(m)]
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            b"UHD",  # another length
+            b"XD",  # a byte outside U/H/I/D, which the codes read as a U
+            b"DU",  # the right length, but not a path
+        ],
+    )
+    def test_non_state_raises_key_error(self, word):
+        idx = StateIndex.build(2)
+        with pytest.raises(KeyError):
+            idx.index_of(TwoMotzkinPath._trusted(word))
+        with pytest.raises(KeyError):
+            empirical_distribution({b"UD": 2, word: 1}, idx)
+
+    def test_paths_view_matches_words(self):
+        idx = StateIndex.build(4)
+        assert [p.symbols for p in idx.paths] == [row.tobytes() for row in idx.words]
+        assert idx.paths[-1].word == "IIII"
+        assert not idx.words.flags.writeable
+
 
 class TestGibbsDistribution:
+    @pytest.mark.parametrize("name", PIN_PARAMS)
+    @pytest.mark.parametrize("m", range(11))
+    def test_pi_pinned(self, m, name):
+        pi, log_z = gibbs_distribution(m, PIN_PARAMS[name])
+        assert hashlib.sha256(pi.astype("<f8").tobytes()).hexdigest() == PINS["pi_sha256"][name][str(m)]
+        assert repr(log_z) == PINS["log_z_repr"][name][str(m)]
+
     def test_uniform_m2(self):
         pi, log_z = gibbs_distribution(2, ZERO)
         assert np.allclose(pi, 0.2, atol=1e-15)
@@ -120,6 +162,14 @@ class TestLogSumExp:
 
 
 class TestTransitionModel:
+    @pytest.mark.parametrize("name", PIN_PARAMS)
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_energies_are_path_energy(self, m, name):
+        params = PIN_PARAMS[name]
+        model = build_transition_model(m, params)
+        got = [repr(e) for e in model.energies.tolist()]
+        assert got == [repr(path_energy(x, params)) for x in model.index.paths]
+
     def test_matches_pointwise_law(self, model_for):
         model = model_for(2, 0.0, 0.0)
         i = model.index.index_of(validate("UD"))
@@ -152,6 +202,19 @@ class TestTransitionModel:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_strong_connectivity(self, m, model_for):
         assert is_strongly_connected(model_for(m, 1.0, -1.0))
+
+    def test_one_way_edge_is_not_strongly_connected(self, model_for):
+        import copy
+
+        import scipy.sparse as sp
+
+        model = copy.deepcopy(model_for(1, 0.0, 0.0))
+        # H -> I but not back: one-way, so two components; the lazy diagonal
+        # joins nothing.
+        model.P = sp.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+        assert not is_strongly_connected(model)
+        model.P = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert is_strongly_connected(model)
 
     def test_verify_detects_broken_kernel(self, model_for):
         import copy

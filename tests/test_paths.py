@@ -1,8 +1,8 @@
 """Path validation, enumeration, and counting, checked against brute force.
 
 The independent oracles here never reuse the enumerator under test: raw
-words come from itertools.product over the alphabet, and counts come
-from a lattice-walk dynamic program.
+words come from itertools.product over the alphabet or from a recursive
+generator, and counts come from a lattice-walk dynamic program.
 """
 
 import math
@@ -45,6 +45,25 @@ def brute_force_words(m: int, alphabet: str = "UHID") -> list[str]:
     return [("".join(w)) for w in product(alphabet, repeat=m) if ok("".join(w))]
 
 
+def recursive_words(m: int) -> list[bytes]:
+    """All valid words of length m, depth first in U < H < I < D order."""
+    out: list[bytes] = []
+    word = bytearray(m)
+
+    def rec(pos: int, height: int) -> None:
+        if pos == m:
+            out.append(bytes(word))
+            return
+        for ch, dh in ((b"U", 1), (b"H", 0), (b"I", 0), (b"D", -1)):
+            # Stay nonnegative and still be able to return to height 0.
+            if 0 <= height + dh <= m - pos - 1:
+                word[pos] = ch[0]
+                rec(pos + 1, height + dh)
+
+    rec(0, 0)
+    return out
+
+
 def walk_count(m: int, colors: int = 2) -> int:
     """Number of nonnegative lattice walks 0 -> 0 with ``colors`` level colors."""
     dp = {0: 1}
@@ -82,6 +101,29 @@ class TestValidate:
         with pytest.raises(UnbalancedError) as err:
             validate("UDU")
         assert err.value.index == 2
+
+    def test_unbalanced_index_matches_reference_scan(self):
+        # Every word of length <= 7 that ends above the axis, against a scan
+        # for the first U whose height is never left downwards again.
+        def first_unmatched_up(word: str) -> int:
+            heights = [0]
+            for ch in word:
+                heights.append(heights[-1] + {"U": 1, "D": -1}.get(ch, 0))
+            return next(
+                i for i, ch in enumerate(word) if ch == "U" and min(heights[i + 1 :]) > heights[i]
+            )
+
+        checked = 0
+        for m in range(1, 8):
+            for word in map("".join, product("UHID", repeat=m)):
+                try:
+                    validate(word)
+                except UnbalancedError as err:
+                    assert err.index == first_unmatched_up(word), word
+                    checked += 1
+                except NegativePrefixError:
+                    pass
+        assert checked > 0
 
     def test_foreign_character(self):
         with pytest.raises(InvalidSymbolError) as err:
@@ -149,6 +191,19 @@ class TestEnumeration:
     def test_full_agreement_with_brute_force(self):
         for m in range(0, 8):
             assert sorted(p.word for p in enumerate_paths(m)) == sorted(brute_force_words(m))
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_matches_recursive_generator(self, m):
+        # Same words in the same order, through every way of reading them.
+        reference = recursive_words(m)
+        paths = enumerate_paths(m)
+        assert len(paths) == len(reference)
+        assert [p.symbols for p in paths] == reference
+        assert [p.symbols for p in iter_paths(m)] == reference
+        assert [paths[i].symbols for i in range(-len(paths), len(paths))] == reference * 2
+        assert paths.words.shape == (len(reference), m)
+        assert paths.words.tobytes() == b"".join(reference)
+        assert not paths.words.flags.writeable
 
     def test_lexicographic_order(self):
         rank = {"U": 0, "H": 1, "I": 2, "D": 3}
