@@ -316,18 +316,25 @@ def draw_cells(
         targets[:, i] = np.where(to_i, I, H)
         yield DrawCell(1, i, i, 0.25 / m), rows, targets, np.where(to_i, h_to_i, i_to_h)
 
+    # Cells (i, j) and (j, i) swap the same two steps: their rows and
+    # targets are found once, at i < j, and reused at i > j.
+    spans = {}
     for i in range(m):
         for j in range(m):
             if i == j:
                 continue
-            lo, hi = min(i, j), max(i, j)
-            # Moving the D right raises the span; moving the U right lowers
-            # the heights after steps lo..hi-1 by 2, so they must be >= 2.
-            valid = down[:, lo] & up[:, hi]
-            valid |= up[:, lo] & down[:, hi] & (heights[:, lo:hi].min(axis=1) >= 2)
-            rows = np.flatnonzero(valid)
-            targets = words[rows]
-            targets[:, [i, j]] = targets[:, [j, i]]
+            if i > j:
+                rows, targets = spans.pop((j, i))
+            else:
+                # Moving the D right raises the span; moving the U right lowers
+                # the heights after steps i..j-1 by 2, so they must be >= 2.
+                valid = down[:, i] & up[:, j]
+                lowered = np.flatnonzero(up[:, i] & down[:, j])
+                valid[lowered[heights[lowered, i:j].min(axis=1) >= 2]] = True
+                rows = np.flatnonzero(valid)
+                targets = words[rows]
+                targets[:, [i, j]] = targets[:, [j, i]]
+                spans[i, j] = rows, targets
             yield DrawCell(2, i, j, 0.25 / (m * m)), rows, targets, np.full(rows.size, 0.5)
 
     for p in range(pairs):

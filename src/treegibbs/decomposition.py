@@ -12,7 +12,9 @@ and restriction gaps.
 Every state is labelled once per ``StateIndex`` (``label_blocks``) and
 every level groups those labels.  Restriction chains are CSR slices of the
 verified kernel with the same sparsity, and one routine projects any chain
-onto a partition.  Every gap is ``exact.spectral_gap`` under its one
+onto a partition.  The skeleton checks of every (k, q) block read off one
+projection of the kernel onto the (k, q, s) labels, with no restriction
+chain.  Every gap is ``exact.spectral_gap`` under its one
 rule (``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500
 states, Lanczos above.
 """
@@ -20,12 +22,13 @@ states, Lanczos above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 
 import numpy as np
 
 from .energy import EnergyParams
-from .errors import ConfigInvalidError, EmptyBlockError, NotAPartitionError
+from .errors import EmptyBlockError, NotAPartitionError
 from .exact import StateIndex, TransitionModel, build_transition_model, spectral_gap
 from .law import logsumexp
 from .paths import TwoMotzkinPath, U, catalan
@@ -116,7 +119,7 @@ def projection_chain(
     P, pi = chain.P, chain.pi
     n = len(pi)
     flat = np.concatenate([np.asarray(b, dtype=int) for b in blocks])
-    if flat.size != n or len(np.unique(flat)) != n:
+    if not np.array_equal(np.sort(flat), np.arange(n)):
         raise NotAPartitionError("blocks must partition the state space")
     n_blocks = len(blocks)
     membership = np.empty(n, dtype=int)
@@ -180,62 +183,51 @@ class SkeletonProjectionReport:
 
 
 def check_skeleton_projection(
-    m: int,
-    k: int,
-    q: str,
-    params: EnergyParams,
-    model: TransitionModel | None = None,
-) -> SkeletonProjectionReport:
-    """Verify the skeleton-level structure of the block with coordinates (k, q).
+    model: TransitionModel,
+) -> dict[tuple[int, str], SkeletonProjectionReport]:
+    """Verify the skeleton-level structure of every (k, q) block of ``model``.
 
-    Checks that every skeleton family inside the block has size
-    binom(m, 2k), that all block states share one energy, that the
-    projected chain over skeletons is uniform, and reports the measured
-    off-diagonal projected rates next to the nominal 1 / (4 m^2).  A given
-    ``model`` must be the one built at ``m`` and ``params``.
+    Keyed by (k, q) in sorted order.  Checks that every skeleton family
+    inside a block has size binom(m, 2k), that all block states share one
+    energy, that the block's projected chain over skeletons is uniform, and
+    reports the measured off-diagonal projected rates next to the nominal
+    1 / (4 m^2).
+
+    One projection onto the (k, q, s) labels serves every block.  Restricting
+    the chain to a block changes only its diagonal and rescales pi on it by
+    one constant, so the block's contiguous diagonal sub-block of that
+    projection holds its restricted projection's off-diagonal rates, and its
+    family masses up to that constant.
     """
-    if model is None:
-        model = build_transition_model(m, params)
-    elif model.index.m != m or model.params != params:
-        raise ConfigInvalidError(
-            f"model built at m={model.index.m}, {model.params}; check asked for m={m}, {params}"
-        )
-    families = {
-        s: idx for (kk, qq, s), idx in model.index.label_blocks.items() if kk == k and qq == q
-    }
-    if not families:
-        raise EmptyBlockError(f"no states with k={k}, q={q!r} at m={m}")
-    expected_size = comb(m, 2 * k)
-    sizes = {s: len(idx) for s, idx in families.items()}
-
-    block = np.concatenate(list(families.values()))
-    energies = model.energies[block]
-    energy_spread = float(energies.max() - energies.min())
-
-    restricted = restriction_chain(model, block)
-    # Positions of each skeleton family inside the restricted ordering.
-    offsets = np.cumsum([0] + [len(idx) for idx in families.values()])
-    sub_blocks = [np.arange(offsets[j], offsets[j + 1]) for j in range(len(families))]
-    proj = projection_chain(restricted, sub_blocks, list(families))
-    uniform = np.full(proj.n, 1.0 / proj.n)
-    pi_dev = float(np.abs(proj.pi - uniform).max())
-    off = proj.P[~np.eye(proj.n, dtype=bool)]
-    positive = [float(v) for v in off if v > 0.0]
+    m = model.index.m
+    families = model.index.label_blocks
+    proj = projection_chain(model, list(families.values()), list(families))
     expected_rate = 1.0 / (4.0 * m * m)
-    maxdev = max((abs(v - expected_rate) for v in positive), default=0.0)
-    return SkeletonProjectionReport(
-        m=m,
-        k=k,
-        q=q,
-        skeleton_sizes=sizes,
-        expected_size=expected_size,
-        sizes_match=all(v == expected_size for v in sizes.values()),
-        energy_spread=energy_spread,
-        pi_uniform_maxdev=pi_dev,
-        offdiag_values=positive,
-        offdiag_expected=expected_rate,
-        offdiag_maxdev=maxdev,
-    )
+    reports = {}
+    start = 0
+    for (k, q), labels in groupby(families, key=lambda label: label[:2]):
+        sizes = {s: len(families[k, q, s]) for _, _, s in labels}
+        stop = start + len(sizes)
+        energies = model.energies[np.concatenate([families[k, q, s] for s in sizes])]
+        pi = proj.pi[start:stop] / proj.pi[start:stop].sum()
+        sub = proj.P[start:stop, start:stop]
+        positive = [float(v) for v in sub[~np.eye(len(sizes), dtype=bool)] if v > 0.0]
+        expected_size = comb(m, 2 * k)
+        reports[k, q] = SkeletonProjectionReport(
+            m=m,
+            k=k,
+            q=q,
+            skeleton_sizes=sizes,
+            expected_size=expected_size,
+            sizes_match=all(v == expected_size for v in sizes.values()),
+            energy_spread=float(energies.max() - energies.min()),
+            pi_uniform_maxdev=float(np.abs(pi - 1.0 / len(sizes)).max()),
+            offdiag_values=positive,
+            offdiag_expected=expected_rate,
+            offdiag_maxdev=max((abs(v - expected_rate) for v in positive), default=0.0),
+        )
+        start = stop
+    return reports
 
 
 @dataclass
@@ -338,15 +330,14 @@ def decomposition_report(m: int, params: EnergyParams, level: str = "k") -> dict
         all_sizes_ok = True
         all_uniform_ok = True
         all_rates_ok = True
-        for (k, q) in by_kq:
-            rep = check_skeleton_projection(m, k, q, params, model=model)
+        for rep in check_skeleton_projection(model).values():
             all_sizes_ok &= rep.sizes_match
             all_uniform_ok &= rep.uniform_ok
             all_rates_ok &= rep.matches_expected_rate
             rows.append(
                 {
-                    "k": k,
-                    "q": q,
+                    "k": rep.k,
+                    "q": rep.q,
                     "family_size": rep.expected_size,
                     "sizes_match": rep.sizes_match,
                     "pi_uniform_maxdev": rep.pi_uniform_maxdev,

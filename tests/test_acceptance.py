@@ -214,8 +214,7 @@ def test_07_decomposition_structure():
             for i in range(1, len(logs) - 1):
                 if 2 * logs[i] + 1e-12 < logs[i - 1] + logs[i + 1]:
                     log_concave_ok = False
-            for (k, q) in blocks_at(model.index, 2):
-                rep = check_skeleton_projection(m, k, q, params, model=model)
+            for rep in check_skeleton_projection(model).values():
                 sizes_ok = sizes_ok and rep.sizes_match
                 worst_energy_spread = max(worst_energy_spread, rep.energy_spread)
                 worst_uniform = max(worst_uniform, rep.pi_uniform_maxdev)

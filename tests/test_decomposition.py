@@ -27,7 +27,7 @@ from treegibbs import (
 )
 from treegibbs.cli import main
 from treegibbs.decomposition import blocks_at
-from treegibbs.errors import ConfigInvalidError, EmptyBlockError, NotAPartitionError
+from treegibbs.errors import EmptyBlockError, NotAPartitionError
 from treegibbs.exact import second_eigenvalue
 
 ZERO = EnergyParams(0.0, 0.0)
@@ -160,6 +160,13 @@ class TestProjection:
         with pytest.raises(NotAPartitionError):
             projection_chain(model, [np.arange(5), np.arange(4, model.n)])
 
+    @pytest.mark.parametrize("last", [-1, 14], ids=["aliased", "past-the-end"])
+    def test_index_outside_the_space_rejected(self, last, model_for):
+        # 14 states at m = 3: -1 would alias state 13 and leave state 6 unassigned.
+        model = model_for(3, 0.0, 0.0)
+        with pytest.raises(NotAPartitionError):
+            projection_chain(model, [np.r_[np.arange(6), last], np.arange(7, 14)])
+
     def test_uniform_m4_block_masses(self, model_for):
         # Brute-force masses at alpha = beta = 0: |S_k| / 42 = (16, 24, 2) / 42.
         model = model_for(4, 0.0, 0.0)
@@ -203,9 +210,40 @@ class TestProjectedKDistribution:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def skeleton_reference(model, k, q):
+    """The skeleton check of one (k, q) block as a restriction chain to the
+    block and a projection of it onto the block's skeleton families."""
+    m = model.index.m
+    families = {
+        s: idx for (kk, qq, s), idx in model.index.label_blocks.items() if (kk, qq) == (k, q)
+    }
+    block = np.concatenate(list(families.values()))
+    energies = model.energies[block]
+    offsets = np.cumsum([0] + [len(idx) for idx in families.values()])
+    sub_blocks = [np.arange(offsets[j], offsets[j + 1]) for j in range(len(families))]
+    proj = projection_chain(restriction_chain(model, block), sub_blocks, list(families))
+    off = proj.P[~np.eye(proj.n, dtype=bool)]
+    positive = [float(v) for v in off if v > 0.0]
+    expected_rate = 1.0 / (4.0 * m * m)
+    expected_size = comb(m, 2 * k)
+    return {
+        "m": m,
+        "k": k,
+        "q": q,
+        "skeleton_sizes": {s: len(idx) for s, idx in families.items()},
+        "expected_size": expected_size,
+        "sizes_match": all(len(idx) == expected_size for idx in families.values()),
+        "energy_spread": float(energies.max() - energies.min()),
+        "pi_uniform_maxdev": float(np.abs(proj.pi - 1.0 / proj.n).max()),
+        "offdiag_values": positive,
+        "offdiag_expected": expected_rate,
+        "offdiag_maxdev": max((abs(v - expected_rate) for v in positive), default=0.0),
+    }
+
+
 class TestSkeletonProjection:
     def test_m4_k1_hh(self, model_for):
-        rep = check_skeleton_projection(4, 1, "HH", ZERO, model=model_for(4, 0.0, 0.0))
+        rep = check_skeleton_projection(model_for(4, 0.0, 0.0))[1, "HH"]
         assert rep.skeleton_sizes == {"UD": comb(4, 2)}
         assert rep.sizes_match
         assert rep.energy_spread == 0.0
@@ -214,7 +252,7 @@ class TestSkeletonProjection:
         assert rep.offdiag_values == []
 
     def test_m6_k2_two_skeletons(self, model_for):
-        rep = check_skeleton_projection(6, 2, "HH", ZERO, model=model_for(6, 0.0, 0.0))
+        rep = check_skeleton_projection(model_for(6, 0.0, 0.0))[2, "HH"]
         assert set(rep.skeleton_sizes) == {"UDUD", "UUDD"}
         assert all(v == comb(6, 4) for v in rep.skeleton_sizes.values())
         assert rep.pi_uniform_maxdev <= 1e-12
@@ -223,29 +261,58 @@ class TestSkeletonProjection:
 
     @pytest.mark.parametrize("alpha,beta", [(-1.0, 1.0), (0.0, 0.0)])
     def test_all_blocks_m5(self, alpha, beta, model_for):
-        model = model_for(5, alpha, beta)
-        params = EnergyParams(alpha, beta)
-        for (k, q) in blocks_at(model.index, 2):
-            rep = check_skeleton_projection(5, k, q, params, model=model)
+        reports = check_skeleton_projection(model_for(5, alpha, beta))
+        for rep in reports.values():
             assert rep.sizes_match
             assert rep.energy_spread == 0.0
             assert rep.uniform_ok
             assert rep.matches_expected_rate
 
     def test_missing_block(self, model_for):
-        with pytest.raises(EmptyBlockError):
-            check_skeleton_projection(4, 2, "H", ZERO, model=model_for(4, 0.0, 0.0))
+        assert (2, "H") not in check_skeleton_projection(model_for(4, 0.0, 0.0))
 
-    def test_model_of_another_length_rejected(self, model_for):
-        # (k, q) names a block of the m = 7 model, so only the length check catches it.
-        with pytest.raises(ConfigInvalidError):
-            check_skeleton_projection(6, 1, "HHHHH", ZERO, model=model_for(7, 0.0, 0.0))
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize(
+        "params",
+        [resolve_params("turner04-cg"), ZERO, EnergyParams(1.0, -1.0)],
+        ids=["turner04-cg", "0,0", "1,-1"],
+    )
+    def test_matches_per_block_reference(self, m, params, model_for):
+        model = model_for(m, params.alpha, params.beta)
+        reports = check_skeleton_projection(model)
+        assert list(reports) == list(blocks_at(model.index, 2))
+        for (k, q), rep in reports.items():
+            want = skeleton_reference(model, k, q)
+            for field, value in want.items():
+                got = getattr(rep, field)
+                if field == "offdiag_values":
+                    assert len(got) == len(value)
+                    assert np.abs(np.subtract(got, value)).max(initial=0.0) <= 1e-12
+                elif isinstance(value, float):
+                    assert abs(got - value) <= 1e-12, field
+                else:
+                    assert got == value, field
+                    if field == "skeleton_sizes":
+                        assert list(got) == list(value)
 
-    def test_model_with_other_params_rejected(self, model_for):
-        with pytest.raises(ConfigInvalidError):
-            check_skeleton_projection(
-                6, 1, "HHHH", EnergyParams(1.0, -1.0), model=model_for(6, 0.0, 0.0)
-            )
+    def test_report_makes_one_label_projection(self, monkeypatch):
+        # At m = 7: the bound restricts to the four k blocks and projects onto
+        # them, and one skeleton check projects once onto the labels.
+        calls = {"check_skeleton_projection": 0, "restriction_chain": 0, "projection_chain": 0}
+        for name in calls:
+            real = getattr(decomposition, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(decomposition, name, counting)
+        decomposition_report(7, resolve_params("turner04-cg"), level="kqs")
+        assert calls == {
+            "check_skeleton_projection": 1,
+            "restriction_chain": 4,
+            "projection_chain": 2,
+        }
 
 
 class TestDecompositionBound:
