@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -142,9 +141,10 @@ def _sample_chain(
     cfg = ChainConfig(m=m, params=params, seed=args.seed, chain_id=chain_id)
     track = m <= _SUMMARY_EXACT_CAP
 
-    energies: list[float] = []
-    d0s: list[int] = []
-    d1s: list[int] = []
+    # The summary's series, kept once per distinct path: its (energy, d0,
+    # d1) and the step of its first row.  A path's rows are consecutive.
+    fields: list[tuple[float, int, int]] = []
+    firsts: list[int] = []
     jsonl = args.format == "jsonl"
     head = '{"step":' if jsonl else ""
     # A row is its step plus the fields of its path, formatted once per
@@ -156,18 +156,17 @@ def _sample_chain(
 
     def emit(s: Sample) -> None:
         nonlocal last_path, tail
-        p = s.degrees
         if s.path is not last_path:
             last_path = s.path
+            p = s.degrees
+            fields.append((s.energy, p.d0, p.d1))
+            firsts.append(s.step)
             if jsonl:
                 rest = {"path": s.path.word, "energy": s.energy, "d0": p.d0, "d1": p.d1, "r": p.r}
                 tail = "," + json.dumps(rest, separators=(",", ":"))[1:] + "\n"
             else:
                 tail = f",{s.path.word},{s.energy!r},{p.d0},{p.d1},{p.r}\n"
         write(f"{head}{s.step}{tail}")
-        energies.append(s.energy)
-        d0s.append(p.d0)
-        d1s.append(p.d1)
 
     sink = open(out_file, "w", newline="") if out_file is not None else sys.stdout
     write = sink.write
@@ -187,17 +186,24 @@ def _sample_chain(
         if out_file is not None:
             sink.close()
 
-    def histogram(values: list[int]) -> dict[str, int]:
-        counts = Counter(values)
-        return {str(k): counts[k] for k in sorted(counts)}
+    # Each path holds the rows from its first one to the next path's (the
+    # last path to the end of the run), one every ``thin`` steps; ``run``
+    # always emits the burn-in row, so there is at least one.
+    ends = firsts[1:] + [args.burn_in + result.emitted * args.thin]
+    rows = (np.array(ends) - firsts) // args.thin
+    energies, d0s, d1s = (np.repeat(column, rows) for column in zip(*fields))
+
+    def histogram(values: np.ndarray) -> dict[str, int]:
+        keys, counts = np.unique(values, return_counts=True)
+        return {str(k): int(c) for k, c in zip(keys.tolist(), counts.tolist())}
 
     summary = {
         "chain_id": chain_id,
         "emitted": result.emitted,
-        "mean_energy": float(np.mean(energies)) if energies else None,
-        "mean_d0": float(np.mean(d0s)) if d0s else None,
-        "mean_d1": float(np.mean(d1s)) if d1s else None,
-        "se_d0_batch_means": batch_means_stderr(d0s) if len(d0s) >= 4 else None,
+        "mean_energy": float(np.mean(energies)),
+        "mean_d0": float(np.mean(d0s)),
+        "mean_d1": float(np.mean(d1s)),
+        "se_d0_batch_means": batch_means_stderr(d0s) if d0s.size >= 4 else None,
         "d0_histogram": histogram(d0s),
         "d1_histogram": histogram(d1s),
     }

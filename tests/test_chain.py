@@ -297,15 +297,43 @@ def _heights_valid(word) -> bool:
     return True
 
 
-def _reference_step(state: ChainState) -> None:
+class _Reference:
+    """The chain as first written, with its own stream of raw draws.
+
+    It draws each block from its own generator in the chain's order
+    (classes, then u1, u2, u3), so it pins that order too and reads none
+    of the chain's buffers.  ``_rng_position`` reads it like a chain.
+    """
+
+    def __init__(self, cfg: ChainConfig):
+        self.cfg = cfg
+        self.word = bytearray(cfg.resolved_initial().symbols)
+        self.step_count = 0
+        self._rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([cfg.seed, cfg.chain_id]))
+        )
+        self._cursor = 4096
+        self._block = None
+
+
+def _reference_step(state: _Reference) -> None:
     """One transition as first written: per-step draws, full height rescan."""
     if state._cursor >= 4096:
-        state._refill()
+        rng = state._rng
+        state._block = [
+            rng.integers(0, 4, size=4096).tolist(),
+            *(rng.random(4096).tolist() for _ in range(3)),
+        ]
+        state._cursor = 0
     c = state._cursor
     state._cursor = c + 1
-    move, u1, u2, u3 = state._ls[c], state._u1[c], state._u2[c], state._u3[c]
-    w, m, consts = state.word, state.cfg.m, state._consts
     state.step_count += 1
+    consts = move_constants(state.cfg.params)
+    _reference_move(state.word, state.cfg.m, consts, *(draws[c] for draws in state._block))
+
+
+def _reference_move(w: bytearray, m: int, consts, move: int, u1: float, u2: float, u3: float) -> None:
+    """Apply the draws (move, u1, u2, u3) to ``w`` by the rule as first written."""
     if move == 0:
         if m >= 2:
             p = int(u1 * (m - 1))
@@ -334,6 +362,11 @@ def _reference_step(state: ChainState) -> None:
             w[p], w[p + 1] = b, a
 
 
+def _load(state: ChainState, move: int, u1: float, u2: float, u3: float) -> None:
+    """Make (move, u1, u2, u3) the raw draws of the chain's next step."""
+    state._load(np.array([move]), np.array([u1]), np.array([u2]), np.array([u3]))
+
+
 def _rng_position(state: ChainState):
     return state.word, state.step_count, state._cursor, state._rng.bit_generator.state
 
@@ -352,9 +385,7 @@ class TestMoveLoop:
                     swapped[i], swapped[j] = sym[j], sym[i]
                     # Inject the draws (move 2, positions i and j, accept).
                     state.word[:] = sym
-                    state._ls, state._u1 = [2], [(i + 0.5) / m]
-                    state._u2, state._u3 = [(j + 0.5) / m], [0.25]
-                    state._cursor = 0
+                    _load(state, 2, (i + 0.5) / m, (j + 0.5) / m, 0.25)
                     state.step()
                     valid = _heights_valid(swapped)
                     assert state.word == (swapped if valid else sym), (sym, i, j)
@@ -370,7 +401,7 @@ class TestMoveLoop:
         burned.advance(20_000)
         cfg = ChainConfig(m=m, params=params, seed=4, initial_state=burned.path)
         for n in (1, 7, 4095, 4097, 10_000):
-            block, single, reference = ChainState(cfg), ChainState(cfg), ChainState(cfg)
+            block, single, reference = ChainState(cfg), ChainState(cfg), _Reference(cfg)
             block.advance(n)
             for _ in range(n):
                 single.step()
@@ -473,8 +504,7 @@ class TestOccupancy:
 def _inject(state: ChainState, word: bytes, move: int, u1: float, u2: float, u3: float) -> bytes:
     """The word one step leaves when its draws are (move, u1, u2, u3)."""
     state.word[:] = word
-    state._ls, state._u1, state._u2, state._u3 = [move], [u1], [u2], [u3]
-    state._cursor = 0
+    _load(state, move, u1, u2, u3)
     state.advance(1)
     return bytes(state.word)
 
@@ -523,6 +553,51 @@ class TestDrawCells:
             if not pairs:
                 for move in (0, 3):
                     assert _inject(state, x.symbols, move, 0.5, 0.0, 0.0) == x.symbols
+
+
+class TestScreen:
+    @pytest.mark.parametrize("params", CELL_PARAMS, ids=["turner04-cg", "zero", "1,-1"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_edges_match_reference_rule(self, m, params):
+        # Every state x every class, with the acceptance draw at and one ulp
+        # below each threshold (u3 for a transposition, u2 otherwise),
+        # transpositions at every (i, j) including i == j, and u1 at each
+        # position's midpoint and just below 1: the screened chain leaves
+        # the word the unscreened rule leaves.
+        consts = move_constants(params)
+
+        def below(u):
+            return float(np.nextafter(u, 0.0))
+
+        thresholds = {
+            0: (consts.ud_to_hh, consts.hh_to_ud),
+            1: (consts.h_to_i, consts.i_to_h),
+            2: (0.5,),
+            3: (0.5,),
+        }
+        state = ChainState(ChainConfig(m=m, params=params, seed=0))
+        changed = set()
+        for x in enumerate_paths(m):
+            for move, qs in thresholds.items():
+                n = max(m - 1, 1) if move in (0, 3) else m
+                for u1 in [(k + 0.5) / n for k in range(n)] + [below(1.0)]:
+                    for u in (u for q in qs for u in (q, below(q))):
+                        if move == 2:
+                            draws = [((k + 0.5) / m, u) for k in range(m)]
+                        else:
+                            draws = [(u, 0.9)]
+                        for u2, u3 in draws:
+                            expected = bytearray(x.symbols)
+                            _reference_move(expected, m, consts, move, u1, u2, u3)
+                            got = _inject(state, x.symbols, move, u1, u2, u3)
+                            assert got == expected, (x, move, u1, u2, u3)
+                            if got != x.symbols:
+                                changed.add((move, u))
+        # Nothing moves at the larger threshold; one ulp below it, some word
+        # moves once m is large enough for the class to move any word.
+        for move, qs in thresholds.items():
+            assert (move, max(qs)) not in changed
+            assert ((move, below(max(qs))) in changed) == (m >= (2, 1, 4, 3)[move])
 
 
 class TestWordFields:
