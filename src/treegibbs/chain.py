@@ -18,8 +18,9 @@ classes 3 and 4 preserve all symbol counts.  Every proposal carries
 acceptance factor 1/2, so the chain is lazy and its spectrum nonnegative.
 
 ``ChainState.advance`` is the one loop that applies moves; when asked, it
-reports how long it holds each word, and ``run`` reads its rows and visit
-counts off those reports.  ``step`` is ``advance(1)``.  Since a proposal
+reports how long it holds each word, and ``run`` reads its visit counts
+off those reports and emits each held word once, as one ``Sample`` over
+the emission times it covers.  ``step`` is ``advance(1)``.  Since a proposal
 whose uniform is at or above its class's largest acceptance is rejected
 whatever the word, each block of draws is screened in numpy when it is
 drawn, and the loop visits only the draws a word could accept (43% of
@@ -52,7 +53,7 @@ _RNG_BLOCK = 4096
 # ``since + 1`` to ``now``; see ``ChainState.advance``.
 Hold = Callable[[bytearray, int, int], None]
 # From this thin on, ``run`` without occupancy steps one ``advance(thin)``
-# per row instead of taking hold reports (see there).
+# per emission time instead of taking hold reports (see there).
 _PER_ROW_THIN = 128
 
 
@@ -417,8 +418,8 @@ def word_fields(word: bytes, params: EnergyParams) -> tuple[float, DegreeProfile
 
     Equal to ``path_energy`` and ``degree_profile(decode(...))`` without
     building the tree: d0 = #U + #H + 1, d1 = #I, and the root's children
-    are the leading edge plus one per H at height 0.  The energy is the
-    same expression as ``path_energy``, so it is the same float.
+    are the leading edge plus one per H at height 0.  The energy is
+    ``EnergyParams.branching``, as in ``path_energy``, so it is the same float.
     """
     u = word.count(U)
     h = word.count(H)
@@ -432,14 +433,15 @@ def word_fields(word: bytes, params: EnergyParams) -> tuple[float, DegreeProfile
             height -= 1
         elif s == H and not height:
             r += 1
-    energy = params.alpha * (u + h + 1) + params.beta * i
-    return energy, DegreeProfile(u + h + 1, i, r, len(word) + 1)
+    d0 = u + h + 1
+    return params.branching(d0, i), DegreeProfile(d0, i, r, len(word) + 1)
 
 
 class Sample(NamedTuple):
-    """One emitted observation of the chain."""
+    """The chain's state at the emission times ``steps``, over all of which
+    it held the word of ``path``."""
 
-    step: int
+    steps: range
     path: TwoMotzkinPath
     energy: float
     degrees: DegreeProfile | None = None
@@ -481,19 +483,23 @@ def run(
 ) -> RunResult:
     """Run the chain, emitting the state at time t whenever t >= burn_in and
     (t - burn_in) is a multiple of ``thin`` (time 0 is the initial state).
-    Consecutive samples share one path object while the word is unchanged.
+    One ``Sample`` covers the emission times of one held word, in order:
+    each sample's first step is the previous sample's last step plus
+    ``thin``, and consecutive samples share one path object exactly when
+    they hold the same word.
 
     With ``track_occupancy`` the visit count of every state strictly after
     burn-in is recorded, independent of thinning; this is the estimator
     behind total-variation summaries and only makes sense at small m.
 
     After burn-in one ``ChainState.advance`` call takes the whole run, and
-    both the rows and the visit counts are read off the segments it holds
-    each word for: a row is due at each emission time inside a segment,
+    both the samples and the visit counts are read off the segments it
+    holds each word for: a segment with emission times due is one sample,
     and a segment adds its length to its word's count.  So the cost is a
-    hash per change of the word and per row, not per step.  Without
-    occupancy and at a thin of at least ``_PER_ROW_THIN``, ``advance(thin)``
-    is called once per row instead.
+    hash per change of the word, not per step or per emission time.
+    Without occupancy and at a thin of at least ``_PER_ROW_THIN``,
+    ``advance(thin)`` is called once per emission time instead, and each
+    sample covers one.
     """
     check_schedule(total_steps, burn_in, thin)
     state = ChainState(cfg)
@@ -505,7 +511,7 @@ def run(
     # Most proposals are rejected, so the fields of the previous emission
     # are reused while the word has not changed since.
     last = path = energy = degrees = None
-    due = burn_in  # the time of the next row
+    due = burn_in  # the next emission time
 
     def emit(word: bytearray, since: int, now: int) -> None:
         nonlocal last, path, energy, degrees, due
@@ -516,9 +522,9 @@ def run(
             path = TwoMotzkinPath._trusted(last)
             energy, profile = word_fields(last, params)
             degrees = profile if include_degrees else None
-        for t in range(due, now + 1, thin):
-            sink(Sample(t, path, energy, degrees))
-        due = t + thin
+        steps = range(due, now + 1, thin)
+        sink(Sample(steps, path, energy, degrees))
+        due += len(steps) * thin
 
     def count(word: bytearray, since: int, now: int) -> None:
         key = bytes(word)

@@ -141,32 +141,24 @@ def _sample_chain(
     cfg = ChainConfig(m=m, params=params, seed=args.seed, chain_id=chain_id)
     track = m <= _SUMMARY_EXACT_CAP
 
-    # The summary's series, kept once per distinct path: its (energy, d0,
-    # d1) and the step of its first row.  A path's rows are consecutive.
+    # The summary's series, once per sample: (energy, d0, d1) and row count.
     fields: list[tuple[float, int, int]] = []
-    firsts: list[int] = []
+    rows: list[int] = []
     jsonl = args.format == "jsonl"
     head = '{"step":' if jsonl else ""
-    # A row is its step plus the fields of its path, formatted once per
-    # distinct path: ``run`` passes the same path object while the word is
-    # unchanged.  No CSV field needs quoting: words are letters, energies
-    # float reprs.
-    last_path = None
-    tail = ""
 
     def emit(s: Sample) -> None:
-        nonlocal last_path, tail
-        if s.path is not last_path:
-            last_path = s.path
-            p = s.degrees
-            fields.append((s.energy, p.d0, p.d1))
-            firsts.append(s.step)
-            if jsonl:
-                rest = {"path": s.path.word, "energy": s.energy, "d0": p.d0, "d1": p.d1, "r": p.r}
-                tail = "," + json.dumps(rest, separators=(",", ":"))[1:] + "\n"
-            else:
-                tail = f",{s.path.word},{s.energy!r},{p.d0},{p.d1},{p.r}\n"
-        write(f"{head}{s.step}{tail}")
+        # A sample's rows differ only in their step.  No CSV field needs
+        # quoting: words are letters, energies float reprs.
+        p = s.degrees
+        fields.append((s.energy, p.d0, p.d1))
+        rows.append(len(s.steps))
+        if jsonl:
+            rest = {"path": s.path.word, "energy": s.energy, "d0": p.d0, "d1": p.d1, "r": p.r}
+            tail = "," + json.dumps(rest, separators=(",", ":"))[1:] + "\n"
+        else:
+            tail = f",{s.path.word},{s.energy!r},{p.d0},{p.d1},{p.r}\n"
+        write("".join(f"{head}{t}{tail}" for t in s.steps))
 
     sink = open(out_file, "w", newline="") if out_file is not None else sys.stdout
     write = sink.write
@@ -186,11 +178,7 @@ def _sample_chain(
         if out_file is not None:
             sink.close()
 
-    # Each path holds the rows from its first one to the next path's (the
-    # last path to the end of the run), one every ``thin`` steps; ``run``
-    # always emits the burn-in row, so there is at least one.
-    ends = firsts[1:] + [args.burn_in + result.emitted * args.thin]
-    rows = (np.array(ends) - firsts) // args.thin
+    # ``run`` always emits the burn-in row, so there is at least one sample.
     energies, d0s, d1s = (np.repeat(column, rows) for column in zip(*fields))
 
     def histogram(values: np.ndarray) -> dict[str, int]:

@@ -44,6 +44,10 @@ class EnergyParams:
         if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma, self.delta))):
             raise ConfigInvalidError(f"energy coefficients must be finite, got {self}")
 
+    def branching(self, d0, d1):
+        """``alpha * d0 + beta * d1``: every energy in the package, on numbers or arrays."""
+        return self.alpha * d0 + self.beta * d1
+
 
 @dataclass(frozen=True)
 class NNTMParams:
@@ -94,7 +98,7 @@ def builtin_params(name: str) -> NNTMParams:
 def tree_energy(t: PlaneTree, e: EnergyParams, include_root: bool = False) -> float:
     """Branching energy of a tree; the root term is opt-in."""
     profile = degree_profile(t)
-    energy = e.alpha * profile.d0 + e.beta * profile.d1
+    energy = e.branching(profile.d0, profile.d1)
     if include_root:
         energy += e.gamma * profile.r
     return energy
@@ -103,7 +107,7 @@ def tree_energy(t: PlaneTree, e: EnergyParams, include_root: bool = False) -> fl
 def path_energy(x: TwoMotzkinPath, e: EnergyParams) -> float:
     """Branching energy read directly off path symbol counts."""
     counts = x.counts()
-    return e.alpha * (counts.u + counts.h + 1) + e.beta * counts.i
+    return e.branching(counts.u + counts.h + 1, counts.i)
 
 
 _NNTM_KEYS = ("a", "b", "c", "h", "f", "i", "g")

@@ -34,7 +34,6 @@ from .errors import (
     NoConvergenceError,
 )
 from .law import (  # noqa: F401  (re-exported: the oracle's names stay importable from here)
-    EXACT_CAP,
     StateIndex,
     _codes,
     empirical_distribution,

@@ -18,10 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .energy import EnergyParams
-from .errors import CapExceededError, ConfigInvalidError, LengthMismatchError
+from .errors import ConfigInvalidError, LengthMismatchError
 from .paths import D, H, I, SYMBOL_ORDER, U, PathSequence, TwoMotzkinPath, enumerate_paths
-
-EXACT_CAP = 10  # catalan(11) = 58786 states; sparse machinery only
 
 # Base-4 digit of each symbol in enumeration order (U < H < I < D), so the
 # codes of a StateIndex's words ascend and fit in int64 for m <= 31.
@@ -40,8 +38,7 @@ class StateIndex:
 
     @classmethod
     def build(cls, m: int) -> "StateIndex":
-        if m > EXACT_CAP:
-            raise CapExceededError("exact state space length m", m, EXACT_CAP)
+        """All paths of length m; ``CapExceededError`` past ``paths.ENUMERATION_CAP``."""
         words = enumerate_paths(m).words
         return cls(m=m, words=words, codes=_codes(words))
 
@@ -76,7 +73,7 @@ class StateIndex:
     def energies(self, params: EnergyParams) -> np.ndarray:
         """``path_energy`` of every state: the same float64 expression, on column counts."""
         u, h, i = ((self.words == s).sum(axis=1) for s in (U, H, I))
-        return params.alpha * (u + h + 1) + params.beta * i
+        return params.branching(u + h + 1, i)
 
     @cached_property
     def label_blocks(self) -> dict[tuple[int, str, str], np.ndarray]:

@@ -33,7 +33,7 @@ SYMBOL_ORDER = bytes((U, H, I, D))
 _SYMBOLS = np.frombuffer(SYMBOL_ORDER, np.uint8)
 _RISE = np.array([1, 0, 0, -1], np.int8)  # height change of each, in that order
 
-ENUMERATION_CAP = 12
+ENUMERATION_CAP = 12  # also the exact oracle's: catalan(13) = 742 900 states
 
 
 def _first_unmatched_up(symbols: bytes) -> int:
@@ -173,7 +173,7 @@ class PathSequence(Sequence[TwoMotzkinPath]):
         return TwoMotzkinPath._trusted(self.words[operator.index(i)].tobytes())
 
 
-def enumerate_paths(m: int, cap: int = ENUMERATION_CAP) -> PathSequence:
+def enumerate_paths(m: int) -> PathSequence:
     """All catalan(m + 1) paths of length m in lexicographic order (U < H < I < D).
 
     Each prefix grows by U, H, I and D in turn, and survives while its height
@@ -181,8 +181,8 @@ def enumerate_paths(m: int, cap: int = ENUMERATION_CAP) -> PathSequence:
     """
     if m < 0:
         raise ConfigInvalidError(f"path length must be nonnegative, got m={m}")
-    if m > cap:
-        raise CapExceededError("enumeration length m", m, cap)
+    if m > ENUMERATION_CAP:
+        raise CapExceededError("enumeration length m", m, ENUMERATION_CAP)
     words = np.zeros((1, m), np.uint8)
     heights = np.zeros(1, np.int8)
     for pos in range(m):
@@ -196,9 +196,9 @@ def enumerate_paths(m: int, cap: int = ENUMERATION_CAP) -> PathSequence:
     return PathSequence(words)
 
 
-def iter_paths(m: int, cap: int = ENUMERATION_CAP) -> Iterator[TwoMotzkinPath]:
+def iter_paths(m: int) -> Iterator[TwoMotzkinPath]:
     """Iterate over :func:`enumerate_paths`; its errors raise on the call."""
-    return iter(enumerate_paths(m, cap))
+    return iter(enumerate_paths(m))
 
 
 def catalan(n: int) -> int:

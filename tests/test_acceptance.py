@@ -37,7 +37,7 @@ from treegibbs import (
 from treegibbs.decomposition import blocks_at
 from treegibbs.exact import empirical_distribution, is_strongly_connected
 
-from conftest import PARAM_GRID, cached_model
+from conftest import PARAM_GRID, cached_model, sample_rows
 
 SAMPLER_SEED = 1
 SAMPLER_BURN_IN = 10_000
@@ -53,7 +53,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _empirical_from_samples(samples, index) -> np.ndarray:
-    counts = Counter(s.path.symbols for s in samples)
+    counts = Counter(s.path.symbols for _, s in sample_rows(samples))
     return empirical_distribution(dict(counts), index)
 
 
@@ -168,7 +168,7 @@ def test_05_sampler_uniform_case():
     tv = tv_distance(emp, uniform)
     elapsed = time.time() - start
     _report(5, "sampler-uniform-tv<=0.02", tv <= 0.02 and elapsed < 60.0,
-            f"TV={tv:.4f} over {len(result.samples)} kept samples ({elapsed:.1f}s)")
+            f"TV={tv:.4f} over {result.emitted} kept samples ({elapsed:.1f}s)")
 
 
 def test_06_sampler_weighted_case():
@@ -180,7 +180,9 @@ def test_06_sampler_weighted_case():
     emp = _empirical_from_samples(result.samples, model.index)
     tv = tv_distance(emp, model.pi)
 
-    d0_series = [s.path.counts().u + s.path.counts().h + 1 for s in result.samples]
+    d0_series = [
+        s.path.counts().u + s.path.counts().h + 1 for _, s in sample_rows(result.samples)
+    ]
     mean_d0 = float(np.mean(d0_series))
     se = batch_means_stderr(d0_series, n_batches=100)
     exact_d0 = float(

@@ -32,6 +32,8 @@ from treegibbs.chain import draw_cells, transition_distribution, word_fields
 from treegibbs.paths import D, H, I, U
 from treegibbs.errors import ConfigInvalidError, LengthMismatchError
 
+from conftest import sample_rows
+
 ZERO = EnergyParams(0.0, 0.0)
 GRID = [EnergyParams(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
 
@@ -235,39 +237,54 @@ class TestRun:
         cfg = ChainConfig(m=5, params=EnergyParams(0.5, -0.5), seed=99)
         a = run(cfg, total_steps=2000, burn_in=100, thin=7)
         b = run(cfg, total_steps=2000, burn_in=100, thin=7)
-        assert [s.path.word for s in a.samples] == [s.path.word for s in b.samples]
-        assert [s.step for s in a.samples] == [s.step for s in b.samples]
+        a, b = sample_rows(a.samples), sample_rows(b.samples)
+        assert [s.path.word for _, s in a] == [s.path.word for _, s in b]
+        assert [t for t, _ in a] == [t for t, _ in b]
 
     def test_chain_id_gives_independent_stream(self):
         base = ChainConfig(m=5, params=ZERO, seed=99)
         other = ChainConfig(m=5, params=ZERO, seed=99, chain_id=1)
         a = run(base, total_steps=500)
         b = run(other, total_steps=500)
-        assert [s.path.word for s in a.samples] != [s.path.word for s in b.samples]
+        a, b = sample_rows(a.samples), sample_rows(b.samples)
+        assert [s.path.word for _, s in a] != [s.path.word for _, s in b]
 
     def test_emission_schedule(self):
         cfg = ChainConfig(m=2, params=ZERO, seed=5)
         res = run(cfg, total_steps=10, burn_in=4, thin=3)
-        assert [s.step for s in res.samples] == [4, 7, 10]
+        assert [t for t, _ in sample_rows(res.samples)] == [4, 7, 10]
         res = run(cfg, total_steps=10)
-        assert [s.step for s in res.samples] == list(range(11))
+        assert [t for t, _ in sample_rows(res.samples)] == list(range(11))
 
     def test_zero_steps_emits_initial(self):
         cfg = ChainConfig(m=4, params=ZERO, seed=5)
         res = run(cfg, total_steps=0)
-        assert len(res.samples) == 1
-        assert res.samples[0].path.word == "HHHH"
+        expanded = sample_rows(res.samples)
+        assert len(expanded) == 1
+        assert expanded[0][1].path.word == "HHHH"
 
     def test_collector_and_degrees(self):
         seen = []
         cfg = ChainConfig(m=3, params=ZERO, seed=5)
         res = run(cfg, total_steps=20, collector=seen.append, include_degrees=True)
         assert res.samples == []
-        assert res.emitted == len(seen) == 21
-        for s in seen:
+        assert res.emitted == len(sample_rows(seen)) == 21
+        for _, s in sample_rows(seen):
             c = s.path.counts()
             assert s.degrees.d0 == c.u + c.h + 1
             assert s.degrees.n == 4
+
+    def test_one_sample_per_held_word(self):
+        cfg = ChainConfig(m=49, params=resolve_params("turner04-cg"), seed=3)
+        thin = 1
+        seen = []
+        res = run(cfg, total_steps=20_000, burn_in=1000, thin=thin, collector=seen.append)
+        assert len(seen) < res.emitted
+        assert sum(len(s.steps) for s in seen) == res.emitted
+        assert all(s.steps.step == thin for s in seen)
+        for prev, s in zip(seen, seen[1:]):
+            assert s.steps[0] == prev.steps[-1] + thin
+            assert (s.path is prev.path) == (s.path.symbols == prev.path.symbols)
 
     def test_occupancy_counts_every_post_burn_in_state(self):
         cfg = ChainConfig(m=3, params=ZERO, seed=5)
@@ -464,7 +481,7 @@ class TestOccupancy:
     def test_run_counts_match_single_steps(self, m, thin, burn_in, monkeypatch):
         # 9 000 steps cross two draw blocks.
         cfg = ChainConfig(m=m, params=resolve_params("turner04-cg"), seed=m * thin + burn_in)
-        rows, visits, reference = _reference_run(cfg, 9000, burn_in, thin)
+        want, visits, reference = _reference_run(cfg, 9000, burn_in, thin)
         states = []
 
         class Recorded(ChainState):
@@ -477,10 +494,11 @@ class TestOccupancy:
             res = run(cfg, total_steps=9000, burn_in=burn_in, thin=thin,
                       include_degrees=True, track_occupancy=track)
             assert res.occupancy == (visits if track else None)
-            got = [(s.step, s.path.symbols, s.energy, s.degrees) for s in res.samples]
-            assert got == rows
-            assert res.emitted == len(rows)
-            for prev, s in zip(res.samples, res.samples[1:]):
+            expanded = sample_rows(res.samples)
+            got = [(t, s.path.symbols, s.energy, s.degrees) for t, s in expanded]
+            assert got == want
+            assert res.emitted == len(want)
+            for (_, prev), (_, s) in zip(expanded, expanded[1:]):
                 assert (s.path is prev.path) == (s.path.symbols == prev.path.symbols)
             assert res.final_path == reference.path
             assert _rng_position(states.pop()) == _rng_position(reference)

@@ -146,8 +146,9 @@ class TestSample:
 
     # Pinned SHA-256 of (data file, summary JSON) for fixed runs: a change to
     # the move loop, its RNG use or the row format that alters one byte fails
-    # here.  The m > 8 runs take the emission-only path, the m <= 8 runs the
-    # occupancy-tracking one (the last at thin 1).
+    # here.  The m > 8 runs take the emission-only path (at thin 1, one sample
+    # covers many rows; at thin 200, one ``advance(thin)`` per row), the
+    # m <= 8 runs the occupancy-tracking one (the last at thin 1).
     GOLDEN = [
         (["--n", 12, "--params", "turner04-cg", "--steps", "2e4", "--burn-in", 100,
           "--thin", 3, "--seed", 7], "csv",
@@ -163,6 +164,14 @@ class TestSample:
         (["--n", 8, "--params", "turner04-cg", "--steps", "5e4", "--thin", 1], "csv",
          "ff4b542aedbfd16f35259ac8a1edfef3aa5130452bdee5a96642c1c9f74aac93",
          "bd5754608601269d4043f1cc863ec461841a323dd00c5c8bce54622e47f2cf21"),
+        (["--n", 50, "--params", "turner04-cg", "--steps", "5e4", "--burn-in", "1e4",
+          "--thin", 1], "csv",
+         "3369551ca3d1a992f7fa8e9c1758e897f137fad7a19e323e77bacae2592840ad",
+         "e7665b0c2793a1f9e364e61dc531d74e0ad36855ec00c1d918545a83067b4f41"),
+        (["--n", 60, "--params", "turner04-cg", "--steps", "2e5", "--burn-in", 100,
+          "--thin", 200], "jsonl",
+         "6d5876cec4e07bb3a4b8518d1cf69e7ad1e9cf77aca2e215df85b51a1a6e7578",
+         "3a27fa7659285d0f0e15b133c7251381170b9fd8bb2f1f6236cac87aa8c0d690"),
     ]
 
     @pytest.mark.parametrize("flags,fmt,data_sha,summary_sha", GOLDEN)
@@ -286,7 +295,7 @@ class TestExact:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_cap_exceeded_exit_4(self):
-        assert cli("exact", "pi", "--m", 11, "--alpha", 0, "--beta", 0).returncode == 4
+        assert cli("exact", "pi", "--m", 13, "--alpha", 0, "--beta", 0).returncode == 4
 
     @pytest.mark.parametrize("command", ["pi", "gap", "tv-curve"])
     def test_negative_m_is_a_validation_error(self, command):

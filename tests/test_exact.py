@@ -39,8 +39,10 @@ from treegibbs.errors import (
 from treegibbs.law import logsumexp
 from treegibbs.paths import TwoMotzkinPath
 
+from conftest import sample_rows
+
 ZERO = EnergyParams(0.0, 0.0)
-PINS = json.loads((Path(__file__).parent / "data" / "law_pins_m0-10.json").read_text())
+PINS = json.loads((Path(__file__).parent / "data" / "law_pins_m0-12.json").read_text())
 PIN_PARAMS = {
     "turner04-cg": resolve_params("turner04-cg"),
     "0,0": ZERO,
@@ -61,9 +63,9 @@ class TestStateIndex:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            StateIndex.build(11)
+            StateIndex.build(13)
 
-    @pytest.mark.parametrize("m", range(11))
+    @pytest.mark.parametrize("m", range(13))
     def test_order_hash_pinned(self, m):
         assert StateIndex.build(m).order_hash() == PINS["order_hash"][str(m)]
 
@@ -91,7 +93,7 @@ class TestStateIndex:
 
 class TestGibbsDistribution:
     @pytest.mark.parametrize("name", PIN_PARAMS)
-    @pytest.mark.parametrize("m", range(11))
+    @pytest.mark.parametrize("m", range(13))
     def test_pi_pinned(self, m, name):
         pi, log_z = gibbs_distribution(m, PIN_PARAMS[name])
         assert hashlib.sha256(pi.astype("<f8").tobytes()).hexdigest() == PINS["pi_sha256"][name][str(m)]
@@ -340,7 +342,7 @@ class TestEmpirical:
         model = model_for(4, 1.0, -1.0)
         cfg = ChainConfig(m=4, params=params, seed=2)
         res = run(cfg, total_steps=10_000 + 10 * 200_000, burn_in=10_000, thin=10)
-        counts = Counter(s.path.symbols for s in res.samples)
+        counts = Counter(s.path.symbols for _, s in sample_rows(res.samples))
         emp = empirical_distribution(dict(counts), model.index)
         assert tv_distance(emp, model.pi) < 0.03
 
