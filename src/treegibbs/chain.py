@@ -24,12 +24,16 @@ the emission times it covers.  ``step`` is ``advance(1)``.  Since a proposal
 whose uniform is at or above its class's largest acceptance is rejected
 whatever the word, each block of draws is screened in numpy when it is
 drawn, and the loop visits only the draws a word could accept (43% of
-them under Turner-04-CG at m = 49).  The raw draws, their order and so
-every output are the same as without the screen.  ``draw_cells`` is the
-exact kernel: the same moves as a table of draw cells, each vectorized
-over a matrix of words, from which the oracle builds the transition matrix
-and ``transition_distribution`` reads one row.  No other copy of the
-kernel is kept, and a test injects every cell's draws into ``advance`` and
+them under Turner-04-CG at m = 49).  The screen also reads off each
+survivor's uniform which directions it accepts, so the loop only tests
+the word.  The raw draws, their order and so every output are the same
+as without the screen.  ``run`` reads the energy and degrees of its held
+words in numpy batches (``word_fields``), the same reader the oracle's
+energies go through.  ``draw_cells`` is the exact kernel: the same moves
+as a table of draw cells, each vectorized over a matrix of words, from
+which the oracle builds the transition matrix and
+``transition_distribution`` reads one row.  No other copy of the kernel
+is kept, and a test injects every cell's draws into ``advance`` and
 requires the cell's target word.
 """
 
@@ -55,6 +59,17 @@ Hold = Callable[[bytearray, int, int], None]
 # From this thin on, ``run`` without occupancy steps one ``advance(thin)``
 # per emission time instead of taking hold reports (see there).
 _PER_ROW_THIN = 128
+# ``run`` reads the fields of its held words in batches of about this many
+# symbols, which bounds the memory they take at every m.  A queued sample
+# also holds about 140 bytes of Python objects, so a short word counts as
+# ``_FLUSH_MIN_M`` symbols.
+_FLUSH_SYMBOLS = 1 << 16
+_FLUSH_MIN_M = 64
+# Move codes of the screened draws (see ``ChainState._load``).
+_PAIR, _PAIR_ONE, _SITE, _SITE_ONE, _TRANSPOSE, _SWAP = range(6)
+# Two symbols an adjacent swap may exchange, one up/down and one level
+# step, are told apart by their byte sum: no other pair has theirs.
+_SWAPPABLE = [total in (U + H, U + I, D + H, D + I) for total in range(256)]
 
 
 def _sigmoid(z: float) -> float:
@@ -118,24 +133,31 @@ class ChainState:
         self.cfg = cfg
         self.word = bytearray(cfg.resolved_initial().symbols)
         self.step_count = 0
-        self._consts = move_constants(cfg.params)
         seq = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, cfg.chain_id])
         self._rng = np.random.Generator(np.random.PCG64(seq))
         self._cursor = _RNG_BLOCK  # forces a refill on first use
-        # Per move class: the number of positions u1 picks i from, and the
-        # bound a draw's uniform must fall below for any word to accept it.
+        # Per move class: the number of positions u1 picks i from, the bound
+        # a draw's uniform must fall below for any word to accept it, the
+        # bound below which either direction is accepted, and the move codes
+        # of ``_load`` for a draw below and above that second bound (no
+        # transposition or swap survives above it: its two bounds are equal).
         m, pairs = cfg.m, cfg.m - 1
-        ud_to_hh, hh_to_ud, h_to_i, i_to_h = self._consts
+        ud_to_hh, hh_to_ud, h_to_i, i_to_h = move_constants(cfg.params)
         self._spans = np.array([pairs, m, m, pairs])
         pair_limit = max(ud_to_hh, hh_to_ud) if pairs else 0.0
         self._limits = np.array([pair_limit, max(h_to_i, i_to_h), 0.5, 0.5 if pairs else 0.0])
+        self._either = np.array([min(ud_to_hh, hh_to_ud), min(h_to_i, i_to_h), 0.5, 0.5])
+        self._move_codes = np.array([[_PAIR, _SITE, _TRANSPOSE, _SWAP], [_PAIR_ONE, _SITE_ONE, -1, -1]])
+        # The one direction a _PAIR_ONE or _SITE_ONE draw can take: the
+        # symbols it requires at i (and j) and the ones it writes there.
+        self._pair_one = (U, D, H, H) if ud_to_hh > hh_to_ud else (H, H, U, D)
+        self._site_one = (H, I) if h_to_i > i_to_h else (I, H)
         # The block's surviving draws (see ``_load``): offset in the block,
-        # move class, positions i and j, and u2.
+        # move code, and positions i and j.
         self._offsets: list[int] = []
         self._moves: list[int] = []
         self._i: list[int] = []
         self._j: list[int] = []
-        self._u2: list[float] = []
 
     @property
     def path(self) -> TwoMotzkinPath:
@@ -161,20 +183,31 @@ class ChainState:
         it, whatever the word: u2 at or above the larger acceptance of its
         pair or site class, u3 >= 1/2 for a transposition (and ``i == j``,
         which swaps nothing), u2 >= 1/2 for an adjacent swap, and the pair
-        classes at m = 1.  The survivors are kept as plain lists, which beat
+        classes at m = 1.
+
+        A survivor's uniform is read here and nowhere else: it becomes the
+        draw's move code.  A pair or site draw whose u2 lies below both of
+        its class's acceptances may move the word either way (``_PAIR``,
+        ``_SITE``); one whose u2 lies between them may only take the
+        direction with the larger acceptance (``_PAIR_ONE``, ``_SITE_ONE``).
+        A surviving transposition or adjacent swap is accepted whenever its
+        word allows it.  The survivors are kept as plain lists, which beat
         numpy scalars for single-element access in the move loop; the
         draws, and so the chain, are unchanged.
         """
         swap = ls == 2
         i = (u1 * self._spans[ls]).astype(np.int64)
         j = np.where(swap, (u2 * self.cfg.m).astype(np.int64), i + ((ls == 0) | (ls == 3)))
-        keep = (np.where(swap, u3, u2) < self._limits[ls]) & ((i != j) | ~swap)
-        kept = np.flatnonzero(keep)
+        u = np.where(swap, u3, u2)
+        kept = np.flatnonzero((u < self._limits[ls]) & ((i != j) | ~swap))
+        ls = ls[kept]
         self._offsets = kept.tolist()
-        self._moves = ls[kept].tolist()
-        self._i = i[kept].tolist()
-        self._j = j[kept].tolist()
-        self._u2 = u2[kept].tolist()
+        self._moves = self._move_codes[(u[kept] >= self._either[ls]).view(np.int8), ls].tolist()
+        # Only a transposition can have j < i, and swapping i and j is the
+        # same move as swapping j and i.
+        i, j = i[kept], j[kept]
+        self._i = np.minimum(i, j).tolist()
+        self._j = np.maximum(i, j).tolist()
         self._cursor = 0
 
     def step(self) -> None:
@@ -189,7 +222,9 @@ class ChainState:
         the end.  Each draw lands in one cell of :func:`draw_cells`, and
         the step leaves that cell's target word or the word unchanged.  The
         loop visits only the draws that survive the block's screen (see
-        ``_load``); a screened-out draw is a step that keeps the word.
+        ``_load``); a screened-out draw is a step that keeps the word.  A
+        survivor's move code already says which directions its uniform
+        accepts, so the loop reads no uniform and tests only the word.
 
         With ``hold``, every step of the call is reported as part of one
         held segment: ``hold(word, since, now)`` says that ``word`` is the
@@ -203,7 +238,10 @@ class ChainState:
         if steps <= 0:
             return
         w = self.word
-        ud_to_hh, hh_to_ud, h_to_i, i_to_h = self._consts
+        pair_a, pair_b, pair_x, pair_y = self._pair_one
+        site_a, site_x = self._site_one
+        swappable = _SWAPPABLE
+        up_down = U + D  # the byte sum of no other two symbols
         c = self._cursor
         t = self.step_count
         self.step_count += steps
@@ -222,50 +260,30 @@ class ChainState:
             offsets = self._offsets
             a = bisect_left(offsets, c)
             b = bisect_left(offsets, stop, a)
-            draws = zip(offsets[a:b], self._moves[a:b], self._i[a:b], self._j[a:b], self._u2[a:b])
+            draws = zip(offsets[a:b], self._moves[a:b], self._i[a:b], self._j[a:b])
             c = stop
-            # Each accepted move sets positions i and j to x and y below.
-            for o, move, i, j, u2 in draws:
-                if move == 0:  # UD <-> HH pair resample
-                    a = w[i]
-                    if a == U:
-                        if w[j] != D or u2 >= ud_to_hh:
-                            continue
-                        x = y = H
-                    elif a == H:
-                        if w[j] != H or u2 >= hh_to_ud:
-                            continue
-                        x = U
-                        y = D
-                    else:
-                        continue
-                elif move == 1:  # H <-> I site resample
-                    a = w[i]
-                    if a == H:
-                        if u2 >= h_to_i:
-                            continue
-                        x = y = I
-                    elif a == I:
-                        if u2 >= i_to_h:
-                            continue
-                        x = y = H
-                    else:
-                        continue
-                elif move == 2:  # up/down transposition anywhere
+            # Each accepted move sets positions i and j to x and y below;
+            # the screen has already accepted the draw's uniform.
+            for o, move, i, j in draws:
+                if move == _SWAP:  # adjacent swap of an up/down and a level step
                     y = w[i]
                     x = w[j]
-                    if not ((y == U and x == D) or (y == D and x == U)):
+                    if not swappable[x + y]:
                         continue
-                    lo, hi = (i, j) if i < j else (j, i)
-                    if w[lo] == U:
+                elif move == _TRANSPOSE:  # up/down transposition, i < j
+                    y = w[i]
+                    x = w[j]
+                    if x + y != up_down:
+                        continue
+                    if y == U:
                         # The U moves right, so heights inside the span drop
                         # by 2; outside it nothing changes.  Walk the swapped
-                        # span from the D now at lo, stopping at the first
+                        # span from the D now at i, stopping at the first
                         # negative height.
-                        h = w.count(U, 0, lo) - w.count(D, 0, lo) - 1
+                        h = w.count(U, 0, i) - w.count(D, 0, i) - 1
                         if h < 0:
                             continue
-                        for s in w[lo + 1 : hi]:
+                        for s in w[i + 1 : j]:
                             if s == U:
                                 h += 1
                             elif s == D:
@@ -274,10 +292,35 @@ class ChainState:
                                     break
                         if h < 0:
                             continue
-                else:  # adjacent swap of an up/down and a level step
-                    y = w[i]
-                    x = w[j]
-                    if (y == U or y == D) == (x == U or x == D):
+                elif move == _PAIR_ONE:  # UD <-> HH, one way only
+                    if w[i] != pair_a or w[j] != pair_b:
+                        continue
+                    x = pair_x
+                    y = pair_y
+                elif move == _SITE:  # H <-> I either way
+                    a = w[i]
+                    if a == H:
+                        x = y = I
+                    elif a == I:
+                        x = y = H
+                    else:
+                        continue
+                elif move == _SITE_ONE:  # H <-> I, one way only
+                    if w[i] != site_a:
+                        continue
+                    x = y = site_x
+                else:  # UD <-> HH either way
+                    a = w[i]
+                    if a == U:
+                        if w[j] != D:
+                            continue
+                        x = y = H
+                    elif a == H:
+                        if w[j] != H:
+                            continue
+                        x = U
+                        y = D
+                    else:
                         continue
                 if hold is not None:
                     now = base + o
@@ -413,28 +456,42 @@ def neighbors(
     ]
 
 
-def word_fields(word: bytes, params: EnergyParams) -> tuple[float, DegreeProfile]:
-    """Energy and degree profile of the tree a path encodes, read off its word.
+class WordFields(NamedTuple):
+    """Per-row observables of a word matrix; see :func:`word_fields`."""
 
-    Equal to ``path_energy`` and ``degree_profile(decode(...))`` without
-    building the tree: d0 = #U + #H + 1, d1 = #I, and the root's children
-    are the leading edge plus one per H at height 0.  The energy is
-    ``EnergyParams.branching``, as in ``path_energy``, so it is the same float.
+    energy: np.ndarray
+    d0: np.ndarray
+    d1: np.ndarray
+    r: np.ndarray | None
+
+
+# Height change of each symbol: +1 for U, -1 for D, 0 for the level steps.
+_STEP = np.zeros(256, dtype=np.int8)
+_STEP[U] = 1
+_STEP[D] = -1
+
+
+def word_fields(words: np.ndarray, params: EnergyParams, root_degree: bool = True) -> WordFields:
+    """Energy and degree counts of the trees the rows of a ``(k, m)`` uint8
+    word matrix encode, read off the words without building the trees.
+
+    d0 = #U + #H + 1 and d1 = #I are column counts, and the energy is
+    ``EnergyParams.branching(d0, d1)``, the float64 expression of
+    ``path_energy``, so the same float.  The root's children are the
+    leading edge plus one per H at height 0, read off the cumulative
+    heights; ``root_degree=False`` skips that pass and gives ``r = None``.
     """
-    u = word.count(U)
-    h = word.count(H)
-    i = word.count(I)
-    r = 1
-    height = 0
-    for s in word:
-        if s == U:
-            height += 1
-        elif s == D:
-            height -= 1
-        elif s == H and not height:
-            r += 1
-    d0 = u + h + 1
-    return params.branching(d0, i), DegreeProfile(d0, i, r, len(word) + 1)
+    d0 = np.count_nonzero(words == U, axis=1) + np.count_nonzero(words == H, axis=1) + 1
+    d1 = np.count_nonzero(words == I, axis=1)
+    r = None
+    if root_degree:
+        grounded = np.cumsum(_STEP[words], axis=1, dtype=np.int32) == 0
+        r = np.count_nonzero(grounded & (words == H), axis=1) + 1
+    # Past the float64 range an energy is inf, or NaN for inf - inf, as in
+    # Python float arithmetic, and as quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = params.branching(d0, d1)
+    return WordFields(energy, d0, d1, r)
 
 
 class Sample(NamedTuple):
@@ -500,6 +557,12 @@ def run(
     Without occupancy and at a thin of at least ``_PER_ROW_THIN``,
     ``advance(thin)`` is called once per emission time instead, and each
     sample covers one.
+
+    Collector calls are batched: samples are queued until their words
+    hold about ``_FLUSH_SYMBOLS`` symbols (or the run ends), then one
+    ``word_fields`` call reads all their energies and degrees and the
+    collector receives them in order.  So a collector runs behind the
+    chain, and the samples still queued when a run raises never reach it.
     """
     check_schedule(total_steps, burn_in, thin)
     state = ChainState(cfg)
@@ -507,24 +570,47 @@ def run(
     result = RunResult(cfg, total_steps, burn_in, thin, occupancy=occupancy)
     word = state.word
     params = cfg.params
+    m = cfg.m
     sink = result.samples.append if collector is None else collector
-    # Most proposals are rejected, so the fields of the previous emission
-    # are reused while the word has not changed since.
-    last = path = energy = degrees = None
+    # Samples wait in ``queued`` as (steps, path, row of ``words``) until
+    # their words' fields are read in one batch.  ``words`` holds each new
+    # word once; its last word stays queued over a flush, since the chain
+    # may still hold it.
+    words: list[bytes] = []
+    queued: list[tuple[range, TwoMotzkinPath, int]] = []
+    batch = max(1, _FLUSH_SYMBOLS // max(m, _FLUSH_MIN_M))
+    last = path = None
     due = burn_in  # the next emission time
 
+    def flush() -> None:
+        matrix = np.frombuffer(b"".join(words), np.uint8).reshape(len(words), m)
+        fields = word_fields(matrix, params, root_degree=include_degrees)
+        energies = fields.energy.tolist()
+        if include_degrees:
+            columns = (fields.d0.tolist(), fields.d1.tolist(), fields.r.tolist())
+            degrees = [DegreeProfile(*f, m + 1) for f in zip(*columns)]
+        else:
+            degrees = [None] * len(words)
+        for steps, held, k in queued:
+            sink(Sample(steps, held, energies[k], degrees[k]))
+        queued.clear()
+        del words[:-1]
+
     def emit(word: bytearray, since: int, now: int) -> None:
-        nonlocal last, path, energy, degrees, due
+        nonlocal last, path, due
         if due > now:
             return
+        # Most proposals are rejected, so a word is often held over several
+        # emission times and samples: its path is made once.
         if word != last:
             last = bytes(word)
             path = TwoMotzkinPath._trusted(last)
-            energy, profile = word_fields(last, params)
-            degrees = profile if include_degrees else None
+            words.append(last)
         steps = range(due, now + 1, thin)
-        sink(Sample(steps, path, energy, degrees))
+        queued.append((steps, path, len(words) - 1))
         due += len(steps) * thin
+        if len(queued) >= batch:
+            flush()
 
     def count(word: bytearray, since: int, now: int) -> None:
         key = bytes(word)
@@ -544,6 +630,8 @@ def run(
             state.advance(thin)
             emit(word, due - 1, due)
         state.advance(total_steps - state.step_count)
+    if queued:
+        flush()
     result.emitted = (total_steps - burn_in) // thin + 1
     result.final_path = state.path
     return result

@@ -34,6 +34,7 @@ from .errors import (
     EmptyTreeError,
     InternalInvariantViolationError,
     LengthMismatchError,
+    MassUnderflowError,
     NoConvergenceError,
     NotAPartitionError,
     PathValidationError,
@@ -130,6 +131,11 @@ def _write_json(payload: dict, out: Path | None) -> None:
 # sample
 
 
+def _json_float(x: float) -> str:
+    """``json.dumps(x)`` without the call: a finite float's repr, else NaN or Infinity."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _sample_chain(
     params: EnergyParams,
     args,
@@ -145,19 +151,20 @@ def _sample_chain(
     fields: list[tuple[float, int, int]] = []
     rows: list[int] = []
     jsonl = args.format == "jsonl"
-    head = '{"step":' if jsonl else ""
+    # A row is ``head``, its step, and its sample's fields in ``template``;
+    # words need no quoting or escaping.
+    if jsonl:
+        head, template = '{"step":', ',"path":"%s","energy":%s,"d0":%d,"d1":%d,"r":%d}\n'
+        number = _json_float
+    else:
+        head, template = "", ",%s,%s,%d,%d,%d\n"
+        number = repr
 
     def emit(s: Sample) -> None:
-        # A sample's rows differ only in their step.  No CSV field needs
-        # quoting: words are letters, energies float reprs.
         p = s.degrees
         fields.append((s.energy, p.d0, p.d1))
         rows.append(len(s.steps))
-        if jsonl:
-            rest = {"path": s.path.word, "energy": s.energy, "d0": p.d0, "d1": p.d1, "r": p.r}
-            tail = "," + json.dumps(rest, separators=(",", ":"))[1:] + "\n"
-        else:
-            tail = f",{s.path.word},{s.energy!r},{p.d0},{p.d1},{p.r}\n"
+        tail = template % (s.path.word, number(s.energy), p.d0, p.d1, p.r)
         write("".join(f"{head}{t}{tail}" for t in s.steps))
 
     sink = open(out_file, "w", newline="") if out_file is not None else sys.stdout
@@ -494,6 +501,7 @@ def main(argv: list[str] | None = None) -> int:
         LengthMismatchError,
         EmptyBlockError,
         NotAPartitionError,
+        MassUnderflowError,
     ) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION

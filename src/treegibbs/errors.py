@@ -88,6 +88,11 @@ class NoConvergenceError(TreeGibbsError, RuntimeError):
         self.residual = residual
 
 
+class MassUnderflowError(TreeGibbsError, ValueError):
+    """A state's Gibbs mass underflows to 0 in float64, so a spectral solve,
+    which scales the kernel by 1/sqrt(pi), cannot be set up."""
+
+
 class EmptyBlockError(TreeGibbsError, ValueError):
     """A restriction chain was requested over an empty block."""
 

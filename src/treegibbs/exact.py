@@ -31,6 +31,7 @@ from .errors import (
     BalanceViolationError,
     ConfigInvalidError,
     InternalInvariantViolationError,
+    MassUnderflowError,
     NoConvergenceError,
 )
 from .law import (  # noqa: F401  (re-exported: the oracle's names stay importable from here)
@@ -187,8 +188,15 @@ def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int
     reversible chain.  ``"dense"``: residual |lambda0 - 1|.  ``"lanczos"``:
     ARPACK's two top eigenpairs of A made exactly symmetric, started from
     sqrt(pi) so reruns are identical; residual max ||A v - lambda v||,
-    iterations the count of products with A.
+    iterations the count of products with A.  ``MassUnderflowError`` when
+    some state has mass 0, which A cannot be scaled by.
     """
+    empty = len(pi) - np.count_nonzero(pi)
+    if empty:
+        raise MassUnderflowError(
+            f"the Gibbs mass of {empty} of {len(pi)} states underflows to 0 in float64, "
+            "so the kernel cannot be symmetrized; use smaller |alpha| and |beta|"
+        )
     root = np.sqrt(pi)
     if method == "dense":
         A = P.toarray() if sp.issparse(P) else np.array(P, dtype=float)

@@ -17,9 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .chain import word_fields
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, LengthMismatchError
-from .paths import D, H, I, SYMBOL_ORDER, U, PathSequence, TwoMotzkinPath, enumerate_paths
+from .paths import D, SYMBOL_ORDER, U, PathSequence, TwoMotzkinPath, enumerate_paths
 
 # Base-4 digit of each symbol in enumeration order (U < H < I < D), so the
 # codes of a StateIndex's words ascend and fit in int64 for m <= 31.
@@ -71,9 +72,8 @@ class StateIndex:
         return hashlib.sha256(lines.tobytes()[:-1]).hexdigest()
 
     def energies(self, params: EnergyParams) -> np.ndarray:
-        """``path_energy`` of every state: the same float64 expression, on column counts."""
-        u, h, i = ((self.words == s).sum(axis=1) for s in (U, H, I))
-        return params.branching(u + h + 1, i)
+        """``path_energy`` of every state, read off the word matrix by ``chain.word_fields``."""
+        return word_fields(self.words, params, root_degree=False).energy
 
     @cached_property
     def label_blocks(self) -> dict[tuple[int, str, str], np.ndarray]:

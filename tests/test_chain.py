@@ -26,10 +26,11 @@ from treegibbs import (
     transition_probability,
     validate,
 )
-from treegibbs import decode, degree_profile, iter_paths, resolve_params
+from treegibbs import decode, degree_profile, resolve_params
 from treegibbs import chain as chain_module
 from treegibbs.chain import draw_cells, transition_distribution, word_fields
 from treegibbs.paths import D, H, I, U
+from treegibbs.trees import DegreeProfile
 from treegibbs.errors import ConfigInvalidError, LengthMismatchError
 
 from conftest import sample_rows
@@ -503,6 +504,42 @@ class TestOccupancy:
             assert res.final_path == reference.path
             assert _rng_position(states.pop()) == _rng_position(reference)
 
+    @pytest.mark.parametrize("batch", ["default", "one sample"])
+    def test_fields_read_in_batches_at_m999(self, batch, monkeypatch):
+        # At m = 999 and thin 1 the default batch is 65 samples, so 9 000
+        # steps cross several flushes.  With one sample per batch every
+        # flush falls between two samples, and so also inside each hold
+        # split at a block's end: the word queued over the flush must keep
+        # its path object.
+        m = 999
+        if batch == "one sample":
+            monkeypatch.setattr(chain_module, "_FLUSH_SYMBOLS", m)
+        flushes = []
+
+        def counted(words, *args, **kwargs):
+            flushes.append(len(words))
+            return word_fields(words, *args, **kwargs)
+
+        monkeypatch.setattr(chain_module, "word_fields", counted)
+        seen = []
+        cfg = ChainConfig(m=m, params=resolve_params("turner04-cg"), seed=21)
+        res = run(cfg, total_steps=9000, burn_in=300, thin=1, include_degrees=True,
+                  collector=lambda s: seen.append((len(flushes), s)))
+        want, _, reference = _reference_run(cfg, 9000, 300, 1)
+        samples = [s for _, s in seen]
+        got = [(t, s.path.symbols, s.energy, s.degrees) for t, s in sample_rows(samples)]
+        assert got == want
+        assert res.emitted == len(want) and res.samples == []
+        assert res.final_path == reference.path
+        assert len(flushes) >= 3
+        crossed = 0
+        for (f0, prev), (f1, s) in zip(seen, seen[1:]):
+            assert s.steps[0] == prev.steps[-1] + 1
+            assert (s.path is prev.path) == (s.path.symbols == prev.path.symbols)
+            crossed += f0 != f1 and s.path is prev.path
+        if batch == "one sample":
+            assert crossed >= 2
+
     @pytest.mark.parametrize("m", [1, 2, 6, 8])
     def test_split_counting_matches_one_call(self, m):
         cfg = ChainConfig(m=m, params=EnergyParams(1.0, -1.0), seed=m)
@@ -618,19 +655,51 @@ class TestScreen:
             assert ((move, below(max(qs))) in changed) == (m >= (2, 1, 4, 3)[move])
 
 
+def _random_word(rng, m: int) -> bytes:
+    """A valid word of length m: each step drawn uniformly from those that
+    keep the height nonnegative and still let the path return to 0."""
+    word = bytearray()
+    height = 0
+    for k in range(m):
+        left = m - k - 1  # steps after this one
+        options = [s for s, dh in ((U, 1), (H, 0), (I, 0), (D, -1)) if 0 <= height + dh <= left]
+        s = options[rng.integers(len(options))]
+        height += 1 if s == U else -1 if s == D else 0
+        word.append(s)
+    return bytes(word)
+
+
 class TestWordFields:
+    def _check(self, words: list[bytes], params: EnergyParams) -> None:
+        m = len(words[0])
+        matrix = np.frombuffer(b"".join(words), np.uint8).reshape(len(words), m)
+        fields = word_fields(matrix, params)
+        rows = zip(fields.energy.tolist(), fields.d0.tolist(), fields.d1.tolist(), fields.r.tolist())
+        for word, (energy, d0, d1, r) in zip(words, rows):
+            x = validate(word.decode())
+            assert DegreeProfile(d0, d1, r, m + 1) == degree_profile(decode(x)), x.word
+            assert repr(energy) == repr(path_energy(x, params)), x.word
+        bare = word_fields(matrix, params, root_degree=False)
+        assert bare.r is None
+        for got, want in zip(bare[:3], fields[:3]):
+            assert np.array_equal(got, want)
+
     def test_exhaustive_against_tree_and_path_energy(self):
-        grid = [resolve_params("turner04-cg"), EnergyParams(0.0, 0.0), EnergyParams(1.0, -1.0)]
         seen = 0
         for m in range(1, 10):
-            for x in iter_paths(m):
-                profile = degree_profile(decode(x))
-                for e in grid:
-                    energy, fields = word_fields(x.symbols, e)
-                    assert fields == profile, x.word
-                    assert repr(energy) == repr(path_energy(x, e)), x.word
-                seen += 1
+            words = [x.symbols for x in enumerate_paths(m)]
+            for params in CELL_PARAMS:
+                self._check(words, params)
+            seen += len(words)
         assert seen == 23_712
+
+    def test_long_random_words_against_tree(self):
+        rng = np.random.default_rng(12)
+        m = 999
+        words = [_random_word(rng, m) for _ in range(40)]
+        words += [b"H" * m, b"I" * m, b"U" * 499 + b"H" + b"D" * 499, b"UD" * 499 + b"H"]
+        for params in CELL_PARAMS:
+            self._check(words, params)
 
 
 class TestBatchMeans:

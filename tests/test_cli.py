@@ -172,6 +172,16 @@ class TestSample:
           "--thin", 200], "jsonl",
          "6d5876cec4e07bb3a4b8518d1cf69e7ad1e9cf77aca2e215df85b51a1a6e7578",
          "3a27fa7659285d0f0e15b133c7251381170b9fd8bb2f1f6236cac87aa8c0d690"),
+        # n = 1000: the ``sample-long`` shape (one row per sample), and thin 1,
+        # whose 136 held words fill two batches of fields and part of a third.
+        (["--n", 1000, "--params", "turner04-cg", "--steps", "3e5", "--thin", 1000,
+          "--seed", 5], "jsonl",
+         "3f602013d75413287e437d7a1a7a249200cc0f90a495b438c38edd37d6621078",
+         "04bba3531db18fd9e9d1844d137baf82ca21bbe98b468577c3e3c17952fe51f2"),
+        (["--n", 1000, "--params", "turner04-cg", "--steps", 3000, "--burn-in", 1000,
+          "--thin", 1, "--seed", 5], "csv",
+         "8197b81b2655df9617fc429b17cf70300d5d064ce21cc48b5cb973433b19ff84",
+         "06d38edf53c9ff1c72ff8c564bbd62fe098557400d02bc88273be0a2b9ed223c"),
     ]
 
     @pytest.mark.parametrize("flags,fmt,data_sha,summary_sha", GOLDEN)
@@ -287,6 +297,15 @@ class TestExact:
         assert main(["exact", "gap", "--m", "7", "--params", "turner04-cg"]) == 5
         assert "internal check failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m,alpha,beta", [(3, 300, -300), (9, 100, -100)])
+    def test_underflowing_mass_is_a_validation_error(self, m, alpha, beta):
+        # Dense at m = 3, Lanczos at m = 9: both scale the kernel by 1/sqrt(pi).
+        res = cli("exact", "gap", "--m", m, "--alpha", alpha, f"--beta={beta}")
+        assert res.returncode == 3, res.stderr
+        assert "underflows to 0" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
     def test_tv_curve_nonincreasing(self):
         res = cli("exact", "tv-curve", "--m", 3, "--alpha", 0, "--beta", 0,
                   "--from", "HHH", "--horizon", 400)
@@ -344,6 +363,14 @@ class TestDecompose:
         assert rep["k_partition"]["log_concave"]
         assert rep["kqs_partition"]["family_size_binomial_ok"]
         assert rep["kqs_partition"]["offdiag_rate_matches"]
+
+    def test_underflowing_mass_is_a_validation_error(self, tmp_path):
+        out = tmp_path / "d.json"
+        res = cli("decompose", "report", "--m", 3, "--alpha", 300, "--beta=-300", "--out", out)
+        assert res.returncode == 3, res.stderr
+        assert "underflows to 0" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
     def test_invalid_level_usage_error(self):
         assert cli("decompose", "report", "--m", 4, "--alpha", 0, "--beta", 0,
