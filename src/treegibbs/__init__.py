@@ -49,8 +49,9 @@ from .trees import (
     tree_to_text,
 )
 
-# The oracle's names load on first use.  ``exact`` and ``decomposition`` need
-# scipy, so sampling and conversion run on numpy alone.
+# The oracle's names load on first use, so ``sample``, ``convert`` and
+# ``--version`` do not pay the start-up cost of importing ``exact`` and
+# ``decomposition``.
 _LAZY = {
     **dict.fromkeys(
         (

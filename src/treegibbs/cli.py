@@ -94,6 +94,18 @@ def _energy_from_args(args) -> EnergyParams:
     return EnergyParams(alpha=args.alpha, beta=args.beta)
 
 
+def _check_energy_range(params: EnergyParams, m: int) -> None:
+    """Reject coefficients whose energies at length m leave float64.
+
+    d0 <= m + 1 and d1 <= m, so |E| <= |alpha| (m + 1) + |beta| m; where that
+    bound is finite, every energy is too.
+    """
+    if not math.isfinite(abs(params.alpha) * (m + 1) + abs(params.beta) * m):
+        raise ConfigInvalidError(
+            f"energies overflow float64 at m={m}: |alpha|*(m+1) + |beta|*m is not finite"
+        )
+
+
 def _add_energy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=None, help="leaf coefficient (kcal/mol)")
     parser.add_argument("--beta", type=float, default=None, help="internal-node coefficient")
@@ -218,6 +230,7 @@ def cmd_sample(args, argv: list[str]) -> int:
     params = _energy_from_args(args)
     if args.n < 2:
         raise ConfigInvalidError(f"--n must be at least 2, got {args.n}")
+    _check_energy_range(params, args.n - 1)
     if args.chains < 1:
         raise ConfigInvalidError("--chains must be positive")
     # Before any output is opened: a rejected run leaves no file behind.
@@ -336,6 +349,7 @@ def cmd_exact(args, argv: list[str]) -> int:
     )
 
     params = _energy_from_args(args)
+    _check_energy_range(params, args.m)
     started = datetime.now(timezone.utc).isoformat()
     out = _resolve_out(args.out)
     payload: dict = {
@@ -392,6 +406,7 @@ def cmd_decompose(args, argv: list[str]) -> int:
     from .decomposition import decomposition_report
 
     params = _energy_from_args(args)
+    _check_energy_range(params, args.m)
     started = datetime.now(timezone.utc).isoformat()
     out = _resolve_out(args.out)
     report = decomposition_report(args.m, params, level=args.level)

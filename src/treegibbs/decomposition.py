@@ -10,9 +10,10 @@ product lower bound relating the full spectral gap to the projection
 and restriction gaps.
 
 Every state is labelled once per ``StateIndex`` (``label_blocks``) and
-every level groups those labels.  Restriction chains are CSR slices of the
-verified kernel with the same sparsity, and one routine projects any chain
-onto a partition.  The skeleton checks of every (k, q) block read off one
+every level groups those labels.  Restriction chains are slices of the
+verified kernel's arrays with the same sparsity, the rejected mass folded
+into the diagonal, and one routine projects any chain onto a partition by
+summing the flows on those arrays.  The skeleton checks of every (k, q) block read off one
 projection of the kernel onto the (k, q, s) labels, with no restriction
 chain.  Every gap is ``exact.spectral_gap`` under its one
 rule (``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500
@@ -29,7 +30,7 @@ import numpy as np
 
 from .energy import EnergyParams
 from .errors import EmptyBlockError, NotAPartitionError
-from .exact import StateIndex, TransitionModel, build_transition_model, spectral_gap
+from .exact import Kernel, StateIndex, TransitionModel, build_transition_model, spectral_gap
 from .law import logsumexp
 from .paths import TwoMotzkinPath, U, catalan
 
@@ -71,7 +72,7 @@ class RestrictionModel:
     """The chain confined to one block; departures fold into the diagonal."""
 
     block: np.ndarray  # original state indices, in the order of P's rows
-    P: object  # |block| x |block| CSR slice of the model's kernel
+    P: Kernel  # |block| x |block| slice of the model's kernel
     pi: np.ndarray  # stationary law: pi restricted and renormalized
 
     @property
@@ -81,15 +82,33 @@ class RestrictionModel:
 
 def restriction_chain(model: TransitionModel, block: np.ndarray) -> RestrictionModel:
     """Restrict the kernel to ``block``, rejecting transitions that leave it."""
-    block = np.asarray(block, dtype=int)
+    block = np.asarray(block, dtype=np.intp)
     if block.size == 0:
         raise EmptyBlockError("restriction over an empty block")
-    sub = model.P[block][:, block]
-    # Rejected mass joins the self-loop, restoring stochastic rows.  Laziness
-    # stores every diagonal entry, so this keeps the sparsity structure.
-    sub.setdiag(sub.diagonal() + (1.0 - np.asarray(sub.sum(axis=1)).ravel()))
+    P, size = model.P, len(block)
+    # Row i is the entries of row block[i] whose columns lie in the block,
+    # renumbered by their place in it.
+    place = np.full(P.n, -1, dtype=np.intp)
+    place[block] = np.arange(size)
+    lengths = P.indptr[block + 1] - P.indptr[block]
+    entries = np.arange(lengths.sum()) + np.repeat(P.indptr[block] - np.cumsum(lengths) + lengths, lengths)
+    cols = place[P.indices[entries]]
+    inside = cols >= 0
+    rows, cols, vals = np.repeat(np.arange(size), lengths)[inside], cols[inside], P.data[entries[inside]]
+    # Rejected mass joins the self-loop, restoring stochastic rows: each row
+    # gains a last entry, 1 minus its sum, that sums with its stored diagonal.
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=size) + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
+    at = np.arange(len(rows)) + rows
+    indices[at], data[at] = cols, vals
+    last = indptr[1:] - 1
+    indices[last], data[last] = np.arange(size), 1.0 - np.bincount(rows, vals, minlength=size)
     weight = model.pi[block]
-    return RestrictionModel(block=block, P=sub, pi=weight / weight.sum())
+    return RestrictionModel(
+        block=block, P=Kernel.from_rows(indptr, indices, data), pi=weight / weight.sum()
+    )
 
 
 @dataclass
@@ -112,7 +131,7 @@ def projection_chain(
 ) -> ProjectionModel:
     """Project a chain onto a partition of its states.
 
-    ``chain`` is any model with a sparse kernel ``P`` and its law ``pi``: a
+    ``chain`` is any model with a :class:`Kernel` ``P`` and its law ``pi``: a
     ``TransitionModel``, or a ``RestrictionModel`` whose blocks index
     positions inside the restricted ordering.
     """
@@ -126,9 +145,10 @@ def projection_chain(
     for b_idx, block in enumerate(blocks):
         membership[np.asarray(block, dtype=int)] = b_idx
     # Aggregate flows pi(x) P(x, y) by block of x and block of y.
-    flow = P.multiply(pi[:, None]).tocoo()
-    P_bar = np.zeros((n_blocks, n_blocks))
-    np.add.at(P_bar, (membership[flow.row], membership[flow.col]), flow.data)
+    pairs = membership[P.rows] * n_blocks + membership[P.indices]
+    flow = P.data * pi[P.rows]
+    P_bar = np.bincount(pairs, weights=flow, minlength=n_blocks * n_blocks)
+    P_bar = P_bar.reshape(n_blocks, n_blocks)
     pi_bar = np.array([pi[np.asarray(b, dtype=int)].sum() for b in blocks])
     P_bar /= pi_bar[:, None]
     return ProjectionModel(

@@ -2,16 +2,17 @@
 
 Builds the full transition matrix over all catalan(m + 1) states and its
 spectral diagnostics, on the state index (one word matrix) and exact
-Gibbs law of :mod:`treegibbs.law` (numpy only; its names import from here too).
+Gibbs law of :mod:`treegibbs.law` (its names import from here too).
 Everything here is a verification instrument: state spaces are
 enumerated, matrices are sparse but complete, and every model is checked
 for stochasticity, stationarity, and detailed balance before it is
-handed out.
+handed out.  Like the rest of the package it needs numpy alone.
 
 The kernel is the sampler's draw-cell table (``chain.draw_cells``) applied
-to that matrix; no mirror of it is kept, so the checks certify
-the moves the sampler makes.  :func:`second_eigenvalue` is the one place
-a kernel becomes a second eigenvalue: dense, or Lanczos (ARPACK).
+to that matrix, held as a :class:`Kernel` (CSR arrays); no mirror of it is
+kept, so the checks certify the moves the sampler makes.
+:func:`second_eigenvalue` is the one place a kernel becomes a second
+eigenvalue: dense ``eigvalsh``, or thick-restart Lanczos.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .chain import draw_cells
 from .energy import EnergyParams
@@ -45,6 +42,128 @@ from .paths import TwoMotzkinPath
 
 DENSE_CAP_STATES = 500  # above this "auto" solves with Lanczos
 
+# Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors (ARPACK's
+# default is 20) and a restart keeps the LANCZOS_KEEP largest Ritz vectors.  A
+# Ritz pair is accepted when its residual is at most LANCZOS_TOL (the operator's
+# norm is 1); after LANCZOS_MAX_PRODUCTS products the solve gives up.
+LANCZOS_BASIS = 24
+LANCZOS_KEEP = 8
+LANCZOS_TOL = 1e-14
+LANCZOS_MAX_PRODUCTS = 10_000
+
+
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """A square sparse matrix in CSR form, on numpy arrays.
+
+    Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, which ascend with no repeats.
+    ``P @ x`` and ``x @ P`` are the matrix products with a vector.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    __array_ufunc__ = None  # ``ndarray @ Kernel`` defers to ``Kernel.__rmatmul__``
+
+    @classmethod
+    def from_rows(cls, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> Kernel:
+        """The kernel whose row i is entries ``indptr[i]:indptr[i + 1]`` of
+        ``indices`` and ``data``, in any order; repeated columns are summed."""
+        n = len(indptr) - 1
+        lengths = np.diff(indptr)
+        rows = np.repeat(np.arange(n), lengths)
+        # One sort of (row, column, slot) keys orders the columns of every row,
+        # and the slot says where each entry's value was.
+        shift = int(lengths.max(initial=0)).bit_length()
+        keys = rows * n
+        keys += indices
+        keys <<= shift
+        slots = np.arange(len(keys))
+        slots -= indptr[rows]
+        keys |= slots
+        keys.sort()
+        np.bitwise_and(keys, (1 << shift) - 1, out=slots)
+        slots += indptr[rows]
+        data = data[slots]
+        del slots
+        keys >>= shift  # row * n + column
+        new = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        if not new.all():
+            starts = np.flatnonzero(new)
+            data = np.add.reduceat(data, starts)
+            keys, rows = keys[starts], rows[starts]
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        rows *= n
+        keys -= rows
+        return cls(np.asarray(indptr, dtype=np.intp), keys, data)
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> Kernel:
+        """The nonzero entries of a square array."""
+        rows, cols = np.nonzero(a)
+        indptr = np.zeros(len(a) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=len(a)), out=indptr[1:])
+        return cls(indptr, cols, np.asarray(a, dtype=float)[rows, cols])
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.n
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @cached_property
+    def mirrors(self) -> np.ndarray:
+        """Position of each entry's mirror: entry (j, i) for entry (i, j), or -1
+        where none is stored."""
+        n, nnz, rows, cols = self.n, self.nnz, self.rows, self.indices
+        # The entries by column, and by row within a column: their mirrors'
+        # row-major positions ascend.
+        order = cols << nnz.bit_length()
+        order |= np.arange(nnz)
+        order.sort()
+        order &= (1 << nnz.bit_length()) - 1
+        mirrors = np.empty(nnz, dtype=np.intp)
+        if np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols):
+            # A symmetric pattern: the k-th entry by column mirrors the k-th by row.
+            mirrors[order] = np.arange(nnz)
+            return mirrors
+        codes = rows * n + cols
+        mirror_codes = cols[order] * n + rows[order]
+        found = np.searchsorted(codes, mirror_codes).clip(max=max(nnz - 1, 0))
+        found[codes[found] != mirror_codes] = -1
+        mirrors[order] = found
+        return mirrors
+
+    def row_sums(self) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.data, minlength=self.n)
+
+    def toarray(self) -> np.ndarray:
+        a = np.zeros(self.shape)
+        a[self.rows, self.indices] = self.data
+        return a
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=self.n)
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        weights = np.repeat(x, np.diff(self.indptr)) * self.data
+        return np.bincount(self.indices, weights=weights, minlength=self.n)
+
 
 @dataclass
 class TransitionModel:
@@ -52,7 +171,7 @@ class TransitionModel:
 
     index: StateIndex
     params: EnergyParams
-    P: sp.csr_matrix
+    P: Kernel
     pi: np.ndarray
     log_z: float
 
@@ -89,21 +208,42 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
 
     n = len(index)
     codes = index.codes
-    rows, target_codes, vals = [], [], []
-    for cell, r, targets, accept in draw_cells(index.words, params):
-        rows.append(r)
-        target_codes.append(_codes(targets))
-        vals.append(cell.weight * accept)
-    rows, target_codes, vals = map(np.concatenate, (rows, target_codes, vals))
-    cols = np.searchsorted(codes, target_codes)
-    if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
-        raise InternalInvariantViolationError("a move left the enumerated state space")
+    # A cell changes each of its rows once, so its entries go to their rows'
+    # next free slots in one step.  Slot 0 of each row is the diagonal.
+    cells = []
+    lengths = np.ones(n, dtype=np.intp)
+    moved = np.zeros(n)
+    swaps = {}  # the (i, j) transposition's entries, which the (j, i) cell repeats
+    for cell, rows, targets, accept in draw_cells(index.words, params):
+        vals = cell.weight * accept
+        moved[rows] += vals
+        twin = swaps.pop((cell.j, cell.i), None) if cell.move == 2 else None
+        if twin is not None and twin[0] is rows:
+            np.add(twin[2], vals, out=twin[2])
+            continue
+        target_codes = _codes(targets)
+        cols = np.searchsorted(codes, target_codes)
+        if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
+            raise InternalInvariantViolationError("a move left the enumerated state space")
+        lengths[rows] += 1
+        cells.append((rows, cols, vals))
+        if cell.move == 2:
+            swaps[cell.i, cell.j] = cells[-1]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(lengths, out=indptr[1:])
+    free = indptr[:-1].copy()
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
     # What no cell moves stays on the diagonal.
-    diag = np.arange(n)
-    stay = 1.0 - np.bincount(rows, weights=vals, minlength=n)
-    P = sp.csr_matrix(
-        (np.append(vals, stay), (np.append(rows, diag), np.append(cols, diag))), shape=(n, n)
-    )
+    indices[free], data[free] = np.arange(n), 1.0 - moved
+    free += 1
+    for rows, cols, vals in cells:
+        at = free[rows]
+        indices[at], data[at] = cols, vals
+        free[rows] += 1
+    del cells, swaps
+    P = Kernel.from_rows(indptr, indices, data)
+    del indices, data
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
     verify_model(model)
     return model
@@ -111,14 +251,14 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
 
 def verify_model(model: TransitionModel, tol: float = 1e-12) -> None:
     """Stochasticity, stationarity, and detailed balance, or raise."""
-    row_err = float(np.abs(np.asarray(model.P.sum(axis=1)).ravel() - 1.0).max())
+    row_err = float(np.abs(model.P.row_sums() - 1.0).max())
     if row_err > tol:
         raise BalanceViolationError(f"row sums off by {row_err:.3e}", magnitude=row_err)
     stat_err = stationarity_residual(model)
     if stat_err > tol:
         raise BalanceViolationError(f"pi P != pi, residual {stat_err:.3e}", magnitude=stat_err)
     worst, pair = detailed_balance_violation(model)
-    flow_scale = float((model.P.multiply(model.pi[:, None])).max())
+    flow_scale = float((model.P.data * model.pi[model.P.rows]).max())
     if worst > tol * flow_scale:
         x, y = pair
         raise BalanceViolationError(
@@ -136,19 +276,37 @@ def stationarity_residual(model: TransitionModel) -> float:
 
 def detailed_balance_violation(model: TransitionModel) -> tuple[float, tuple[int, int]]:
     """Largest |pi(x)P(x,y) - pi(y)P(y,x)| and the offending index pair."""
-    flow = model.P.multiply(model.pi[:, None]).tocsr()
-    asym = (flow - flow.T).tocoo()
-    if asym.nnz == 0:
+    P = model.P
+    flow = P.data * model.pi[P.rows]
+    asym = flow[P.mirrors]
+    asym[P.mirrors < 0] = 0.0
+    asym -= flow
+    np.abs(asym, out=asym)
+    if not asym.any():
         return 0.0, (0, 0)
-    k = int(np.abs(asym.data).argmax())
-    return float(abs(asym.data[k])), (int(asym.row[k]), int(asym.col[k]))
+    k = int(asym.argmax())
+    return float(asym[k]), (int(P.rows[k]), int(P.indices[k]))
 
 
 def is_strongly_connected(model: TransitionModel) -> bool:
-    """Strong connectivity of the positive-transition directed graph."""
-    # Self-loops do not join components, so the kernel's pattern is the graph.
-    n_comp, _ = connected_components(model.P, directed=True, connection="strong")
-    return n_comp == 1
+    """Strong connectivity of the positive-transition directed graph: every
+    state is reached from state 0, and reaches it."""
+    P = model.P
+    positive = P.data > 0
+    rows, cols = P.rows[positive], P.indices[positive]
+    for tail, head in ((rows, cols), (cols, rows)):
+        reached = np.zeros(P.n, dtype=bool)
+        reached[0] = True
+        count = 1
+        while True:
+            reached[head[reached[tail]]] = True
+            grown = int(np.count_nonzero(reached))
+            if grown == count:
+                break
+            count = grown
+        if count < P.n:
+            return False
+    return True
 
 
 def spectral_gap(model, method: str = "auto") -> SpectralReport:
@@ -181,15 +339,68 @@ def auto_method(n: int) -> str:
     return "dense" if n <= DENSE_CAP_STATES else "lanczos"
 
 
+_BLOCK_ROWS = 1 << 14  # rows per block of SymmetricOperator: a product's temporaries stay small
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricOperator:
+    """x -> A x for the symmetric matrix :func:`symmetrized` builds.
+
+    Rows of equal length are stored together: each block is
+    ``(rows, columns, values)`` with an ``(L, len(rows))`` array of columns
+    and values for rows of L entries, so a product adds L vectors per block
+    instead of reducing every row separately.
+    """
+
+    n: int
+    blocks: tuple
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = np.empty(self.n)
+        for rows, cols, vals in self.blocks:
+            terms = np.take(x, cols)
+            terms *= vals
+            y[rows] = terms.sum(axis=0)
+        return y
+
+
+def symmetrized(P: Kernel, root: np.ndarray) -> SymmetricOperator:
+    """diag(root) P diag(root)^-1, each entry averaged with its mirror.
+
+    With root = sqrt(pi) for a kernel reversible under pi, this is a
+    symmetric matrix with P's spectrum, and root is its eigenvector for
+    eigenvalue 1.  ``BalanceViolationError`` if some entry's mirror is not
+    stored, which no reversible kernel's pattern lacks.
+    """
+    mirrors = P.mirrors
+    if (mirrors < 0).any():
+        raise BalanceViolationError("the kernel stores an entry without its mirror")
+    a = P.data * root[P.rows]
+    a /= root[P.indices]
+    a += a[mirrors]
+    a *= 0.5
+    lengths = np.diff(P.indptr)
+    by_length = np.argsort(lengths, kind="stable")
+    blocks = []
+    for rows in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            part = rows[lo : lo + _BLOCK_ROWS]
+            at = P.indptr[part] + np.arange(lengths[part[0]])[:, None]
+            blocks.append((part, P.indices[at], a[at]))
+    return SymmetricOperator(P.n, tuple(blocks))
+
+
 def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int]:
     """(lambda1, residual, iterations) of a reversible kernel P with law pi.
 
-    Both methods solve A = diag(pi)^{1/2} P diag(pi)^{-1/2}, symmetric for a
-    reversible chain.  ``"dense"``: residual |lambda0 - 1|.  ``"lanczos"``:
-    ARPACK's two top eigenpairs of A made exactly symmetric, started from
-    sqrt(pi) so reruns are identical; residual max ||A v - lambda v||,
-    iterations the count of products with A.  ``MassUnderflowError`` when
-    some state has mass 0, which A cannot be scaled by.
+    ``P`` is a :class:`Kernel` or a dense array.  Both methods solve
+    A = diag(pi)^{1/2} P diag(pi)^{-1/2}, symmetric for a reversible chain.
+    ``"dense"``: ``eigvalsh`` of A's lower triangle; residual
+    |lambda0 - 1|.  ``"lanczos"``: :func:`lanczos_top` on the
+    :func:`symmetrized` A, with its known top eigenvector sqrt(pi) deflated;
+    residual max ||A v - lambda v|| over both eigenpairs, iterations the
+    count of products with A.  ``MassUnderflowError`` when some state has
+    mass 0, which A cannot be scaled by.
     """
     empty = len(pi) - np.count_nonzero(pi)
     if empty:
@@ -199,34 +410,77 @@ def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int
         )
     root = np.sqrt(pi)
     if method == "dense":
-        A = P.toarray() if sp.issparse(P) else np.array(P, dtype=float)
+        A = P.toarray() if isinstance(P, Kernel) else np.array(P, dtype=float)
         A *= root[:, None]
         A /= root
-        # A.T is Fortran-ordered, so LAPACK overwrites it without a copy; its
-        # upper triangle is A's lower one.
-        eigvals = scipy.linalg.eigvalsh(A.T, lower=False, overwrite_a=True)
+        eigvals = np.linalg.eigvalsh(A)
         return float(eigvals[-2]), float(abs(eigvals[-1] - 1.0)), 0
     if method != "lanczos":
         raise ValueError(f"unknown spectral method {method!r}")
     n = len(pi)
     if n < 3:
         raise ConfigInvalidError(f"lanczos needs at least 3 states, got {n}; use dense")
-    A = sp.diags(root) @ sp.csr_matrix(P) @ sp.diags(1.0 / root)
-    A = ((A + A.T) * 0.5).tocsr()
+    if not isinstance(P, Kernel):
+        P = Kernel.from_dense(np.asarray(P, dtype=float))
+    A = symmetrized(P, root)
+    lambda1, v, products = lanczos_top(A, root)
+    residual = max(np.linalg.norm(A @ v - lambda1 * v), np.linalg.norm(A @ root - root))
+    return lambda1, float(residual), products
+
+
+def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Largest eigenvalue of a symmetric A on the complement of its unit
+    eigenvector u, its unit eigenvector, and the count of products with A.
+
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000)
+    from a fixed-seed start, so reruns are identical.  Each product is
+    orthogonalized against u and the basis.  A full cycle restarts from the
+    ``LANCZOS_KEEP`` largest Ritz vectors and the last Lanczos vector.
+    ``NoConvergenceError`` after ``LANCZOS_MAX_PRODUCTS`` products.
+    """
+    n = len(u)
+    size = min(LANCZOS_BASIS, n - 1)
+    keep = min(LANCZOS_KEEP, size - 1)
+    V = np.empty((size + 1, n))  # the basis, one vector per row
+    T = np.zeros((size, size))  # A projected onto the basis
+    v = np.random.default_rng(0).standard_normal(n)
+    v -= (u @ v) * u
+    V[0] = v / np.linalg.norm(v)
     products = 0
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        nonlocal products
-        products += 1
-        return A @ v
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    try:
-        vals, vecs = eigsh(op, k=2, which="LA", v0=root, tol=0)
-    except ArpackNoConvergence as exc:
-        raise NoConvergenceError(products, float("nan")) from exc
-    residual = float(np.linalg.norm(A @ vecs - vecs * vals, axis=0).max())
-    return float(vals.min()), residual, products
+    start = 0
+    while True:
+        for j in range(start, size):
+            w = A @ V[j]
+            products += 1
+            w -= (u @ w) * u
+            coef = np.zeros(j + 1)
+            if j > start:
+                # The three-term recurrence takes out the large components;
+                # one pass over the basis then removes what rounding left.
+                coef[j - 1], coef[j] = T[j - 1, j], V[j] @ w
+                w -= coef[j] * V[j] + coef[j - 1] * V[j - 1]
+            # Right after a restart A V[j] has components on every kept Ritz
+            # vector, so that step orthogonalizes twice.
+            for _ in range(1 if j > start else 2):
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                coef += h
+            T[: j + 1, j] = T[j, : j + 1] = coef
+            beta = float(np.linalg.norm(w))
+            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            residual = beta * abs(S[j, -1])
+            if residual <= LANCZOS_TOL:
+                return float(theta[-1]), S[:, -1] @ V[: j + 1], products
+            if products >= LANCZOS_MAX_PRODUCTS:
+                raise NoConvergenceError(products, residual)
+            V[j + 1] = w / beta
+            if j + 1 < size:
+                T[j, j + 1] = T[j + 1, j] = beta
+        V[:keep] = S[:, -keep:].T @ V[:size]
+        V[keep] = V[size]
+        T[:] = 0.0
+        T[range(keep), range(keep)] = theta[-keep:]
+        start = keep
 
 
 def tv_decay_curve(

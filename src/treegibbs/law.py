@@ -4,9 +4,9 @@ This is the half of the exact oracle that sample summaries need: all
 paths of length m as one word matrix, their Gibbs weights and log
 partition value, the empirical law of a run's visit counts, and the
 total-variation distance between two laws.  Every per-state quantity is
-computed on the matrix; path objects are made only on access.  Nothing
-here imports scipy, so ``treegibbs sample`` at small m runs without it;
-:mod:`treegibbs.exact` builds kernels and spectra on top of these names.
+computed on the matrix; path objects are made only on access.  Sample
+summaries at small m import this module alone; :mod:`treegibbs.exact`
+builds kernels and spectra on top of these names.
 """
 
 from __future__ import annotations

@@ -12,6 +12,13 @@ def sample_rows(samples) -> list:
     return [(t, s) for s in samples for t in s.steps]
 
 
+def scipy_csr(P):
+    """The kernel ``P`` viewed as a scipy CSR matrix; scipy is a test-only reference."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
+
+
 @lru_cache(maxsize=None)
 def cached_model(m: int, alpha: float, beta: float):
     return build_transition_model(m, EnergyParams(alpha, beta))

@@ -37,7 +37,7 @@ from treegibbs import (
 from treegibbs.decomposition import blocks_at
 from treegibbs.exact import empirical_distribution, is_strongly_connected
 
-from conftest import PARAM_GRID, cached_model, sample_rows
+from conftest import PARAM_GRID, cached_model, sample_rows, scipy_csr
 
 SAMPLER_SEED = 1
 SAMPLER_BURN_IN = 10_000
@@ -141,12 +141,13 @@ def test_04_detailed_balance_and_stationarity():
     for m in range(1, 7):
         for alpha, beta in PARAM_GRID:
             model = cached_model(m, alpha, beta)
-            flow = model.P.multiply(model.pi[:, None]).tocsr()
+            P = scipy_csr(model.P)
+            flow = P.multiply(model.pi[:, None]).tocsr()
             asym = np.abs((flow - flow.T).toarray()).max()
             scale = flow.max()
             worst_db_rel = max(worst_db_rel, asym / scale)
-            worst_stat = max(worst_stat, float(np.abs(model.pi @ model.P - model.pi).max()))
-            rows = np.asarray(model.P.sum(axis=1)).ravel()
+            worst_stat = max(worst_stat, float(np.abs(model.pi @ P - model.pi).max()))
+            rows = np.asarray(P.sum(axis=1)).ravel()
             worst_row = max(worst_row, float(np.abs(rows - 1.0).max()))
             connected = connected and is_strongly_connected(model)
     elapsed = time.time() - start

@@ -286,16 +286,27 @@ class TestExact:
 
     def test_lanczos_no_convergence_exits_5(self, monkeypatch, capsys):
         import treegibbs.exact as exact
-        from scipy.sparse.linalg import ArpackNoConvergence
-
         from treegibbs.cli import main
 
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", None, None)
-
-        monkeypatch.setattr(exact, "eigsh", no_convergence)
+        # m = 7 needs about 80 products; the cap stops the solve after 10.
+        monkeypatch.setattr(exact, "LANCZOS_MAX_PRODUCTS", 10)
         assert main(["exact", "gap", "--m", "7", "--params", "turner04-cg"]) == 5
         assert "internal check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [("sample", "--n", 30, "--format", "jsonl", "--steps", 30),
+         ("exact", "gap", "--m", 4)],
+        ids=["sample", "exact-gap"],
+    )
+    def test_overflowing_energies_are_validation_errors(self, tmp_path, command):
+        # Each coefficient is finite, but |alpha| (m + 1) + |beta| m is not.
+        out = tmp_path / "out.json"
+        res = cli(*command, "--alpha", "1e308", "--beta=-1e308", "--out", out)
+        assert res.returncode == 3, res.stderr
+        assert "validation error" in res.stderr and "overflow" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("m,alpha,beta", [(3, 300, -300), (9, 100, -100)])
     def test_underflowing_mass_is_a_validation_error(self, m, alpha, beta):
@@ -460,8 +471,11 @@ class TestImports:
     def test_sample_and_convert_run_without_scipy(self, tmp_path):
         paths = tmp_path / "paths.txt"
         paths.write_text("HUHD\nIIHH\n")
+        # With sys.modules["scipy"] = None any scipy import raises, so every
+        # command here, the oracle's too, must run on numpy alone.
         script = f"""
 import json, sys
+sys.modules["scipy"] = None
 from treegibbs import cli
 rc = [
     cli.main(["sample", "--n", "20", "--params", "turner04-cg", "--steps", "100",
@@ -470,22 +484,30 @@ rc = [
               "--out", {str(tmp_path / "small.csv")!r}]),
     cli.main(["convert", "--to", "trees", "--degrees", "--in", {str(paths)!r},
               "--out", {str(tmp_path / "t.txt")!r}]),
+    cli.main(["exact", "gap", "--m", "9", "--params", "turner04-cg",
+              "--out", {str(tmp_path / "gap.json")!r}]),
+    cli.main(["exact", "tv-curve", "--m", "4", "--params", "turner04-cg",
+              "--out", {str(tmp_path / "tv.json")!r}]),
+    cli.main(["decompose", "report", "--m", "6", "--level", "kqs", "--params", "turner04-cg",
+              "--out", {str(tmp_path / "kqs.json")!r}]),
 ]
-before = "scipy" in sys.modules
+before = sys.modules["scipy"] is not None
 import treegibbs
 from treegibbs import spectral_gap, decomposition_report
 missing = [name for name in treegibbs.__all__ if not hasattr(treegibbs, name)]
-print(json.dumps([rc, before, "scipy" in sys.modules, treegibbs.__all__, missing]))
+after = sys.modules["scipy"] is not None
+print(json.dumps([rc, before, after, treegibbs.__all__, missing]))
 """
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, timeout=300)
         assert res.returncode == 0, res.stderr
         rc, before, after, names, missing = json.loads(res.stdout.splitlines()[-1])
-        assert rc == [0, 0, 0]
-        assert not before, "sample/convert imported scipy"
+        assert rc == [0, 0, 0, 0, 0, 0]
+        assert not before, "a command imported scipy"
         # The n = 8 run took the exact-law summary, still without scipy.
         summary = json.loads((tmp_path / "small.csv.summary.json").read_text())
         assert "tv_vs_exact" in summary["per_chain"][0]
-        assert after
+        assert json.loads((tmp_path / "gap.json").read_text())["method"] == "lanczos"
+        assert not after
         assert names == PUBLIC_NAMES
         assert missing == []

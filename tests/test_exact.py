@@ -24,10 +24,12 @@ from treegibbs import (
     validate,
 )
 from treegibbs.exact import (
+    Kernel,
     detailed_balance_violation,
     empirical_distribution,
     is_strongly_connected,
     stationarity_residual,
+    symmetrized,
     verify_model,
 )
 from treegibbs.errors import (
@@ -39,7 +41,7 @@ from treegibbs.errors import (
 from treegibbs.law import logsumexp
 from treegibbs.paths import TwoMotzkinPath
 
-from conftest import sample_rows
+from conftest import sample_rows, scipy_csr
 
 ZERO = EnergyParams(0.0, 0.0)
 PINS = json.loads((Path(__file__).parent / "data" / "law_pins_m0-12.json").read_text())
@@ -176,8 +178,9 @@ class TestTransitionModel:
         model = model_for(2, 0.0, 0.0)
         i = model.index.index_of(validate("UD"))
         j = model.index.index_of(validate("HH"))
-        assert model.P[i, j] == pytest.approx(1 / 16)
-        assert model.P[j, i] == pytest.approx(1 / 16)
+        P = scipy_csr(model.P)
+        assert P[i, j] == pytest.approx(1 / 16)
+        assert P[j, i] == pytest.approx(1 / 16)
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_rows_match_transition_distribution(self, m, model_for):
@@ -188,7 +191,7 @@ class TestTransitionModel:
         model = model_for(m, 1.0, -1.0)
         for i, x in enumerate(model.index.paths):
             law = transition_distribution(x, model.params)
-            row = model.P.getrow(i)
+            row = scipy_csr(model.P).getrow(i)
             got = {model.index.paths[j].symbols: v for j, v in zip(row.indices, row.data)}
             assert got.keys() == law.keys()
             for key, mass in law.items():
@@ -197,7 +200,7 @@ class TestTransitionModel:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_rows_and_stationarity(self, m, model_for):
         model = model_for(m, -1.0, 1.0)
-        rows = np.asarray(model.P.sum(axis=1)).ravel()
+        rows = np.asarray(scipy_csr(model.P).sum(axis=1)).ravel()
         assert np.abs(rows - 1.0).max() < 1e-12
         assert stationarity_residual(model) < 1e-12
 
@@ -208,24 +211,23 @@ class TestTransitionModel:
     def test_one_way_edge_is_not_strongly_connected(self, model_for):
         import copy
 
-        import scipy.sparse as sp
-
         model = copy.deepcopy(model_for(1, 0.0, 0.0))
         # H -> I but not back: one-way, so two components; the lazy diagonal
         # joins nothing.
-        model.P = sp.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+        model.P = Kernel.from_dense(np.array([[0.5, 0.5], [0.0, 1.0]]))
         assert not is_strongly_connected(model)
-        model.P = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        model.P = Kernel.from_dense(np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert is_strongly_connected(model)
 
     def test_verify_detects_broken_kernel(self, model_for):
         import copy
 
         model = copy.deepcopy(model_for(2, 0.0, 0.0))
-        P = model.P.tolil()
+        P = scipy_csr(model.P).tolil()
         P[0, 1] += 0.01
         P[0, 0] -= 0.01
-        model.P = P.tocsr()
+        P = P.tocsr()
+        model.P = Kernel.from_rows(P.indptr, P.indices, P.data)
         with pytest.raises(BalanceViolationError):
             verify_model(model)
 
@@ -244,6 +246,97 @@ class TestTransitionModel:
         # raises on any violation beyond the 1e-12 scale.
         model = build_transition_model(3, EnergyParams(alpha, beta))
         assert stationarity_residual(model) < 1e-12
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name", PIN_PARAMS)
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_scipy_reference(self, m, name):
+        # The reference assembles the same draw cells through scipy's COO ->
+        # CSR conversion, which sums repeated entries.
+        import scipy.sparse as sp
+
+        from treegibbs.chain import draw_cells
+        from treegibbs.law import _codes
+
+        params = PIN_PARAMS[name]
+        model = build_transition_model(m, params)
+        index = model.index
+        rows, cols, vals = [], [], []
+        for cell, r, targets, accept in draw_cells(index.words, params):
+            rows.append(r)
+            cols.append(np.searchsorted(index.codes, _codes(targets)))
+            vals.append(cell.weight * accept)
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        n = len(index)
+        stay = 1.0 - np.bincount(rows, weights=vals, minlength=n)
+        reference = sp.csr_matrix(
+            (np.append(vals, stay), (np.append(rows, np.arange(n)), np.append(cols, np.arange(n)))),
+            shape=(n, n),
+        )
+        assert model.P.shape == reference.shape
+        assert model.P.nnz == reference.nnz
+        assert np.array_equal(model.P.toarray(), reference.toarray())
+
+    def test_from_rows_sorts_columns_and_sums_repeats(self):
+        P = Kernel.from_rows(
+            np.array([0, 3, 3, 5]), np.array([2, 0, 2, 1, 0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        )
+        assert P.indptr.tolist() == [0, 2, 2, 4]
+        assert P.indices.tolist() == [0, 2, 0, 1]
+        assert P.data.tolist() == [2.0, 4.0, 5.0, 4.0]
+        assert P.shape == (3, 3) and P.nnz == 4
+
+    @pytest.mark.parametrize(
+        "dense",
+        [np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]),
+         np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]])],
+        ids=["lazy", "empty-row"],
+    )
+    def test_products_match_dense(self, dense):
+        P = Kernel.from_dense(dense)
+        assert np.array_equal(P.toarray(), dense)
+        x = np.array([1.0, -2.0, 0.5])
+        assert np.allclose(P @ x, dense @ x, rtol=0, atol=1e-15)
+        assert np.allclose(x @ P, x @ dense, rtol=0, atol=1e-15)
+        assert np.allclose(P.row_sums(), dense.sum(axis=1), rtol=0, atol=1e-15)
+
+    def test_mirrors(self):
+        P = Kernel.from_dense(np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]))
+        # Entries (0,0) (0,1) (1,0) (1,2) (2,0) (2,2); (1,2) and (2,0) lack mirrors.
+        assert P.mirrors.tolist() == [0, 2, 1, -1, -1, 5]
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_symmetrized_operator(self, m, model_for):
+        model = model_for(m, 1.0, -1.0)
+        root = np.sqrt(model.pi)
+        A = (root[:, None] * model.P.toarray()) / root[None, :]
+        x = np.random.default_rng(m).standard_normal(model.n)
+        op = symmetrized(model.P, root)
+        assert np.abs(op @ x - 0.5 * (A + A.T) @ x).max() < 1e-14
+        assert np.abs(op @ root - root).max() < 1e-14
+
+
+class TestPinnedGaps:
+    # Recorded from `exact gap` before the oracle ran on numpy alone, when
+    # Lanczos was ARPACK's.
+    @pytest.mark.parametrize(
+        "flags,lambda1,gap",
+        [(("--m", "9", "--params", "turner04-cg"), 0.9981349908018864, 0.0018650091981136097),
+         (("--m", "10", "--params", "turner04-cg"), 0.9985507286233, 0.0014492713767000343),
+         (("--m", "8", "--alpha", "1", "--beta=-1"), 0.9988886503710741, 0.001111349628925895)],
+        ids=["m9-turner04-cg", "m10-turner04-cg", "m8-1,-1"],
+    )
+    def test_exact_gap(self, tmp_path, flags, lambda1, gap):
+        from treegibbs.cli import main
+
+        out = tmp_path / "gap.json"
+        assert main(["exact", "gap", *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["method"] == "lanczos"
+        assert abs(report["lambda1"] - lambda1) <= 1e-12
+        assert abs(report["gap"] - gap) <= 1e-12
+        assert report["residual"] <= 1e-12
 
 
 class TestSpectral:
@@ -281,6 +374,10 @@ class TestSpectral:
             sym = (root[:, None] * model.P.toarray()) / root[None, :]
             eigvals = np.linalg.eigvalsh(sym)
             assert eigvals.min() >= -1e-12
+
+    def test_lanczos_reruns_are_identical(self, model_for):
+        model = model_for(6, 1.0, -1.0)
+        assert spectral_gap(model, method="lanczos") == spectral_gap(model, method="lanczos")
 
     def test_single_state_rejected(self):
         model = build_transition_model(1, ZERO)
