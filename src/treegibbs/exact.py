@@ -452,7 +452,6 @@ def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray,
         for j in range(start, size):
             w = A @ V[j]
             products += 1
-            w -= (u @ w) * u
             coef = np.zeros(j + 1)
             if j > start:
                 # The three-term recurrence takes out the large components;
@@ -465,6 +464,8 @@ def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray,
                 h = V[: j + 1] @ w
                 w -= h @ V[: j + 1]
                 coef += h
+            # Last, so that no subtraction brings u's direction back.
+            w -= (u @ w) * u
             T[: j + 1, j] = T[j, : j + 1] = coef
             beta = float(np.linalg.norm(w))
             theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
