@@ -13,10 +13,10 @@ Every state is labelled once per ``StateIndex`` (``label_blocks``) and
 every level groups those labels.  Restriction chains are slices of the
 verified kernel's arrays with the same sparsity, the rejected mass folded
 into the diagonal, and one routine projects any chain onto a partition by
-summing the flows on those arrays.  The skeleton checks of every (k, q) block read off one
-projection of the kernel onto the (k, q, s) labels, with no restriction
-chain.  Every gap is ``exact.spectral_gap`` under its one
-rule (``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500
+summing the flows on those arrays.  The skeleton checks of every (k, q)
+block read off one projection of the kernel onto the (k, q, s) labels,
+with no restriction chain.  Every gap is ``exact.spectral_gap`` under its
+one rule (``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500
 states, Lanczos above.
 """
 
@@ -86,15 +86,17 @@ def restriction_chain(model: TransitionModel, block: np.ndarray) -> RestrictionM
     if block.size == 0:
         raise EmptyBlockError("restriction over an empty block")
     P, size = model.P, len(block)
-    # Row i is the entries of row block[i] whose columns lie in the block,
-    # renumbered by their place in it.
+    # The entries of rows block[0], block[1], ... in that order, their columns
+    # renumbered by place in the block; those that leave it drop out.
+    lengths = P.indptr[block + 1] - P.indptr[block]
+    ends = np.cumsum(lengths)
+    entries = np.arange(ends[-1]) + np.repeat(P.indptr[block] - (ends - lengths), lengths)
     place = np.full(P.n, -1, dtype=np.intp)
     place[block] = np.arange(size)
-    lengths = P.indptr[block + 1] - P.indptr[block]
-    entries = np.arange(lengths.sum()) + np.repeat(P.indptr[block] - np.cumsum(lengths) + lengths, lengths)
     cols = place[P.indices[entries]]
     inside = cols >= 0
-    rows, cols, vals = np.repeat(np.arange(size), lengths)[inside], cols[inside], P.data[entries[inside]]
+    rows = np.repeat(np.arange(size), lengths)[inside]
+    cols, vals = cols[inside], P.data[entries[inside]]
     # Rejected mass joins the self-loop, restoring stochastic rows: each row
     # gains a last entry, 1 minus its sum, that sums with its stored diagonal.
     indptr = np.zeros(size + 1, dtype=np.intp)

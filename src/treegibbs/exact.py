@@ -213,7 +213,10 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     cells = []
     lengths = np.ones(n, dtype=np.intp)
     moved = np.zeros(n)
-    swaps = {}  # the (i, j) transposition's entries, which the (j, i) cell repeats
+    # Transpositions (i, j) and (j, i) move the same rows to the same targets
+    # (``draw_cells`` hands out the same arrays), so (j, i) adds its values to
+    # the entries of (i, j).
+    swaps = {}
     for cell, rows, targets, accept in draw_cells(index.words, params):
         vals = cell.weight * accept
         moved[rows] += vals

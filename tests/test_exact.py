@@ -189,9 +189,10 @@ class TestTransitionModel:
         from treegibbs.chain import transition_distribution
 
         model = model_for(m, 1.0, -1.0)
+        P = scipy_csr(model.P)
         for i, x in enumerate(model.index.paths):
             law = transition_distribution(x, model.params)
-            row = scipy_csr(model.P).getrow(i)
+            row = P.getrow(i)
             got = {model.index.paths[j].symbols: v for j, v in zip(row.indices, row.data)}
             assert got.keys() == law.keys()
             for key, mass in law.items():
