@@ -376,6 +376,16 @@ class TestSpectral:
             eigvals = np.linalg.eigvalsh(sym)
             assert eigvals.min() >= -1e-12
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, -1.0)])
+    def test_lanczos_ends_within_the_deflated_dimension(self, m, alpha, beta, model_for):
+        # An orthonormal basis of the n - 1 directions orthogonal to sqrt(pi)
+        # is exhausted after n - 1 products.
+        model = model_for(m, alpha, beta)
+        report = spectral_gap(model, method="lanczos")
+        assert report.iterations <= model.n - 1
+        assert abs(report.gap - spectral_gap(model, method="dense").gap) <= 1e-12
+
     def test_lanczos_reruns_are_identical(self, model_for):
         model = model_for(6, 1.0, -1.0)
         assert spectral_gap(model, method="lanczos") == spectral_gap(model, method="lanczos")
