@@ -204,10 +204,18 @@ def _sample_chain(
         keys, counts = np.unique(values, return_counts=True)
         return {str(k): int(c) for k, c in zip(keys.tolist(), counts.tolist())}
 
+    with np.errstate(over="ignore"):
+        mean_energy = np.mean(energies)
+        if not np.isfinite(mean_energy):
+            # The energies are finite but their sum is not.  Summing energy / n
+            # keeps every partial sum within the largest |energy|; the clip
+            # takes back rounding past the extremes.
+            mean_energy = np.sum(energies / len(energies))
+            mean_energy = np.clip(mean_energy, energies.min(), energies.max())
     summary = {
         "chain_id": chain_id,
         "emitted": result.emitted,
-        "mean_energy": float(np.mean(energies)),
+        "mean_energy": float(mean_energy),
         "mean_d0": float(np.mean(d0s)),
         "mean_d1": float(np.mean(d1s)),
         "se_d0_batch_means": batch_means_stderr(d0s) if d0s.size >= 4 else None,
@@ -367,14 +375,14 @@ def cmd_exact(args, argv: list[str]) -> int:
         )
     elif args.what == "gap":
         model = build_transition_model(args.m, params)
-        report = spectral_gap(model, method=args.method)
+        report = spectral_gap(model)
         payload.update(
             state_order_hash=model.index.order_hash(),
             log_z=model.log_z,
             lambda1=report.lambda1,
             gap=report.gap,
             relaxation_time=report.relaxation_time,
-            method=report.method,
+            method="lanczos",
             residual=report.residual,
             iterations=report.iterations,
         )
@@ -473,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("pi", "gap", "tv-curve"))
     p.add_argument("--m", type=int, required=True, help="path length (state count catalan(m+1))")
     _add_energy_flags(p)
-    p.add_argument("--method", choices=("auto", "dense", "lanczos"), default="auto")
     p.add_argument("--from", dest="start", default="all-H", help="tv-curve start path word")
     p.add_argument("--horizon", type=_parse_count, default=200)
     p.add_argument("--out", default=None)

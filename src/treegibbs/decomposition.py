@@ -13,11 +13,11 @@ Every state is labelled once per ``StateIndex`` (``label_blocks``) and
 every level groups those labels.  Restriction chains are slices of the
 verified kernel's arrays with the same sparsity, the rejected mass folded
 into the diagonal, and one routine projects any chain onto a partition by
-summing the flows on those arrays.  The skeleton checks of every (k, q)
-block read off one projection of the kernel onto the (k, q, s) labels,
-with no restriction chain.  Every gap is ``exact.spectral_gap`` under its
-one rule (``exact.auto_method``): dense up to ``DENSE_CAP_STATES`` = 500
-states, Lanczos above.
+summing the flows on those arrays into another :class:`Kernel`.  The
+skeleton checks of every (k, q) block read off one projection of the
+kernel onto the (k, q, s) labels, with no restriction chain.  Every gap,
+full, projected or restricted, is ``exact.spectral_gap``: thick-restart
+Lanczos on the chain's kernel.
 """
 
 from __future__ import annotations
@@ -81,18 +81,27 @@ class RestrictionModel:
 
 
 def restriction_chain(model: TransitionModel, block: np.ndarray) -> RestrictionModel:
-    """Restrict the kernel to ``block``, rejecting transitions that leave it."""
+    """Restrict the kernel to ``block``, rejecting transitions that leave it.
+
+    ``block`` lists distinct states of ``model``; ``NotAPartitionError`` for
+    an index outside the space or a repeated one.
+    """
     block = np.asarray(block, dtype=np.intp)
     if block.size == 0:
         raise EmptyBlockError("restriction over an empty block")
     P, size = model.P, len(block)
+    if block.min() < 0 or block.max() >= P.n:
+        raise NotAPartitionError(f"block indices must lie in [0, {P.n})")
+    place = np.full(P.n, -1, dtype=np.intp)
+    place[block] = np.arange(size)
+    # A repeated index keeps only its last place.
+    if not np.array_equal(place[block], np.arange(size)):
+        raise NotAPartitionError("block repeats a state")
     # The entries of rows block[0], block[1], ... in that order, their columns
     # renumbered by place in the block; those that leave it drop out.
     lengths = P.indptr[block + 1] - P.indptr[block]
     ends = np.cumsum(lengths)
     entries = np.arange(ends[-1]) + np.repeat(P.indptr[block] - (ends - lengths), lengths)
-    place = np.full(P.n, -1, dtype=np.intp)
-    place[block] = np.arange(size)
     cols = place[P.indices[entries]]
     inside = cols >= 0
     rows = np.repeat(np.arange(size), lengths)[inside]
@@ -118,7 +127,7 @@ class ProjectionModel:
     """Aggregate chain over blocks with pi-weighted transitions."""
 
     labels: list
-    P: np.ndarray
+    P: Kernel
     pi: np.ndarray
 
     @property
@@ -139,6 +148,8 @@ def projection_chain(
     """
     P, pi = chain.P, chain.pi
     n = len(pi)
+    if not blocks:
+        raise NotAPartitionError("no blocks to partition the state space")
     flat = np.concatenate([np.asarray(b, dtype=int) for b in blocks])
     if not np.array_equal(np.sort(flat), np.arange(n)):
         raise NotAPartitionError("blocks must partition the state space")
@@ -146,16 +157,25 @@ def projection_chain(
     membership = np.empty(n, dtype=int)
     for b_idx, block in enumerate(blocks):
         membership[np.asarray(block, dtype=int)] = b_idx
-    # Aggregate flows pi(x) P(x, y) by block of x and block of y.
+    # Aggregate flows pi(x) P(x, y) by block of x and block of y, each sum
+    # taken in entry order.  The (block, block) codes that occur ascend: row
+    # by row, columns ascending, as a Kernel stores them.  (``np.unique``
+    # would import ``numpy.ma``, about 1 MB and 10 ms per process, and its
+    # inverse takes twice the memory of a ``searchsorted``.)
     pairs = membership[P.rows] * n_blocks + membership[P.indices]
-    flow = P.data * pi[P.rows]
-    P_bar = np.bincount(pairs, weights=flow, minlength=n_blocks * n_blocks)
-    P_bar = P_bar.reshape(n_blocks, n_blocks)
+    codes = np.sort(pairs)
+    new = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    codes = codes[new]
+    slots = np.searchsorted(codes, pairs)
+    flow = np.bincount(slots, weights=P.data * pi[P.rows], minlength=len(codes))
+    rows, cols = np.divmod(codes, n_blocks)
     pi_bar = np.array([pi[np.asarray(b, dtype=int)].sum() for b in blocks])
-    P_bar /= pi_bar[:, None]
+    indptr = np.zeros(n_blocks + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n_blocks), out=indptr[1:])
     return ProjectionModel(
         labels=list(labels) if labels is not None else list(range(n_blocks)),
-        P=P_bar,
+        P=Kernel(indptr, cols, flow / pi_bar[rows]),
         pi=pi_bar,
     )
 
@@ -232,8 +252,12 @@ def check_skeleton_projection(
         stop = start + len(sizes)
         energies = model.energies[np.concatenate([families[k, q, s] for s in sizes])]
         pi = proj.pi[start:stop] / proj.pi[start:stop].sum()
-        sub = proj.P[start:stop, start:stop]
-        positive = [float(v) for v in sub[~np.eye(len(sizes), dtype=bool)] if v > 0.0]
+        # The family's entries between its own labels, off the diagonal, row
+        # by row and columns ascending.
+        lo, hi = proj.P.indptr[start], proj.P.indptr[stop]
+        rows, cols, vals = proj.P.rows[lo:hi], proj.P.indices[lo:hi], proj.P.data[lo:hi]
+        inside = (cols >= start) & (cols < stop) & (cols != rows) & (vals > 0.0)
+        positive = vals[inside].tolist()
         expected_size = comb(m, 2 * k)
         reports[k, q] = SkeletonProjectionReport(
             m=m,
@@ -273,8 +297,7 @@ def check_decomposition_bound(
 
     Defaults to the up-step-count partition.  A one-state block or
     projection contributes gap 1 so the product stays meaningful.  Every
-    other gap, the full one too, is ``spectral_gap`` by the auto rule:
-    dense up to ``DENSE_CAP_STATES``, Lanczos above.
+    other gap, the full one too, is ``spectral_gap``.
     """
 
     def gap(chain) -> float:

@@ -12,7 +12,8 @@ The kernel is the sampler's draw-cell table (``chain.draw_cells``) applied
 to that matrix, held as a :class:`Kernel` (CSR arrays); no mirror of it is
 kept, so the checks certify the moves the sampler makes.
 :func:`second_eigenvalue` is the one place a kernel becomes a second
-eigenvalue: dense ``eigvalsh``, or thick-restart Lanczos.
+eigenvalue, by thick-restart Lanczos on the symmetrized kernel, whatever
+its size.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .law import (  # noqa: F401  (re-exported: the oracle's names stay importab
     tv_distance,
 )
 from .paths import TwoMotzkinPath
-
-DENSE_CAP_STATES = 500  # above this "auto" solves with Lanczos
 
 # Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors (ARPACK's
 # default is 20) and a restart keeps the LANCZOS_KEEP largest Ritz vectors.  A
@@ -100,14 +99,6 @@ class Kernel:
         rows *= n
         keys -= rows
         return cls(np.asarray(indptr, dtype=np.intp), keys, data)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> Kernel:
-        """The nonzero entries of a square array."""
-        rows, cols = np.nonzero(a)
-        indptr = np.zeros(len(a) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=len(a)), out=indptr[1:])
-        return cls(indptr, cols, np.asarray(a, dtype=float)[rows, cols])
 
     @property
     def n(self) -> int:
@@ -192,9 +183,8 @@ class SpectralReport:
     lambda1: float
     gap: float
     relaxation_time: float
-    method: str
     residual: float
-    iterations: int = 0
+    iterations: int
 
 
 def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
@@ -312,34 +302,24 @@ def is_strongly_connected(model: TransitionModel) -> bool:
     return True
 
 
-def spectral_gap(model, method: str = "auto") -> SpectralReport:
+def spectral_gap(model) -> SpectralReport:
     """Second-largest eigenvalue of the kernel and the gap 1 - lambda1.
 
-    ``model`` is any chain with a kernel ``P``, its law ``pi`` and size ``n``.
-    ``"auto"`` solves densely up to ``DENSE_CAP_STATES`` states and with
-    Lanczos above.  Laziness makes the spectrum nonnegative, so the second
+    ``model`` is any chain with a :class:`Kernel` ``P``, its law ``pi`` and
+    size ``n``.  Laziness makes the spectrum nonnegative, so the second
     eigenvalue is also the second-largest modulus.
     """
-    n = model.n
-    if n < 2:
+    if model.n < 2:
         raise ConfigInvalidError("spectral gap needs at least two states")
-    if method == "auto":
-        method = auto_method(n)
-    lambda1, residual, iterations = second_eigenvalue(model.P, model.pi, method)
+    lambda1, residual, iterations = second_eigenvalue(model.P, model.pi)
     gap = 1.0 - lambda1
     return SpectralReport(
         lambda1=lambda1,
         gap=gap,
         relaxation_time=1.0 / gap,
-        method=method,
         residual=residual,
         iterations=iterations,
     )
-
-
-def auto_method(n: int) -> str:
-    """The solver "auto" picks for n states: dense up to ``DENSE_CAP_STATES``, Lanczos above."""
-    return "dense" if n <= DENSE_CAP_STATES else "lanczos"
 
 
 _BLOCK_ROWS = 1 << 14  # rows per block of SymmetricOperator: a product's temporaries stay small
@@ -393,17 +373,15 @@ def symmetrized(P: Kernel, root: np.ndarray) -> SymmetricOperator:
     return SymmetricOperator(P.n, tuple(blocks))
 
 
-def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int]:
-    """(lambda1, residual, iterations) of a reversible kernel P with law pi.
+def second_eigenvalue(P: Kernel, pi: np.ndarray) -> tuple[float, float, int]:
+    """(lambda1, residual, iterations) of a reversible kernel P on two or
+    more states with law pi.
 
-    ``P`` is a :class:`Kernel` or a dense array.  Both methods solve
-    A = diag(pi)^{1/2} P diag(pi)^{-1/2}, symmetric for a reversible chain.
-    ``"dense"``: ``eigvalsh`` of A's lower triangle; residual
-    |lambda0 - 1|.  ``"lanczos"``: :func:`lanczos_top` on the
-    :func:`symmetrized` A, with its known top eigenvector sqrt(pi) deflated;
-    residual max ||A v - lambda v|| over both eigenpairs, iterations the
-    count of products with A.  ``MassUnderflowError`` when some state has
-    mass 0, which A cannot be scaled by.
+    :func:`lanczos_top` on the :func:`symmetrized`
+    A = diag(pi)^{1/2} P diag(pi)^{-1/2}, with its known top eigenvector
+    sqrt(pi) deflated; residual max ||A v - lambda v|| over both eigenpairs,
+    iterations the count of products with A.  ``MassUnderflowError`` when
+    some state has mass 0, which A cannot be scaled by.
     """
     empty = len(pi) - np.count_nonzero(pi)
     if empty:
@@ -412,19 +390,6 @@ def second_eigenvalue(P, pi: np.ndarray, method: str) -> tuple[float, float, int
             "so the kernel cannot be symmetrized; use smaller |alpha| and |beta|"
         )
     root = np.sqrt(pi)
-    if method == "dense":
-        A = P.toarray() if isinstance(P, Kernel) else np.array(P, dtype=float)
-        A *= root[:, None]
-        A /= root
-        eigvals = np.linalg.eigvalsh(A)
-        return float(eigvals[-2]), float(abs(eigvals[-1] - 1.0)), 0
-    if method != "lanczos":
-        raise ValueError(f"unknown spectral method {method!r}")
-    n = len(pi)
-    if n < 3:
-        raise ConfigInvalidError(f"lanczos needs at least 3 states, got {n}; use dense")
-    if not isinstance(P, Kernel):
-        P = Kernel.from_dense(np.asarray(P, dtype=float))
     A = symmetrized(P, root)
     lambda1, v, products = lanczos_top(A, root)
     residual = max(np.linalg.norm(A @ v - lambda1 * v), np.linalg.norm(A @ root - root))

@@ -1,8 +1,10 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from treegibbs import EnergyParams, build_transition_model
+from treegibbs.exact import Kernel
 
 PARAM_GRID = [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
 
@@ -17,6 +19,25 @@ def scipy_csr(P):
     import scipy.sparse as sp
 
     return sp.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
+
+
+def dense_lambda1(P, pi) -> float:
+    """Second eigenvalue of the reversible kernel ``P`` with law ``pi``: numpy's
+    ``eigvalsh`` of diag(sqrt(pi)) P diag(sqrt(pi))^-1, the dense reference
+    the package's Lanczos solves are checked against."""
+    root = np.sqrt(pi)
+    A = P.toarray()
+    A *= root[:, None]
+    A /= root
+    return float(np.linalg.eigvalsh(A)[-2])
+
+
+def kernel_from_dense(a) -> Kernel:
+    """The nonzero entries of a square array as a :class:`Kernel`."""
+    a = np.asarray(a, dtype=float)
+    rows, cols = np.nonzero(a)
+    indptr = np.searchsorted(rows, np.arange(len(a) + 1))
+    return Kernel.from_rows(indptr, cols, a[rows, cols])
 
 
 @lru_cache(maxsize=None)

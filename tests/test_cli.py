@@ -4,9 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from treegibbs import enumerate_paths
+from treegibbs import EnergyParams, enumerate_paths, resolve_params
+
+from conftest import cached_model, dense_lambda1
 
 CLI = [sys.executable, "-m", "treegibbs"]
 
@@ -223,6 +226,23 @@ class TestSample:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    def test_mean_energy_stays_finite_when_the_sum_overflows(self, tmp_path):
+        # Every energy is finite here, but their sum is not.
+        out = tmp_path / "x.jsonl"
+        res = cli("sample", "--n", 30, "--alpha", "1e306", "--beta=-1e306", "--steps", 10,
+                  "--format", "jsonl", "--out", out)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        text = (tmp_path / "x.jsonl.summary.json").read_text()
+        mean = json.loads(text, parse_constant=reject)["per_chain"][0]["mean_energy"]
+        energies = [json.loads(line, parse_constant=reject)["energy"]
+                    for line in out.read_text().splitlines()]
+        assert min(energies) <= mean <= max(energies)
+
 
 class TestConvert:
     def test_path_to_tree_examples(self):
@@ -272,17 +292,30 @@ class TestExact:
         res = cli("exact", "gap", "--m", 4, "--alpha", 0, "--beta", 0)
         data = json.loads(res.stdout)
         assert 0.0 < data["gap"] <= 0.5
-        assert data["method"] == "dense"
-        res2 = cli("exact", "gap", "--m", 4, "--alpha", 0, "--beta", 0,
-                   "--method", "lanczos")
-        data2 = json.loads(res2.stdout)
-        assert data2["method"] == "lanczos"
-        assert data2["gap"] == pytest.approx(data["gap"], abs=1e-8)
+        assert data["method"] == "lanczos"
+        model = cached_model(4, 0.0, 0.0)
+        assert data["gap"] == pytest.approx(1.0 - dense_lambda1(model.P, model.pi), abs=1e-8)
 
-    def test_lanczos_on_two_states_is_a_validation_error(self):
-        res = cli("exact", "gap", "--m", 1, "--alpha", 0, "--beta", 0, "--method", "lanczos")
-        assert res.returncode == 3
-        assert "validation error" in res.stderr and "Traceback" not in res.stderr
+    @pytest.mark.parametrize(
+        "flags,params",
+        [(("--alpha", "0", "--beta", "0"), EnergyParams(0.0, 0.0)),
+         (("--alpha", "1", "--beta=-1"), EnergyParams(1.0, -1.0)),
+         (("--params", "turner04-cg"), resolve_params("turner04-cg"))],
+        ids=["0,0", "1,-1", "turner04-cg"],
+    )
+    def test_two_state_gap_is_closed_form(self, tmp_path, flags, params):
+        # At m = 1 (H and I) the second eigenvalue of a 2 x 2 stochastic
+        # matrix is its trace minus 1.
+        from treegibbs import build_transition_model
+        from treegibbs.cli import main
+
+        out = tmp_path / "gap.json"
+        assert main(["exact", "gap", "--m", "1", *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        P = build_transition_model(1, params).P
+        assert P.shape == (2, 2)
+        assert abs(report["lambda1"] - (np.trace(P.toarray()) - 1.0)) <= 1e-14
+        assert report["method"] == "lanczos" and report["residual"] <= 1e-14
 
     def test_lanczos_no_convergence_exits_5(self, monkeypatch, capsys):
         import treegibbs.exact as exact
@@ -439,7 +472,8 @@ class TestReplayErrors:
         old.write_text(json.dumps({"subcommand": "exact", "argv": argv}))
         res = cli("replay", old)
         assert res.returncode == 2
-        assert "lanczos" in res.stderr
+        assert "--method" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_seed_flag_manifest_is_a_usage_error(self, tmp_path):
         old = tmp_path / "m.json"

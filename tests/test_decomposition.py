@@ -27,9 +27,9 @@ from treegibbs import (
 from treegibbs.cli import main
 from treegibbs.decomposition import blocks_at
 from treegibbs.errors import EmptyBlockError, NotAPartitionError
-from treegibbs.exact import Kernel, second_eigenvalue
+from treegibbs.exact import Kernel
 
-from conftest import scipy_csr
+from conftest import dense_lambda1, scipy_csr
 
 ZERO = EnergyParams(0.0, 0.0)
 GRID = [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
@@ -123,6 +123,16 @@ class TestRestriction:
         with pytest.raises(EmptyBlockError):
             restriction_chain(model_for(3, 0.0, 0.0), np.array([], dtype=int))
 
+    @pytest.mark.parametrize("block", [[0, 99], [-1, 0], [0, 14]], ids=["99", "-1", "14"])
+    def test_index_outside_the_space_rejected(self, block, model_for):
+        # 14 states at m = 3.
+        with pytest.raises(NotAPartitionError):
+            restriction_chain(model_for(3, 0.0, 0.0), block)
+
+    def test_repeated_index_rejected(self, model_for):
+        with pytest.raises(NotAPartitionError):
+            restriction_chain(model_for(3, 0.0, 0.0), [1, 1, 2])
+
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_stationarity_of_renormalized_pi(self, alpha, beta, model_for):
         model = model_for(4, alpha, beta)
@@ -154,8 +164,12 @@ class TestProjection:
         model = model_for(3, 0.0, 0.0)
         proj = projection_chain(model, [np.arange(model.n)])
         assert proj.P.shape == (1, 1)
-        assert proj.P[0, 0] == pytest.approx(1.0)
+        assert proj.P.toarray()[0, 0] == pytest.approx(1.0)
         assert proj.pi[0] == pytest.approx(1.0)
+
+    def test_no_blocks_rejected(self, model_for):
+        with pytest.raises(NotAPartitionError):
+            projection_chain(model_for(3, 0.0, 0.0), [])
 
     def test_not_a_partition_rejected(self, model_for):
         model = model_for(3, 0.0, 0.0)
@@ -181,8 +195,9 @@ class TestProjection:
         model = model_for(4, alpha, beta)
         by_k = blocks_at(model.index, 1)
         proj = projection_chain(model, list(by_k.values()))
-        assert np.abs(proj.P.sum(axis=1) - 1.0).max() < 1e-12
-        flows = proj.pi[:, None] * proj.P
+        P = proj.P.toarray()
+        assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+        flows = proj.pi[:, None] * P
         assert np.abs(flows - flows.T).max() < 1e-14
         assert proj.pi.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -224,7 +239,7 @@ def skeleton_reference(model, k, q):
     offsets = np.cumsum([0] + [len(idx) for idx in families.values()])
     sub_blocks = [np.arange(offsets[j], offsets[j + 1]) for j in range(len(families))]
     proj = projection_chain(restriction_chain(model, block), sub_blocks, list(families))
-    off = proj.P[~np.eye(proj.n, dtype=bool)]
+    off = proj.P.toarray()[~np.eye(proj.n, dtype=bool)]
     positive = [float(v) for v in off if v > 0.0]
     expected_rate = 1.0 / (4.0 * m * m)
     expected_size = comb(m, 2 * k)
@@ -358,6 +373,22 @@ class TestDecompositionBound:
         report = check_decomposition_bound(model_for(1, 0.0, 0.0))
         assert report.gap_projection == 1.0
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize(
+        "params",
+        [resolve_params("turner04-cg"), ZERO, EnergyParams(1.0, -1.0)],
+        ids=["turner04-cg", "0,0", "1,-1"],
+    )
+    def test_two_block_projection_gap_is_closed_form(self, m, params, model_for):
+        # At m = 2 and 3 the k-projection has two blocks, and a two-state
+        # reversible chain has gap P(0, 1) + P(1, 0) = f (1/pi(0) + 1/pi(1)),
+        # with f the flow between the blocks.
+        model = model_for(m, params.alpha, params.beta)
+        low, high = blocks_at(model.index, 1).values()
+        flow = (model.pi[:, None] * model.P.toarray())[np.ix_(low, high)].sum()
+        closed = flow / model.pi[low].sum() + flow / model.pi[high].sum()
+        assert abs(check_decomposition_bound(model).gap_projection - closed) <= 1e-14
+
     @pytest.mark.parametrize("m", [7, 8])
     @pytest.mark.parametrize(
         "params",
@@ -365,15 +396,15 @@ class TestDecompositionBound:
         ids=["turner04-cg", "0,0", "1,-1"],
     )
     def test_auto_rule_matches_dense_solves(self, m, params, model_for):
-        # Above 500 states the auto rule solves with Lanczos; dense is the reference.
+        # Every gap is a Lanczos solve; dense is the reference.
         model = model_for(m, params.alpha, params.beta)
         report = check_decomposition_bound(model)
-        dense = 1.0 - second_eigenvalue(model.P, model.pi, "dense")[0]
+        dense = 1.0 - dense_lambda1(model.P, model.pi)
         assert abs(report.gap_full - dense) <= 1e-12
         for k, block in blocks_at(model.index, 1).items():
             restricted = restriction_chain(model, block)
             if restricted.n > 1:
-                dense = 1.0 - second_eigenvalue(restricted.P, restricted.pi, "dense")[0]
+                dense = 1.0 - dense_lambda1(restricted.P, restricted.pi)
                 assert abs(report.restriction_gaps[k] - dense) <= 1e-12
 
 

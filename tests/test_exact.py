@@ -41,7 +41,7 @@ from treegibbs.errors import (
 from treegibbs.law import logsumexp
 from treegibbs.paths import TwoMotzkinPath
 
-from conftest import sample_rows, scipy_csr
+from conftest import dense_lambda1, kernel_from_dense, sample_rows, scipy_csr
 
 ZERO = EnergyParams(0.0, 0.0)
 PINS = json.loads((Path(__file__).parent / "data" / "law_pins_m0-12.json").read_text())
@@ -215,9 +215,9 @@ class TestTransitionModel:
         model = copy.deepcopy(model_for(1, 0.0, 0.0))
         # H -> I but not back: one-way, so two components; the lazy diagonal
         # joins nothing.
-        model.P = Kernel.from_dense(np.array([[0.5, 0.5], [0.0, 1.0]]))
+        model.P = kernel_from_dense(np.array([[0.5, 0.5], [0.0, 1.0]]))
         assert not is_strongly_connected(model)
-        model.P = Kernel.from_dense(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        model.P = kernel_from_dense(np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert is_strongly_connected(model)
 
     def test_verify_detects_broken_kernel(self, model_for):
@@ -295,7 +295,7 @@ class TestKernel:
         ids=["lazy", "empty-row"],
     )
     def test_products_match_dense(self, dense):
-        P = Kernel.from_dense(dense)
+        P = kernel_from_dense(dense)
         assert np.array_equal(P.toarray(), dense)
         x = np.array([1.0, -2.0, 0.5])
         assert np.allclose(P @ x, dense @ x, rtol=0, atol=1e-15)
@@ -303,7 +303,7 @@ class TestKernel:
         assert np.allclose(P.row_sums(), dense.sum(axis=1), rtol=0, atol=1e-15)
 
     def test_mirrors(self):
-        P = Kernel.from_dense(np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]))
+        P = kernel_from_dense(np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]]))
         # Entries (0,0) (0,1) (1,0) (1,2) (2,0) (2,2); (1,2) and (2,0) lack mirrors.
         assert P.mirrors.tolist() == [0, 2, 1, -1, -1, 5]
 
@@ -343,7 +343,7 @@ class TestPinnedGaps:
 class TestSpectral:
     def test_dense_matches_direct_eigensolve(self, model_for):
         model = model_for(2, 0.0, 0.0)
-        report = spectral_gap(model, method="dense")
+        report = spectral_gap(model)
         # Independent route: eigenvalues of the dense kernel itself.
         eigvals = np.sort(np.abs(np.linalg.eigvals(model.P.toarray())))
         assert report.lambda1 == pytest.approx(eigvals[-2], abs=1e-12)
@@ -353,18 +353,17 @@ class TestSpectral:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_methods_agree(self, m, model_for):
         model = model_for(m, 0.0, 0.0)
-        dense = spectral_gap(model, method="dense")
-        lanczos = spectral_gap(model, method="lanczos")
-        assert abs(dense.gap - lanczos.gap) < 1e-8
+        dense_gap = 1.0 - dense_lambda1(model.P, model.pi)
+        lanczos = spectral_gap(model)
+        assert abs(dense_gap - lanczos.gap) < 1e-8
         assert lanczos.residual <= 1e-10
 
     @pytest.mark.parametrize("m", [7, 8])
     def test_lanczos_matches_dense_at_auto_sizes(self, m):
-        # "auto" picks Lanczos here; the dense solve is the reference.
+        # Above 500 states; the dense solve is the reference.
         model = build_transition_model(m, resolve_params("turner04-cg"))
         lanczos = spectral_gap(model)
-        assert lanczos.method == "lanczos"
-        assert abs(lanczos.gap - spectral_gap(model, method="dense").gap) <= 1e-12
+        assert abs(lanczos.gap - (1.0 - dense_lambda1(model.P, model.pi))) <= 1e-12
         assert lanczos.residual <= 1e-10
         assert lanczos.iterations > 0
 
@@ -382,13 +381,13 @@ class TestSpectral:
         # An orthonormal basis of the n - 1 directions orthogonal to sqrt(pi)
         # is exhausted after n - 1 products.
         model = model_for(m, alpha, beta)
-        report = spectral_gap(model, method="lanczos")
+        report = spectral_gap(model)
         assert report.iterations <= model.n - 1
-        assert abs(report.gap - spectral_gap(model, method="dense").gap) <= 1e-12
+        assert abs(report.gap - (1.0 - dense_lambda1(model.P, model.pi))) <= 1e-12
 
     def test_lanczos_reruns_are_identical(self, model_for):
         model = model_for(6, 1.0, -1.0)
-        assert spectral_gap(model, method="lanczos") == spectral_gap(model, method="lanczos")
+        assert spectral_gap(model) == spectral_gap(model)
 
     def test_single_state_rejected(self):
         model = build_transition_model(1, ZERO)
