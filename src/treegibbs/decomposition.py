@@ -162,13 +162,17 @@ def projection_chain(
     # by row, columns ascending, as a Kernel stores them.  (``np.unique``
     # would import ``numpy.ma``, about 1 MB and 10 ms per process, and its
     # inverse takes twice the memory of a ``searchsorted``.)
-    pairs = membership[P.rows] * n_blocks + membership[P.indices]
+    pairs = P.of_rows(membership)
+    pairs *= n_blocks
+    pairs += membership[P.indices]
     codes = np.sort(pairs)
     new = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=new[1:])
     codes = codes[new]
     slots = np.searchsorted(codes, pairs)
-    flow = np.bincount(slots, weights=P.data * pi[P.rows], minlength=len(codes))
+    flow = P.of_rows(pi)
+    flow *= P.data
+    flow = np.bincount(slots, weights=flow, minlength=len(codes))
     rows, cols = np.divmod(codes, n_blocks)
     pi_bar = np.array([pi[np.asarray(b, dtype=int)].sum() for b in blocks])
     indptr = np.zeros(n_blocks + 1, dtype=np.intp)
@@ -245,6 +249,7 @@ def check_skeleton_projection(
     families = model.index.label_blocks
     proj = projection_chain(model, list(families.values()), list(families))
     expected_rate = 1.0 / (4.0 * m * m)
+    proj_rows = proj.P.rows
     reports = {}
     start = 0
     for (k, q), labels in groupby(families, key=lambda label: label[:2]):
@@ -255,7 +260,7 @@ def check_skeleton_projection(
         # The family's entries between its own labels, off the diagonal, row
         # by row and columns ascending.
         lo, hi = proj.P.indptr[start], proj.P.indptr[stop]
-        rows, cols, vals = proj.P.rows[lo:hi], proj.P.indices[lo:hi], proj.P.data[lo:hi]
+        rows, cols, vals = proj_rows[lo:hi], proj.P.indices[lo:hi], proj.P.data[lo:hi]
         inside = (cols >= start) & (cols < stop) & (cols != rows) & (vals > 0.0)
         positive = vals[inside].tolist()
         expected_size = comb(m, 2 * k)

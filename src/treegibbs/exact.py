@@ -14,6 +14,13 @@ kept, so the checks certify the moves the sampler makes.
 :func:`second_eigenvalue` is the one place a kernel becomes a second
 eigenvalue, by thick-restart Lanczos on the symmetrized kernel, whatever
 its size.
+
+Memory per kernel entry sets the largest m the oracle reaches, so a
+kernel keeps its column and value arrays and nothing else per entry.  The
+build packs each entry as one (row, column, slot) key and sorts the keys
+in place; the checks and the symmetrization compute the entries' rows and
+mirrors when they need them and let them go, so at most one or two other
+per-entry arrays are alive at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ from .errors import (
     NoConvergenceError,
 )
 from .law import (  # noqa: F401  (re-exported: the oracle's names stay importable from here)
+    _DIGIT,
     StateIndex,
-    _codes,
     empirical_distribution,
     gibbs_distribution,
     tv_distance,
@@ -44,11 +51,14 @@ from .paths import TwoMotzkinPath
 # Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors (ARPACK's
 # default is 20) and a restart keeps the LANCZOS_KEEP largest Ritz vectors.  A
 # Ritz pair is accepted when its residual is at most LANCZOS_TOL (the operator's
-# norm is 1); after LANCZOS_MAX_PRODUCTS products the solve gives up.
+# norm is 1); after LANCZOS_MAX_PRODUCTS products the solve gives up.  A pair
+# whose residual, computed afresh, exceeds LANCZOS_REJECT is reported as no
+# convergence rather than as an eigenpair.
 LANCZOS_BASIS = 24
 LANCZOS_KEEP = 8
 LANCZOS_TOL = 1e-14
 LANCZOS_MAX_PRODUCTS = 10_000
+LANCZOS_REJECT = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +68,10 @@ class Kernel:
     Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
     ``indices[indptr[i]:indptr[i + 1]]``, which ascend with no repeats.
     ``P @ x`` and ``x @ P`` are the matrix products with a vector.
+
+    A kernel keeps these three arrays and nothing else per entry: ``rows``
+    and ``mirrors`` are computed on each access, so a caller binds them once
+    and lets them go when it is done.
     """
 
     indptr: np.ndarray
@@ -73,8 +87,6 @@ class Kernel:
         n = len(indptr) - 1
         lengths = np.diff(indptr)
         rows = np.repeat(np.arange(n), lengths)
-        # One sort of (row, column, slot) keys orders the columns of every row,
-        # and the slot says where each entry's value was.
         shift = int(lengths.max(initial=0)).bit_length()
         keys = rows * n
         keys += indices
@@ -82,22 +94,34 @@ class Kernel:
         slots = np.arange(len(keys))
         slots -= indptr[rows]
         keys |= slots
+        del rows, slots
+        return cls._from_keys(indptr, keys, data, shift)
+
+    @classmethod
+    def _from_keys(cls, indptr: np.ndarray, keys: np.ndarray, data: np.ndarray, shift: int) -> Kernel:
+        """The kernel of row-grouped packed entries: ``keys[indptr[i]:indptr[i + 1]]``
+        holds ``(i * n + column) << shift | slot`` for each entry of row i,
+        whose value is ``data[indptr[i] + slot]``.  Sorts ``keys`` in place and
+        makes it the column array; repeated columns are summed."""
+        n = len(indptr) - 1
+        # One sort orders the columns of every row, and leaves each row's
+        # entries in its own range; the slot says where each value was.
         keys.sort()
-        np.bitwise_and(keys, (1 << shift) - 1, out=slots)
-        slots += indptr[rows]
-        data = data[slots]
-        del slots
+        at = keys & ((1 << shift) - 1)
+        at += np.repeat(indptr[:-1], np.diff(indptr))
+        data = data[at]
+        del at
         keys >>= shift  # row * n + column
         new = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
         if not new.all():
             starts = np.flatnonzero(new)
             data = np.add.reduceat(data, starts)
-            keys, rows = keys[starts], rows[starts]
+            keys = keys[starts]
             indptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        rows *= n
-        keys -= rows
+            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        del new
+        keys %= n  # the columns
         return cls(np.asarray(indptr, dtype=np.intp), keys, data)
 
     @property
@@ -112,33 +136,39 @@ class Kernel:
     def nnz(self) -> int:
         return len(self.data)
 
-    @cached_property
+    @property
     def rows(self) -> np.ndarray:
         """The row of each entry."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return self.of_rows(np.arange(self.n))
 
-    @cached_property
+    def of_rows(self, x: np.ndarray) -> np.ndarray:
+        """``x[i]`` at each entry of row i: ``x[self.rows]`` without the rows."""
+        return np.repeat(x, np.diff(self.indptr))
+
+    @property
     def mirrors(self) -> np.ndarray:
         """Position of each entry's mirror: entry (j, i) for entry (i, j), or -1
         where none is stored."""
-        n, nnz, rows, cols = self.n, self.nnz, self.rows, self.indices
-        # The entries by column, and by row within a column: their mirrors'
-        # row-major positions ascend.
-        order = cols << nnz.bit_length()
+        n, nnz, cols = self.n, self.nnz, self.indices
+        rows = self.rows
+        # The entries by column, and by row within a column.  In a symmetric
+        # pattern the k-th of them is the mirror of the k-th entry by row.
+        bits = nnz.bit_length()
+        order = cols << bits
         order |= np.arange(nnz)
         order.sort()
-        order &= (1 << nnz.bit_length()) - 1
-        mirrors = np.empty(nnz, dtype=np.intp)
+        order &= (1 << bits) - 1
         if np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols):
-            # A symmetric pattern: the k-th entry by column mirrors the k-th by row.
-            mirrors[order] = np.arange(nnz)
-            return mirrors
-        codes = rows * n + cols
-        mirror_codes = cols[order] * n + rows[order]
+            return order
+        del order
+        codes = rows * n
+        codes += cols
+        mirror_codes = cols * n
+        mirror_codes += rows
+        del rows
         found = np.searchsorted(codes, mirror_codes).clip(max=max(nnz - 1, 0))
         found[codes[found] != mirror_codes] = -1
-        mirrors[order] = found
-        return mirrors
+        return found
 
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.rows, weights=self.data, minlength=self.n)
@@ -152,7 +182,8 @@ class Kernel:
         return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=self.n)
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        weights = np.repeat(x, np.diff(self.indptr)) * self.data
+        weights = self.of_rows(np.asarray(x, dtype=float))
+        weights *= self.data
         return np.bincount(self.indices, weights=weights, minlength=self.n)
 
 
@@ -198,52 +229,75 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
 
     n = len(index)
     codes = index.codes
-    # A cell changes each of its rows once, so its entries go to their rows'
-    # next free slots in one step.  Slot 0 of each row is the diagonal.
+    words = index.words
+    place = 4 ** np.arange(m - 1, -1, -1, dtype=np.int64)  # each position's weight in a code
+    # Each cell's entries as row * n + column keys, with their values.
     cells = []
-    lengths = np.ones(n, dtype=np.intp)
+    lengths = np.ones(n, dtype=np.intp)  # the diagonal, then one entry per cell
     moved = np.zeros(n)
     # Transpositions (i, j) and (j, i) move the same rows to the same targets
     # (``draw_cells`` hands out the same arrays), so (j, i) adds its values to
     # the entries of (i, j).
     swaps = {}
-    for cell, rows, targets, accept in draw_cells(index.words, params):
+    for cell, rows, targets, accept in draw_cells(words, params):
         vals = cell.weight * accept
         moved[rows] += vals
         twin = swaps.pop((cell.j, cell.i), None) if cell.move == 2 else None
         if twin is not None and twin[0] is rows:
-            np.add(twin[2], vals, out=twin[2])
+            np.add(twin[1], vals, out=twin[1])
             continue
-        target_codes = _codes(targets)
+        # A cell rewrites at most the steps i and j, so a target's code is
+        # its row's code plus the change in those digits.
+        target_codes = codes[rows]
+        for p in {cell.i, cell.j}:
+            change = _DIGIT[targets[:, p]]
+            change -= _DIGIT[words[rows, p]]
+            change *= place[p]
+            target_codes += change
         cols = np.searchsorted(codes, target_codes)
         if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
             raise InternalInvariantViolationError("a move left the enumerated state space")
         lengths[rows] += 1
-        cells.append((rows, cols, vals))
+        keys = rows * n
+        keys += cols
+        cells.append((keys, vals))
         if cell.move == 2:
-            swaps[cell.i, cell.j] = cells[-1]
+            swaps[cell.i, cell.j] = rows, vals
+    del swaps
+    # Every entry goes to its row's next free slot as a packed (row, column,
+    # slot) key; slot 0 of each row is the diagonal, which keeps what no cell
+    # moves.  One sort of the keys then orders the columns of every row.
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
-    free = indptr[:-1].copy()
-    indices = np.empty(indptr[-1], dtype=np.intp)
+    shift = int(lengths.max()).bit_length()
+    keys = np.empty(indptr[-1], dtype=np.int64)
     data = np.empty(indptr[-1])
-    # What no cell moves stays on the diagonal.
-    indices[free], data[free] = np.arange(n), 1.0 - moved
+    free = indptr[:-1].copy()
+    keys[free] = np.arange(n) * (n + 1) << shift
+    data[free] = 1.0 - moved
     free += 1
-    for rows, cols, vals in cells:
+    cells.reverse()
+    while cells:
+        cell_keys, vals = cells.pop()
+        rows = cell_keys // n
         at = free[rows]
-        indices[at], data[at] = cols, vals
         free[rows] += 1
-    del cells, swaps
-    P = Kernel.from_rows(indptr, indices, data)
-    del indices, data
+        cell_keys <<= shift
+        cell_keys |= at - indptr[rows]
+        keys[at], data[at] = cell_keys, vals
+    del free
+    P = Kernel._from_keys(indptr, keys, data, shift)
+    del keys, data
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
     verify_model(model)
     return model
 
 
 def verify_model(model: TransitionModel, tol: float = 1e-12) -> None:
-    """Stochasticity, stationarity, and detailed balance, or raise."""
+    """Stochasticity, stationarity, and detailed balance, or raise.
+
+    Each check computes what it reads per entry and lets it go, so the
+    checks hold one or two per-entry arrays besides the kernel's."""
     row_err = float(np.abs(model.P.row_sums() - 1.0).max())
     if row_err > tol:
         raise BalanceViolationError(f"row sums off by {row_err:.3e}", magnitude=row_err)
@@ -251,7 +305,7 @@ def verify_model(model: TransitionModel, tol: float = 1e-12) -> None:
     if stat_err > tol:
         raise BalanceViolationError(f"pi P != pi, residual {stat_err:.3e}", magnitude=stat_err)
     worst, pair = detailed_balance_violation(model)
-    flow_scale = float((model.P.data * model.pi[model.P.rows]).max())
+    flow_scale = float((model.P.of_rows(model.pi) * model.P.data).max())
     if worst > tol * flow_scale:
         x, y = pair
         raise BalanceViolationError(
@@ -270,15 +324,19 @@ def stationarity_residual(model: TransitionModel) -> float:
 def detailed_balance_violation(model: TransitionModel) -> tuple[float, tuple[int, int]]:
     """Largest |pi(x)P(x,y) - pi(y)P(y,x)| and the offending index pair."""
     P = model.P
-    flow = P.data * model.pi[P.rows]
-    asym = flow[P.mirrors]
-    asym[P.mirrors < 0] = 0.0
+    mirrors = P.mirrors
+    flow = P.of_rows(model.pi)
+    flow *= P.data
+    asym = flow[mirrors]
+    asym[mirrors < 0] = 0.0
+    del mirrors
     asym -= flow
     np.abs(asym, out=asym)
     if not asym.any():
         return 0.0, (0, 0)
     k = int(asym.argmax())
-    return float(asym[k]), (int(P.rows[k]), int(P.indices[k]))
+    row = int(np.searchsorted(P.indptr, k, side="right")) - 1
+    return float(asym[k]), (row, int(P.indices[k]))
 
 
 def is_strongly_connected(model: TransitionModel) -> bool:
@@ -358,9 +416,11 @@ def symmetrized(P: Kernel, root: np.ndarray) -> SymmetricOperator:
     mirrors = P.mirrors
     if (mirrors < 0).any():
         raise BalanceViolationError("the kernel stores an entry without its mirror")
-    a = P.data * root[P.rows]
+    a = P.of_rows(root)
+    a *= P.data
     a /= root[P.indices]
     a += a[mirrors]
+    del mirrors
     a *= 0.5
     lengths = np.diff(P.indptr)
     by_length = np.argsort(lengths, kind="stable")
@@ -381,7 +441,9 @@ def second_eigenvalue(P: Kernel, pi: np.ndarray) -> tuple[float, float, int]:
     A = diag(pi)^{1/2} P diag(pi)^{-1/2}, with its known top eigenvector
     sqrt(pi) deflated; residual max ||A v - lambda v|| over both eigenpairs,
     iterations the count of products with A.  ``MassUnderflowError`` when
-    some state has mass 0, which A cannot be scaled by.
+    some state has mass 0, which A cannot be scaled by;
+    ``NoConvergenceError`` when the residual exceeds ``LANCZOS_REJECT``,
+    which no pair the solver should accept comes near.
     """
     empty = len(pi) - np.count_nonzero(pi)
     if empty:
@@ -392,8 +454,10 @@ def second_eigenvalue(P: Kernel, pi: np.ndarray) -> tuple[float, float, int]:
     root = np.sqrt(pi)
     A = symmetrized(P, root)
     lambda1, v, products = lanczos_top(A, root)
-    residual = max(np.linalg.norm(A @ v - lambda1 * v), np.linalg.norm(A @ root - root))
-    return lambda1, float(residual), products
+    residual = float(max(np.linalg.norm(A @ v - lambda1 * v), np.linalg.norm(A @ root - root)))
+    if not residual <= LANCZOS_REJECT:
+        raise NoConvergenceError(products, residual)
+    return lambda1, residual, products
 
 
 def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -401,8 +465,13 @@ def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray,
     eigenvector u, its unit eigenvector, and the count of products with A.
 
     Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000)
-    from a fixed-seed start, so reruns are identical.  Each product is
-    orthogonalized against u and the basis.  A full cycle restarts from the
+    from a closed-form start, the cosines of the multiples of the golden
+    angle: an irregular vector fixed by its formula, so reruns are identical
+    and the start is the same under every numpy version.  A seeded
+    ``numpy.random`` stream would serve too, but NumPy may change its
+    streams between versions (NEP 19), and importing ``numpy.random`` costs
+    a process about 13 ms and several MB.  Each product is orthogonalized
+    against u and the basis.  A full cycle restarts from the
     ``LANCZOS_KEEP`` largest Ritz vectors and the last Lanczos vector.
     ``NoConvergenceError`` after ``LANCZOS_MAX_PRODUCTS`` products.
     """
@@ -411,7 +480,7 @@ def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray,
     keep = min(LANCZOS_KEEP, size - 1)
     V = np.empty((size + 1, n))  # the basis, one vector per row
     T = np.zeros((size, size))  # A projected onto the basis
-    v = np.random.default_rng(0).standard_normal(n)
+    v = np.cos(np.arange(n) * (np.pi * (3.0 - np.sqrt(5.0))))
     v -= (u @ v) * u
     V[0] = v / np.linalg.norm(v)
     products = 0

@@ -326,6 +326,24 @@ class TestExact:
         assert main(["exact", "gap", "--m", "7", "--params", "turner04-cg"]) == 5
         assert "internal check failed" in capsys.readouterr().err
 
+    def test_wrong_ritz_pair_exits_5(self, monkeypatch, capsys):
+        import treegibbs.exact as exact
+        from treegibbs.cli import main
+
+        # A solve that hands back a pair off by 1e-6, as a Ritz residual
+        # estimate that rounds to 0 can: its residual, computed afresh, is
+        # far above any converged solve's.
+        solve = exact.lanczos_top
+
+        def off_pair(A, u):
+            lambda1, v, products = solve(A, u)
+            return lambda1 + 1e-6, v, products
+
+        monkeypatch.setattr(exact, "lanczos_top", off_pair)
+        assert main(["exact", "gap", "--m", "4", "--params", "turner04-cg"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: no convergence") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command",
         [("sample", "--n", 30, "--format", "jsonl", "--steps", 30),
@@ -545,3 +563,25 @@ print(json.dumps([rc, before, after, treegibbs.__all__, missing]))
         assert not after
         assert names == PUBLIC_NAMES
         assert missing == []
+
+    def test_oracle_runs_without_numpy_random(self, tmp_path):
+        # With sys.modules["numpy.random"] = None importing it raises, so the
+        # oracle's commands, Lanczos start included, must not need it.
+        script = f"""
+import json, sys
+sys.modules["numpy.random"] = None
+from treegibbs import cli
+rc = [
+    cli.main(["exact", "gap", "--m", "9", "--params", "turner04-cg",
+              "--out", {str(tmp_path / "gap.json")!r}]),
+    cli.main(["exact", "tv-curve", "--m", "4", "--params", "turner04-cg",
+              "--out", {str(tmp_path / "tv.json")!r}]),
+    cli.main(["decompose", "report", "--m", "6", "--level", "kqs", "--params", "turner04-cg",
+              "--out", {str(tmp_path / "kqs.json")!r}]),
+]
+print(json.dumps(rc))
+"""
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == [0, 0, 0], res.stderr

@@ -400,6 +400,29 @@ class TestSpectral:
             spectral_gap(tiny)
 
 
+class TestFootprint:
+    def test_traced_peak_per_kernel_entry(self):
+        # What the oracle holds per kernel entry at m = 9 (211 764 entries),
+        # the model included: the build held up to 64 B and the solve 78 B
+        # while the kernel cached its rows and mirrors and the build sorted
+        # a copy of its entry lists; now about 48 and 58 B.
+        import tracemalloc
+
+        params = resolve_params("turner04-cg")
+        StateIndex.build(9)
+        tracemalloc.start()
+        try:
+            model = build_transition_model(9, params)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            spectral_gap(model)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_peak / model.P.nnz <= 54
+        assert solve_peak / model.P.nnz <= 66
+
+
 class TestTV:
     def test_identical(self):
         assert tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
