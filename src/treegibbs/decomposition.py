@@ -170,9 +170,9 @@ def projection_chain(
     np.not_equal(codes[1:], codes[:-1], out=new[1:])
     codes = codes[new]
     slots = np.searchsorted(codes, pairs)
-    flow = P.of_rows(pi)
-    flow *= P.data
-    flow = np.bincount(slots, weights=flow, minlength=len(codes))
+    weights = P.of_rows(pi)
+    weights *= P.data
+    flow = np.bincount(slots, weights=weights, minlength=len(codes))
     rows, cols = np.divmod(codes, n_blocks)
     pi_bar = np.array([pi[np.asarray(b, dtype=int)].sum() for b in blocks])
     indptr = np.zeros(n_blocks + 1, dtype=np.intp)

@@ -18,9 +18,8 @@ its size.
 Memory per kernel entry sets the largest m the oracle reaches, so a
 kernel keeps its column and value arrays and nothing else per entry.  The
 build packs each entry as one (row, column, slot) key and sorts the keys
-in place; the checks and the symmetrization compute the entries' rows and
-mirrors when they need them and let them go, so at most one or two other
-per-entry arrays are alive at a time.
+in place; the checks, the symmetrization and the projections compute the
+entries' rows and mirrors when they need them and let them go.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .errors import (
     NoConvergenceError,
 )
 from .law import (  # noqa: F401  (re-exported: the oracle's names stay importable from here)
-    _DIGIT,
     StateIndex,
     empirical_distribution,
     gibbs_distribution,
@@ -98,7 +96,9 @@ class Kernel:
         return cls._from_keys(indptr, keys, data, shift)
 
     @classmethod
-    def _from_keys(cls, indptr: np.ndarray, keys: np.ndarray, data: np.ndarray, shift: int) -> Kernel:
+    def _from_keys(
+        cls, indptr: np.ndarray, keys: np.ndarray, data: np.ndarray, shift: int
+    ) -> Kernel:
         """The kernel of row-grouped packed entries: ``keys[indptr[i]:indptr[i + 1]]``
         holds ``(i * n + column) << shift | slot`` for each entry of row i,
         whose value is ``data[indptr[i] + slot]``.  Sorts ``keys`` in place and
@@ -110,7 +110,6 @@ class Kernel:
         at = keys & ((1 << shift) - 1)
         at += np.repeat(indptr[:-1], np.diff(indptr))
         data = data[at]
-        del at
         keys >>= shift  # row * n + column
         new = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
@@ -120,7 +119,6 @@ class Kernel:
             keys = keys[starts]
             indptr = np.zeros(n + 1, dtype=np.intp)
             np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        del new
         keys %= n  # the columns
         return cls(np.asarray(indptr, dtype=np.intp), keys, data)
 
@@ -160,12 +158,8 @@ class Kernel:
         order &= (1 << bits) - 1
         if np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols):
             return order
-        del order
-        codes = rows * n
-        codes += cols
-        mirror_codes = cols * n
-        mirror_codes += rows
-        del rows
+        codes = rows * n + cols
+        mirror_codes = cols * n + rows
         found = np.searchsorted(codes, mirror_codes).clip(max=max(nnz - 1, 0))
         found[codes[found] != mirror_codes] = -1
         return found
@@ -182,8 +176,7 @@ class Kernel:
         return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=self.n)
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        weights = self.of_rows(np.asarray(x, dtype=float))
-        weights *= self.data
+        weights = self.of_rows(x) * self.data
         return np.bincount(self.indices, weights=weights, minlength=self.n)
 
 
@@ -229,8 +222,6 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
 
     n = len(index)
     codes = index.codes
-    words = index.words
-    place = 4 ** np.arange(m - 1, -1, -1, dtype=np.int64)  # each position's weight in a code
     # Each cell's entries as row * n + column keys, with their values.
     cells = []
     lengths = np.ones(n, dtype=np.intp)  # the diagonal, then one entry per cell
@@ -239,21 +230,15 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     # (``draw_cells`` hands out the same arrays), so (j, i) adds its values to
     # the entries of (i, j).
     swaps = {}
-    for cell, rows, targets, accept in draw_cells(words, params):
+    for cell, rows, targets, accept in draw_cells(index.words, params):
         vals = cell.weight * accept
         moved[rows] += vals
         twin = swaps.pop((cell.j, cell.i), None) if cell.move == 2 else None
         if twin is not None and twin[0] is rows:
             np.add(twin[1], vals, out=twin[1])
             continue
-        # A cell rewrites at most the steps i and j, so a target's code is
-        # its row's code plus the change in those digits.
-        target_codes = codes[rows]
-        for p in {cell.i, cell.j}:
-            change = _DIGIT[targets[:, p]]
-            change -= _DIGIT[words[rows, p]]
-            change *= place[p]
-            target_codes += change
+        # A cell rewrites at most the steps i and j.
+        target_codes = index._rewritten_codes(rows, targets, {cell.i, cell.j})
         cols = np.searchsorted(codes, target_codes)
         if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
             raise InternalInvariantViolationError("a move left the enumerated state space")
@@ -263,7 +248,6 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
         cells.append((keys, vals))
         if cell.move == 2:
             swaps[cell.i, cell.j] = rows, vals
-    del swaps
     # Every entry goes to its row's next free slot as a packed (row, column,
     # slot) key; slot 0 of each row is the diagonal, which keeps what no cell
     # moves.  One sort of the keys then orders the columns of every row.
@@ -285,9 +269,8 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
         cell_keys <<= shift
         cell_keys |= at - indptr[rows]
         keys[at], data[at] = cell_keys, vals
-    del free
     P = Kernel._from_keys(indptr, keys, data, shift)
-    del keys, data
+    del data  # the values in slot order; P holds them in column order
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
     verify_model(model)
     return model
@@ -296,8 +279,8 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
 def verify_model(model: TransitionModel, tol: float = 1e-12) -> None:
     """Stochasticity, stationarity, and detailed balance, or raise.
 
-    Each check computes what it reads per entry and lets it go, so the
-    checks hold one or two per-entry arrays besides the kernel's."""
+    Each check computes the per-entry arrays it reads (rows, mirrors,
+    flows) and lets them go."""
     row_err = float(np.abs(model.P.row_sums() - 1.0).max())
     if row_err > tol:
         raise BalanceViolationError(f"row sums off by {row_err:.3e}", magnitude=row_err)
@@ -329,7 +312,6 @@ def detailed_balance_violation(model: TransitionModel) -> tuple[float, tuple[int
     flow *= P.data
     asym = flow[mirrors]
     asym[mirrors < 0] = 0.0
-    del mirrors
     asym -= flow
     np.abs(asym, out=asym)
     if not asym.any():
