@@ -403,13 +403,12 @@ class TestSpectral:
 class TestFootprint:
     def test_traced_peak_per_kernel_entry(self):
         # What the oracle holds per kernel entry at m = 9 (211 764 entries),
-        # the model included: the build held up to 64 B and the solve 78 B
-        # while the kernel cached its rows and mirrors and the build sorted
-        # a copy of its entry lists; now about 48 and 58 B.
+        # the model included: about 48 B for the build and 58 B for the
+        # solve.  A kernel that caches its rows and mirrors, or a build that
+        # sorts a copy of its entry lists, reads 64 and 78 B.
         import tracemalloc
 
         params = resolve_params("turner04-cg")
-        StateIndex.build(9)
         tracemalloc.start()
         try:
             model = build_transition_model(9, params)
