@@ -40,6 +40,7 @@ from .errors import (
 )
 from .law import (  # noqa: F401  (re-exported: the oracle's names stay importable from here)
     StateIndex,
+    _codes,
     empirical_distribution,
     gibbs_distribution,
     tv_distance,
@@ -237,8 +238,7 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
         if twin is not None and twin[0] is rows:
             np.add(twin[1], vals, out=twin[1])
             continue
-        # A cell rewrites at most the steps i and j.
-        target_codes = index._rewritten_codes(rows, targets, {cell.i, cell.j})
+        target_codes = _codes(targets)
         cols = np.searchsorted(codes, target_codes)
         if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
             raise InternalInvariantViolationError("a move left the enumerated state space")
@@ -451,9 +451,10 @@ def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray,
     angle: an irregular vector fixed by its formula, so reruns are identical
     and the start is the same under every numpy version.  A seeded
     ``numpy.random`` stream would serve too, but NumPy may change its
-    streams between versions (NEP 19), and importing ``numpy.random`` costs
-    a process about 13 ms and several MB.  Each product is orthogonalized
-    against u and the basis.  A full cycle restarts from the
+    streams between versions (NEP 19), and where numpy loads ``numpy.random``
+    lazily (numpy 2.4 does; older versions import it with numpy) importing
+    it costs a process about 13 ms and several MB.  Each product is
+    orthogonalized against u and the basis.  A full cycle restarts from the
     ``LANCZOS_KEEP`` largest Ritz vectors and the last Lanczos vector.
     ``NoConvergenceError`` after ``LANCZOS_MAX_PRODUCTS`` products.
     """

@@ -66,18 +66,6 @@ class StateIndex:
             raise KeyError(words[int(missing.argmax())])
         return rows
 
-    def _rewritten_codes(self, rows: np.ndarray, targets: np.ndarray, steps) -> np.ndarray:
-        """``_codes(targets)`` for copies of the words ``rows`` with at most
-        the positions ``steps`` rewritten: the rows' codes plus the change
-        in those digits."""
-        codes = self.codes[rows]
-        for p in steps:
-            change = _DIGIT[targets[:, p]]
-            change -= _DIGIT[self.words[rows, p]]
-            change *= 4 ** (self.m - 1 - p)
-            codes += change
-        return codes
-
     def order_hash(self) -> str:
         """SHA-256 of the newline-joined state order; identifies the indexing."""
         lines = np.pad(self.words, ((0, 0), (0, 1)), constant_values=ord("\n"))

@@ -566,9 +566,15 @@ print(json.dumps([rc, before, after, treegibbs.__all__, missing]))
 
     def test_oracle_runs_without_numpy_random(self, tmp_path):
         # With sys.modules["numpy.random"] = None importing it raises, so the
-        # oracle's commands, Lanczos start included, must not need it.
+        # oracle's commands, Lanczos start included, must not need it.  Older
+        # numpy versions import numpy.random within ``import numpy``; there
+        # it cannot be blocked, and the test is skipped.
         script = f"""
 import json, sys
+import numpy
+if "numpy.random" in sys.modules:
+    print(json.dumps("eager"))
+    sys.exit()
 sys.modules["numpy.random"] = None
 from treegibbs import cli
 rc = [
@@ -584,4 +590,7 @@ print(json.dumps(rc))
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, timeout=300)
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout.splitlines()[-1]) == [0, 0, 0], res.stderr
+        rc = json.loads(res.stdout.splitlines()[-1])
+        if rc == "eager":
+            pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy")
+        assert rc == [0, 0, 0], res.stderr
