@@ -15,9 +15,7 @@ from .chain import (
     Sample,
     batch_means_stderr,
     move_constants,
-    neighbors,
     run,
-    transition_probability,
 )
 from .energy import (
     BUILTIN_NNTM,
@@ -36,8 +34,6 @@ from .paths import (
     catalan,
     enumerate_paths,
     iter_paths,
-    motzkin,
-    validate,
 )
 from .trees import (
     DegreeProfile,
@@ -126,9 +122,7 @@ __all__ = [
     "enumerate_paths",
     "gibbs_distribution",
     "iter_paths",
-    "motzkin",
     "move_constants",
-    "neighbors",
     "path_energy",
     "projected_k_distribution",
     "projection_chain",
@@ -137,10 +131,8 @@ __all__ = [
     "run",
     "spectral_gap",
     "text_to_tree",
-    "transition_probability",
     "tree_energy",
     "tree_to_text",
     "tv_decay_curve",
     "tv_distance",
-    "validate",
 ]

@@ -47,7 +47,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .energy import EnergyParams
-from .errors import ConfigInvalidError, LengthMismatchError
+from .errors import ConfigInvalidError
 from .paths import D, H, I, U, TwoMotzkinPath
 from .trees import DegreeProfile
 
@@ -433,27 +433,6 @@ def transition_distribution(
             key = target.tobytes()
             moved[key] = moved.get(key, 0.0) + cell.weight * float(q)
     return {sym: 1.0 - sum(moved.values()), **moved}
-
-
-def transition_probability(
-    x: TwoMotzkinPath, y: TwoMotzkinPath, params: EnergyParams
-) -> float:
-    """Exact P(x, y), including the self-loop mass when x == y."""
-    if len(x) != len(y):
-        raise LengthMismatchError(f"paths of length {len(x)} and {len(y)}")
-    return transition_distribution(x, params).get(y.symbols, 0.0)
-
-
-def neighbors(
-    x: TwoMotzkinPath, params: EnergyParams
-) -> list[tuple[TwoMotzkinPath, float]]:
-    """All states reachable in one step with positive probability, excluding x."""
-    sym = x.symbols
-    return [
-        (TwoMotzkinPath._trusted(target), mass)
-        for target, mass in transition_distribution(x, params).items()
-        if target != sym and mass > 0.0
-    ]
 
 
 class WordFields(NamedTuple):

@@ -42,7 +42,7 @@ from .errors import (
     UnbalancedParensError,
     UnknownParameterSetError,
 )
-from .paths import TwoMotzkinPath, validate
+from .paths import TwoMotzkinPath
 from .trees import decode, degree_profile, encode, text_to_tree, tree_to_text
 
 EXIT_OK = 0
@@ -248,17 +248,14 @@ def cmd_sample(args, argv: list[str]) -> int:
     if out is None and args.chains > 1:
         raise _UsageError("--chains > 1 requires --out")
 
-    ext = "csv" if args.format == "csv" else "jsonl"
     if args.chains == 1:
         files = [out]
-    else:
-        files = [out.with_name(f"{out.stem}.chain{k}.{ext}") for k in range(args.chains)]
-
-    if args.chains == 1:
-        summaries = [_sample_chain(params, args, 0, files[0])]
+        summaries = [_sample_chain(params, args, 0, out)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        ext = "csv" if args.format == "csv" else "jsonl"
+        files = [out.with_name(f"{out.stem}.chain{k}.{ext}") for k in range(args.chains)]
         with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(_sample_chain, params, args, k, files[k])
@@ -315,7 +312,7 @@ def cmd_convert(args, argv: list[str]) -> int:
             line = raw.rstrip("\n")
             try:
                 if args.to == "trees":
-                    tree = decode(validate(line))
+                    tree = decode(TwoMotzkinPath(line))
                     if args.adjacency:
                         rendered = json.dumps(
                             {str(i): list(kids) for i, kids in enumerate(tree.children)},
@@ -388,7 +385,7 @@ def cmd_exact(args, argv: list[str]) -> int:
         )
     else:  # tv-curve
         model = build_transition_model(args.m, params)
-        start = TwoMotzkinPath("H" * args.m) if args.start == "all-H" else validate(args.start)
+        start = TwoMotzkinPath("H" * args.m if args.start == "all-H" else args.start)
         if len(start) != args.m:
             raise ConfigInvalidError(
                 f"--from path has length {len(start)}, expected m={args.m}"

@@ -10,9 +10,10 @@ product lower bound relating the full spectral gap to the projection
 and restriction gaps.
 
 Every state is labelled once per ``StateIndex`` (``label_blocks``) and
-every level groups those labels.  Restriction chains are slices of the
-verified kernel's arrays with the same sparsity, the rejected mass folded
-into the diagonal, and one routine projects any chain onto a partition by
+every level groups those labels.  A restriction chain is a slice of the
+verified kernel's arrays to a strictly ascending block, which keeps each
+row's columns in order without a sort, with each row's rejected mass added
+to its stored diagonal; one routine projects any chain onto a partition by
 summing the flows on those arrays into another :class:`Kernel`.  The
 skeleton checks of every (k, q) block read off one projection of the
 kernel onto the (k, q, s) labels, with no restriction chain.  Every gap,
@@ -24,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import comb
+from math import comb, log
 
 import numpy as np
 
 from .energy import EnergyParams
-from .errors import EmptyBlockError, NotAPartitionError
+from .errors import EmptyBlockError, InternalInvariantViolationError, NotAPartitionError
 from .exact import Kernel, StateIndex, TransitionModel, build_transition_model, spectral_gap
 from .law import logsumexp
 from .paths import TwoMotzkinPath, U, catalan
@@ -83,43 +84,40 @@ class RestrictionModel:
 def restriction_chain(model: TransitionModel, block: np.ndarray) -> RestrictionModel:
     """Restrict the kernel to ``block``, rejecting transitions that leave it.
 
-    ``block`` lists distinct states of ``model``; ``NotAPartitionError`` for
-    an index outside the space or a repeated one.
+    ``block`` lists states of ``model`` in strictly ascending order;
+    ``NotAPartitionError`` for a repeated or out-of-order index, or one
+    outside the space.  ``InternalInvariantViolationError`` for a row of the
+    kernel that stores no diagonal entry, which every built kernel has.
     """
     block = np.asarray(block, dtype=np.intp)
     if block.size == 0:
         raise EmptyBlockError("restriction over an empty block")
     P, size = model.P, len(block)
-    if block.min() < 0 or block.max() >= P.n:
+    if (block[1:] <= block[:-1]).any():
+        raise NotAPartitionError("block indices must ascend strictly")
+    if block[0] < 0 or block[-1] >= P.n:
         raise NotAPartitionError(f"block indices must lie in [0, {P.n})")
     place = np.full(P.n, -1, dtype=np.intp)
     place[block] = np.arange(size)
-    # A repeated index keeps only its last place.
-    if not np.array_equal(place[block], np.arange(size)):
-        raise NotAPartitionError("block repeats a state")
     # The entries of rows block[0], block[1], ... in that order, their columns
-    # renumbered by place in the block; those that leave it drop out.
+    # renumbered by place in the block, which keeps them ascending; those that
+    # leave the block drop out.
     lengths = P.indptr[block + 1] - P.indptr[block]
     ends = np.cumsum(lengths)
     entries = np.arange(ends[-1]) + np.repeat(P.indptr[block] - (ends - lengths), lengths)
-    cols = place[P.indices[entries]]
-    inside = cols >= 0
+    indices = place[P.indices[entries]]
+    inside = indices >= 0
     rows = np.repeat(np.arange(size), lengths)[inside]
-    cols, vals = cols[inside], P.data[entries[inside]]
-    # Rejected mass joins the self-loop, restoring stochastic rows: each row
-    # gains a last entry, 1 minus its sum, that sums with its stored diagonal.
+    indices, data = indices[inside], P.data[entries[inside]]
     indptr = np.zeros(size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=size) + 1, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    data = np.empty(indptr[-1])
-    at = np.arange(len(rows)) + rows
-    indices[at], data[at] = cols, vals
-    last = indptr[1:] - 1
-    indices[last], data[last] = np.arange(size), 1.0 - np.bincount(rows, vals, minlength=size)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    # Rejected mass joins the self-loop, restoring stochastic rows.
+    diagonal = np.flatnonzero(indices == rows)
+    if len(diagonal) != size:
+        raise InternalInvariantViolationError("a kernel row stores no diagonal entry")
+    data[diagonal] += 1.0 - np.bincount(rows, data, minlength=size)
     weight = model.pi[block]
-    return RestrictionModel(
-        block=block, P=Kernel.from_rows(indptr, indices, data), pi=weight / weight.sum()
-    )
+    return RestrictionModel(block=block, P=Kernel(indptr, indices, data), pi=weight / weight.sum())
 
 
 @dataclass
@@ -192,11 +190,10 @@ def projected_k_distribution(m: int, params: EnergyParams) -> np.ndarray:
     """
     a, b = params.alpha, params.beta
     log_t = np.logaddexp(-a, -b)
-    ks = np.arange(m // 2 + 1)
     log_w = np.array(
         [
-            float(np.log(comb(m, 2 * k) * catalan(k))) - a * k + (m - 2 * k) * log_t
-            for k in ks
+            log(comb(m, 2 * k) * catalan(k)) - a * k + (m - 2 * k) * log_t
+            for k in range(m // 2 + 1)
         ]
     )
     return np.exp(log_w - logsumexp(log_w))

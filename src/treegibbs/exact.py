@@ -20,6 +20,12 @@ kernel keeps its column and value arrays and nothing else per entry.  The
 build packs each entry as one (row, column, slot) key and sorts the keys
 in place; the checks, the symmetrization and the projections compute the
 entries' rows and mirrors when they need them and let them go.
+
+The build places every entry once: an entry placed twice is an internal
+fault, raised rather than summed, since a sum would hide a draw cell
+listed twice behind rows that still sum to 1.  Restrictions
+(``decomposition.restriction_chain``) slice these arrays to an ascending
+block, which keeps each row's columns in order, so they need no sort.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ class Kernel:
 
     Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
     ``indices[indptr[i]:indptr[i + 1]]``, which ascend with no repeats.
+    ``Kernel(indptr, indices, data)`` takes ``intp`` arrays in that form as
+    they are and checks nothing; every maker hands over canonical rows.
     ``P @ x`` and ``x @ P`` are the matrix products with a vector.
 
     A kernel keeps these three arrays and nothing else per entry: ``rows``
@@ -80,30 +88,14 @@ class Kernel:
     __array_ufunc__ = None  # ``ndarray @ Kernel`` defers to ``Kernel.__rmatmul__``
 
     @classmethod
-    def from_rows(cls, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> Kernel:
-        """The kernel whose row i is entries ``indptr[i]:indptr[i + 1]`` of
-        ``indices`` and ``data``, in any order; repeated columns are summed."""
-        n = len(indptr) - 1
-        lengths = np.diff(indptr)
-        rows = np.repeat(np.arange(n), lengths)
-        shift = int(lengths.max(initial=0)).bit_length()
-        keys = rows * n
-        keys += indices
-        keys <<= shift
-        slots = np.arange(len(keys))
-        slots -= indptr[rows]
-        keys |= slots
-        del rows, slots
-        return cls._from_keys(indptr, keys, data, shift)
-
-    @classmethod
     def _from_keys(
         cls, indptr: np.ndarray, keys: np.ndarray, data: np.ndarray, shift: int
     ) -> Kernel:
         """The kernel of row-grouped packed entries: ``keys[indptr[i]:indptr[i + 1]]``
         holds ``(i * n + column) << shift | slot`` for each entry of row i,
         whose value is ``data[indptr[i] + slot]``.  Sorts ``keys`` in place and
-        makes it the column array; repeated columns are summed."""
+        makes it the column array.  ``InternalInvariantViolationError`` if two
+        entries share a row and a column: a kernel stores each entry once."""
         n = len(indptr) - 1
         # One sort orders the columns of every row, and leaves each row's
         # entries in its own range; the slot says where each value was.
@@ -112,16 +104,10 @@ class Kernel:
         at += np.repeat(indptr[:-1], np.diff(indptr))
         data = data[at]
         keys >>= shift  # row * n + column
-        new = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        if not new.all():
-            starts = np.flatnonzero(new)
-            data = np.add.reduceat(data, starts)
-            keys = keys[starts]
-            indptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        if (keys[1:] == keys[:-1]).any():
+            raise InternalInvariantViolationError("two kernel entries share a row and a column")
         keys %= n  # the columns
-        return cls(np.asarray(indptr, dtype=np.intp), keys, data)
+        return cls(indptr, keys, data)
 
     @property
     def n(self) -> int:

@@ -153,11 +153,6 @@ class SymbolCounts(NamedTuple):
         return self.u + self.h + self.i + self.d
 
 
-def validate(word: str | bytes | bytearray) -> TwoMotzkinPath:
-    """Validate a raw word, raising a typed error at the first offending index."""
-    return TwoMotzkinPath(word)
-
-
 class PathSequence(Sequence[TwoMotzkinPath]):
     """The rows of a read-only ``(n, m)`` uint8 matrix ``words`` as paths, made on access."""
 
@@ -206,10 +201,3 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("catalan is defined for n >= 0")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def motzkin(n: int) -> int:
-    """n-th Motzkin number via the binomial-Catalan convolution, exact."""
-    if n < 0:
-        raise ValueError("motzkin is defined for n >= 0")
-    return sum(math.comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1))

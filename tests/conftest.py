@@ -33,11 +33,12 @@ def dense_lambda1(P, pi) -> float:
 
 
 def kernel_from_dense(a) -> Kernel:
-    """The nonzero entries of a square array as a :class:`Kernel`."""
+    """The nonzero entries of a square array as a :class:`Kernel`: ``np.nonzero``
+    lists them row by row, columns ascending, as a kernel stores them."""
     a = np.asarray(a, dtype=float)
     rows, cols = np.nonzero(a)
     indptr = np.searchsorted(rows, np.arange(len(a) + 1))
-    return Kernel.from_rows(indptr, cols, a[rows, cols])
+    return Kernel(indptr, cols, a[rows, cols])
 
 
 @lru_cache(maxsize=None)

@@ -20,18 +20,15 @@ from treegibbs import (
     batch_means_stderr,
     enumerate_paths,
     move_constants,
-    neighbors,
     path_energy,
     run,
-    transition_probability,
-    validate,
 )
 from treegibbs import decode, degree_profile, resolve_params
 from treegibbs import chain as chain_module
 from treegibbs.chain import draw_cells, transition_distribution, word_fields
 from treegibbs.paths import D, H, I, U
 from treegibbs.trees import DegreeProfile
-from treegibbs.errors import ConfigInvalidError, LengthMismatchError
+from treegibbs.errors import ConfigInvalidError
 
 from conftest import sample_rows
 
@@ -60,41 +57,37 @@ class TestMoveConstants:
 class TestTransitionProbability:
     def test_ud_to_hh_at_zero(self):
         # One pair position, heat-bath 1/2, acceptance 1/2, class mass 1/4.
-        p = transition_probability(validate("UD"), validate("HH"), ZERO)
+        p = transition_distribution(TwoMotzkinPath("UD"), ZERO)[b"HH"]
         assert p == pytest.approx(1 / 16, rel=1e-15)
-        assert transition_probability(validate("HH"), validate("UD"), ZERO) == pytest.approx(1 / 16)
+        assert transition_distribution(TwoMotzkinPath("HH"), ZERO)[b"UD"] == pytest.approx(1 / 16)
 
     def test_adjacent_swap(self):
         # m=3: two pair positions, swap D with H, acceptance 1/2.
-        p = transition_probability(validate("UDH"), validate("UHD"), ZERO)
+        p = transition_distribution(TwoMotzkinPath("UDH"), ZERO)[b"UHD"]
         assert p == pytest.approx(Fraction(1, 4) * Fraction(1, 2) * Fraction(1, 2))
 
     def test_level_pair_is_not_swappable(self):
         # HI holds two level steps; no move class exchanges them directly.
-        assert transition_probability(validate("HI"), validate("IH"), ZERO) == 0.0
+        assert transition_distribution(TwoMotzkinPath("HI"), ZERO).get(b"IH", 0.0) == 0.0
 
     def test_transposition_rate(self):
         # UUDD -> UDUD exchanges positions 1 and 2 (or 2 and 1): 2/(4 m^2) * 1/2.
-        p = transition_probability(validate("UUDD"), validate("UDUD"), ZERO)
+        p = transition_distribution(TwoMotzkinPath("UUDD"), ZERO)[b"UDUD"]
         assert p == pytest.approx(2 / (4 * 16) / 2)
 
     def test_invalid_transposition_rejected(self):
         # Swapping the U and D of the single peak would dip below the axis,
         # so the rejected proposal mass stays on the diagonal and the only
         # neighbor is the pair rewrite.
-        x = validate("UD")
-        assert [y.word for y, _ in neighbors(x, ZERO)] == ["HH"]
-        assert transition_probability(x, x, ZERO) == pytest.approx(1.0 - 1 / 16)
+        dist = transition_distribution(TwoMotzkinPath("UD"), ZERO)
+        assert [y for y, p in dist.items() if y != b"UD" and p > 0.0] == [b"HH"]
+        assert dist[b"UD"] == pytest.approx(1.0 - 1 / 16)
 
     def test_three_position_changes_unreachable(self):
-        assert transition_probability(validate("UDH"), validate("HHI"), ZERO) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            transition_probability(validate("UD"), validate("H"), ZERO)
+        assert transition_distribution(TwoMotzkinPath("UDH"), ZERO).get(b"HHI", 0.0) == 0.0
 
     def test_m1_only_site_moves(self):
-        dist = transition_distribution(validate("H"), EnergyParams(0.3, -0.6))
+        dist = transition_distribution(TwoMotzkinPath("H"), EnergyParams(0.3, -0.6))
         c = move_constants(EnergyParams(0.3, -0.6))
         assert set(dist) == {b"H", b"I"}
         assert dist[b"I"] == pytest.approx(0.25 * c.h_to_i)
@@ -112,16 +105,19 @@ class TestKernelInvariants:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_moves_preserve_validity(self, m):
         for x in enumerate_paths(m):
-            for y, p in neighbors(x, ZERO):
-                assert p > 0
-                validate(y.word)
+            for y, p in transition_distribution(x, ZERO).items():
+                assert p >= 0.0
+                TwoMotzkinPath(y)
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_move_class_energy_deltas(self, m):
         params = EnergyParams(alpha=0.8, beta=-0.4)
         for x in enumerate_paths(m):
             ex = path_energy(x, params)
-            for y, _ in neighbors(x, params):
+            for word, p in transition_distribution(x, params).items():
+                if word == x.symbols or p == 0.0:
+                    continue
+                y = TwoMotzkinPath(word)
                 delta = path_energy(y, params) - ex
                 diff = [i for i in range(m) if x.symbols[i] != y.symbols[i]]
                 if len(diff) == 1:
@@ -148,18 +144,17 @@ class TestKernelInvariants:
             for p in range(m - 1):
                 pair = w[p : p + 2]
                 if pair == b"UD":
-                    validate(w[:p] + b"HH" + w[p + 2 :])
+                    TwoMotzkinPath(w[:p] + b"HH" + w[p + 2 :])
                 if pair == b"HH":
-                    validate(w[:p] + b"UD" + w[p + 2 :])
+                    TwoMotzkinPath(w[:p] + b"UD" + w[p + 2 :])
                 a, b = pair
                 if (a in b"UD") != (b in b"UD"):
-                    validate(w[:p] + bytes((b, a)) + w[p + 2 :])
+                    TwoMotzkinPath(w[:p] + bytes((b, a)) + w[p + 2 :])
 
     def test_neighbors_examples(self):
-        got = dict(neighbors(validate("HH"), ZERO))
-        assert got[validate("UD")] == pytest.approx(1 / 16)
-        got = dict(neighbors(validate("II"), ZERO))
-        assert set(p.word for p in got) == {"HI", "IH"}
+        assert transition_distribution(TwoMotzkinPath("HH"), ZERO)[b"UD"] == pytest.approx(1 / 16)
+        got = transition_distribution(TwoMotzkinPath("II"), ZERO)
+        assert {y for y, p in got.items() if y != b"II" and p > 0.0} == {b"HI", b"IH"}
 
 
 class TestChainConfig:
@@ -169,7 +164,7 @@ class TestChainConfig:
 
     def test_rejects_wrong_initial_length(self):
         with pytest.raises(ConfigInvalidError):
-            ChainConfig(m=3, params=ZERO, seed=1, initial_state=validate("UD"))
+            ChainConfig(m=3, params=ZERO, seed=1, initial_state=TwoMotzkinPath("UD"))
 
     def test_default_initial_is_all_h(self):
         cfg = ChainConfig(m=5, params=ZERO, seed=1)
@@ -181,7 +176,7 @@ class TestSampler:
         state = ChainState(ChainConfig(m=4, params=ZERO, seed=3))
         state.step()
         assert state.step_count == 1
-        validate(state.path.word)
+        TwoMotzkinPath(state.path.word)
 
     def test_every_visited_state_valid(self):
         state = ChainState(ChainConfig(m=6, params=EnergyParams(-1.0, 1.0), seed=11))
@@ -189,7 +184,7 @@ class TestSampler:
             state.step()
             # cheap invariant: balanced counts
             assert state.word.count(ord("U")) == state.word.count(ord("D"))
-        validate(state.path.word)
+        TwoMotzkinPath(state.path.word)
 
     def test_single_step_frequencies_match_law(self):
         m = 3
@@ -676,7 +671,7 @@ class TestWordFields:
         fields = word_fields(matrix, params)
         rows = zip(fields.energy.tolist(), fields.d0.tolist(), fields.d1.tolist(), fields.r.tolist())
         for word, (energy, d0, d1, r) in zip(words, rows):
-            x = validate(word.decode())
+            x = TwoMotzkinPath(word.decode())
             assert DegreeProfile(d0, d1, r, m + 1) == degree_profile(decode(x)), x.word
             assert repr(energy) == repr(path_energy(x, params)), x.word
         bare = word_fields(matrix, params, root_degree=False)

@@ -502,8 +502,7 @@ class TestReplayErrors:
         assert "--seed" in res.stderr
 
 
-# The package's public names, as exported before the exact-oracle names became
-# lazily imported.
+# The package's public names; the exact oracle's among them load lazily.
 PUBLIC_NAMES = [
     "BUILTIN_NNTM", "ChainConfig", "ChainState", "DegreeProfile", "DyckPath",
     "EnergyParams", "NNTMParams", "PartitionLabel", "PlaneTree", "ProjectionModel",
@@ -512,10 +511,10 @@ PUBLIC_NAMES = [
     "builtin_params", "catalan", "check_decomposition_bound", "check_skeleton_projection",
     "classify", "decode", "decomposition_report", "degree_profile", "derive_params",
     "encode", "enumerate_paths", "gibbs_distribution", "iter_paths",
-    "motzkin", "move_constants", "neighbors", "path_energy", "projected_k_distribution",
+    "move_constants", "path_energy", "projected_k_distribution",
     "projection_chain", "resolve_params", "restriction_chain", "run",
-    "spectral_gap", "text_to_tree", "transition_probability",
-    "tree_energy", "tree_to_text", "tv_decay_curve", "tv_distance", "validate",
+    "spectral_gap", "text_to_tree", "tree_energy", "tree_to_text", "tv_decay_curve",
+    "tv_distance",
 ]
 
 

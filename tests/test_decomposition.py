@@ -1,7 +1,10 @@
 """Three-level decomposition: labels, restrictions, projections, gap bound."""
 
+import copy
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import treegibbs.decomposition as decomposition
 from treegibbs import (
     EnergyParams,
     StateIndex,
+    TwoMotzkinPath,
     catalan,
     check_decomposition_bound,
     check_skeleton_projection,
@@ -22,14 +26,13 @@ from treegibbs import (
     projection_chain,
     resolve_params,
     restriction_chain,
-    validate,
 )
 from treegibbs.cli import main
 from treegibbs.decomposition import blocks_at
-from treegibbs.errors import EmptyBlockError, NotAPartitionError
+from treegibbs.errors import EmptyBlockError, InternalInvariantViolationError, NotAPartitionError
 from treegibbs.exact import Kernel
 
-from conftest import dense_lambda1, scipy_csr
+from conftest import dense_lambda1, kernel_from_dense, scipy_csr
 
 ZERO = EnergyParams(0.0, 0.0)
 GRID = [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
@@ -46,7 +49,7 @@ class TestClassify:
         ],
     )
     def test_examples(self, word, label):
-        got = classify(validate(word))
+        got = classify(TwoMotzkinPath(word))
         assert (got.k, got.q, got.s) == label
 
     def test_consistency(self):
@@ -132,6 +135,30 @@ class TestRestriction:
     def test_repeated_index_rejected(self, model_for):
         with pytest.raises(NotAPartitionError):
             restriction_chain(model_for(3, 0.0, 0.0), [1, 1, 2])
+
+    def test_descending_block_rejected(self, model_for):
+        with pytest.raises(NotAPartitionError):
+            restriction_chain(model_for(3, 0.0, 0.0), [0, 2, 1])
+
+    def test_row_without_diagonal_is_an_internal_fault(self, model_for):
+        model = copy.deepcopy(model_for(1, 0.0, 0.0))
+        model.P = kernel_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(InternalInvariantViolationError):
+            restriction_chain(model, [0, 1])
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, -1.0), (-1.0, 0.5)])
+    def test_matches_scipy_slice_off_the_diagonal(self, depth, alpha, beta, model_for):
+        model = model_for(6, alpha, beta)
+        whole = scipy_csr(model.P)
+        for block in blocks_at(model.index, depth).values():
+            res = restriction_chain(model, block)
+            expected = whole[block][:, block]
+            off = res.P.rows != res.P.indices
+            assert np.array_equal(res.P.indptr, expected.indptr)
+            assert np.array_equal(res.P.indices, expected.indices)
+            assert np.array_equal(res.P.data[off], expected.data[off])
+            assert np.abs(res.P.row_sums() - 1.0).max() <= 1e-15
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_stationarity_of_renormalized_pi(self, alpha, beta, model_for):
@@ -226,6 +253,36 @@ class TestProjectedKDistribution:
         assert np.isfinite(w).all()
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [49, 60, 70])
+    def test_no_integer_overflow(self, m):
+        # binom(m, 2k) * catalan(k) passes 2^63 from m = 46 on; it stays a
+        # Python int, so no int64 product overflows.
+        w = projected_k_distribution(m, resolve_params("turner04-cg"))
+        assert np.isfinite(w).all()
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, -1.0), (math.log(2.0), 0.0)])
+    def test_matches_exact_fractions(self, alpha, beta):
+        # The weights in exact arithmetic from the float values of exp(-alpha)
+        # and exp(-beta).  The log-space sum turns an absolute error of about
+        # eps |log w| into a relative one, so the bound grows with m.
+        a, b = Fraction(math.exp(-alpha)), Fraction(math.exp(-beta))
+        for m in range(41):
+            exact = [
+                comb(m, 2 * k) * catalan(k) * a**k * (a + b) ** (m - 2 * k)
+                for k in range(m // 2 + 1)
+            ]
+            total = sum(exact)
+            w = projected_k_distribution(m, EnergyParams(alpha, beta))
+            rel = max(abs(Fraction(float(x)) * total / e - 1) for x, e in zip(w, exact))
+            assert rel <= 1e-15 * (m + 1)
+
+    def test_finite_and_normalized_at_m999(self):
+        w = projected_k_distribution(999, resolve_params("turner04-cg"))
+        assert len(w) == 500
+        assert np.isfinite(w).all()
+        assert abs(w.sum() - 1.0) <= 1e-12
+
 
 def skeleton_reference(model, k, q):
     """The skeleton check of one (k, q) block as a restriction chain to the
@@ -234,10 +291,9 @@ def skeleton_reference(model, k, q):
     families = {
         s: idx for (kk, qq, s), idx in model.index.label_blocks.items() if (kk, qq) == (k, q)
     }
-    block = np.concatenate(list(families.values()))
+    block = np.sort(np.concatenate(list(families.values())))
     energies = model.energies[block]
-    offsets = np.cumsum([0] + [len(idx) for idx in families.values()])
-    sub_blocks = [np.arange(offsets[j], offsets[j + 1]) for j in range(len(families))]
+    sub_blocks = [np.searchsorted(block, idx) for idx in families.values()]
     proj = projection_chain(restriction_chain(model, block), sub_blocks, list(families))
     off = proj.P.toarray()[~np.eye(proj.n, dtype=bool)]
     positive = [float(v) for v in off if v > 0.0]

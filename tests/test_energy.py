@@ -6,6 +6,7 @@ from treegibbs import (
     BUILTIN_NNTM,
     EnergyParams,
     NNTMParams,
+    TwoMotzkinPath,
     builtin_params,
     decode,
     derive_params,
@@ -13,7 +14,6 @@ from treegibbs import (
     path_energy,
     resolve_params,
     tree_energy,
-    validate,
 )
 from treegibbs.energy import parse_params_text
 from treegibbs.errors import ConfigInvalidError, UnknownParameterSetError
@@ -87,12 +87,12 @@ class TestBuiltinParams:
 
 class TestTreeEnergy:
     def test_single_edge(self):
-        t = decode(validate(""))
+        t = decode(TwoMotzkinPath(""))
         e = EnergyParams(alpha=2.5, beta=-1.0)
         assert tree_energy(t, e) == 2.5  # d0 = 1, d1 = 0
 
     def test_turner89_cg_chain_with_root(self):
-        t = decode(validate("I"))  # d0 = 1, d1 = 1, r = 1
+        t = decode(TwoMotzkinPath("I"))  # d0 = 1, d1 = 1, r = 1
         e = derive_params(builtin_params("turner89-cg"))
         assert tree_energy(t, e, include_root=True) == pytest.approx(-4.4, abs=1e-9)
 
@@ -104,10 +104,10 @@ class TestTreeEnergy:
 
 class TestPathEnergy:
     def test_empty_path(self):
-        assert path_energy(validate(""), EnergyParams(3.0, 7.0)) == 3.0
+        assert path_energy(TwoMotzkinPath(""), EnergyParams(3.0, 7.0)) == 3.0
 
     def test_ud(self):
-        assert path_energy(validate("UD"), EnergyParams(1.5, 9.0)) == 3.0
+        assert path_energy(TwoMotzkinPath("UD"), EnergyParams(1.5, 9.0)) == 3.0
 
     def test_matches_tree_energy_exhaustively(self):
         e = EnergyParams(alpha=-2.8, beta=-3.0)
@@ -120,7 +120,7 @@ class TestPathEnergy:
         [("HH", 1.0, 0.0, -3.0), ("II", 0.0, 1.0, -2.0), ("UD", 0.0, 0.0, 0.0)],
     )
     def test_gibbs_log_weight(self, word, alpha, beta, expected):
-        assert -path_energy(validate(word), EnergyParams(alpha, beta)) == expected
+        assert -path_energy(TwoMotzkinPath(word), EnergyParams(alpha, beta)) == expected
 
 
 class TestParamsFiles:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treegibbs.exact as exact
 from treegibbs import (
     EnergyParams,
     StateIndex,
@@ -21,8 +22,8 @@ from treegibbs import (
     spectral_gap,
     tv_decay_curve,
     tv_distance,
-    validate,
 )
+from treegibbs.cli import main
 from treegibbs.exact import (
     Kernel,
     detailed_balance_violation,
@@ -36,6 +37,7 @@ from treegibbs.errors import (
     BalanceViolationError,
     CapExceededError,
     ConfigInvalidError,
+    InternalInvariantViolationError,
     LengthMismatchError,
 )
 from treegibbs.law import logsumexp
@@ -176,8 +178,8 @@ class TestTransitionModel:
 
     def test_matches_pointwise_law(self, model_for):
         model = model_for(2, 0.0, 0.0)
-        i = model.index.index_of(validate("UD"))
-        j = model.index.index_of(validate("HH"))
+        i = model.index.index_of(TwoMotzkinPath("UD"))
+        j = model.index.index_of(TwoMotzkinPath("HH"))
         P = scipy_csr(model.P)
         assert P[i, j] == pytest.approx(1 / 16)
         assert P[j, i] == pytest.approx(1 / 16)
@@ -227,10 +229,27 @@ class TestTransitionModel:
         P = scipy_csr(model.P).tolil()
         P[0, 1] += 0.01
         P[0, 0] -= 0.01
-        P = P.tocsr()
-        model.P = Kernel.from_rows(P.indptr, P.indices, P.data)
+        P = P.tocsr()  # canonical: columns ascend in each row, with no repeats
+        model.P = Kernel(P.indptr.astype(np.intp), P.indices.astype(np.intp), P.data)
         with pytest.raises(BalanceViolationError):
             verify_model(model)
+
+    def test_draw_cell_listed_twice_is_an_internal_fault(self, monkeypatch, capsys):
+        # Summing the repeated entries would keep every row stochastic and
+        # pass every check in verify_model, with a wrong kernel.
+        real = exact.draw_cells
+
+        def first_site_cell_twice(words, params):
+            for item in real(words, params):
+                yield item
+                if item[0].move == 1 and item[0].i == 0:
+                    yield item
+
+        monkeypatch.setattr(exact, "draw_cells", first_site_cell_twice)
+        with pytest.raises(InternalInvariantViolationError):
+            build_transition_model(4, resolve_params("turner04-cg"))
+        assert main(["exact", "gap", "--m", "4", "--params", "turner04-cg"]) == 5
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_detailed_balance_reporting(self, model_for):
         worst, pair = detailed_balance_violation(model_for(4, -1.0, 0.0))
@@ -279,14 +298,21 @@ class TestKernel:
         assert model.P.nnz == reference.nnz
         assert np.array_equal(model.P.toarray(), reference.toarray())
 
-    def test_from_rows_sorts_columns_and_sums_repeats(self):
-        P = Kernel.from_rows(
-            np.array([0, 3, 3, 5]), np.array([2, 0, 2, 1, 0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        )
+    def test_from_keys_sorts_columns_and_rejects_repeats(self):
+        # Rows 0 and 2 of three states, each entry packed as
+        # (row * 3 + column) << 2 | slot, its value at indptr[row] + slot.
+        def packed(entries):
+            return np.array([(r * 3 + c) << 2 | slot for r, c, slot in entries])
+
+        indptr = np.array([0, 2, 2, 4])
+        data = np.array([1.0, 2.0, 3.0, 4.0])
+        P = Kernel._from_keys(indptr, packed([(0, 2, 0), (0, 0, 1), (2, 1, 0), (2, 0, 1)]), data, 2)
         assert P.indptr.tolist() == [0, 2, 2, 4]
         assert P.indices.tolist() == [0, 2, 0, 1]
-        assert P.data.tolist() == [2.0, 4.0, 5.0, 4.0]
+        assert P.data.tolist() == [2.0, 1.0, 4.0, 3.0]
         assert P.shape == (3, 3) and P.nnz == 4
+        with pytest.raises(InternalInvariantViolationError):
+            Kernel._from_keys(indptr, packed([(0, 2, 0), (0, 2, 1), (2, 1, 0), (2, 0, 1)]), data, 2)
 
     @pytest.mark.parametrize(
         "dense",
@@ -440,7 +466,7 @@ class TestTV:
 class TestTVDecay:
     def test_starts_at_complement_of_pi_mass(self, model_for):
         model = model_for(3, 0.0, 0.0)
-        x0 = validate("HHH")
+        x0 = TwoMotzkinPath("HHH")
         curve = tv_decay_curve(model, x0, horizon=5)
         i = model.index.index_of(x0)
         assert curve[0] == (0, pytest.approx(1.0 - model.pi[i]))
@@ -448,7 +474,7 @@ class TestTVDecay:
     @pytest.mark.parametrize("m", [2, 4, 5])
     def test_monotone_and_convergent(self, m, model_for):
         model = model_for(m, 0.0, 0.0)
-        curve = tv_decay_curve(model, validate("H" * m), horizon=3000)
+        curve = tv_decay_curve(model, TwoMotzkinPath("H" * m), horizon=3000)
         values = [v for _, v in curve]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-12
@@ -456,7 +482,7 @@ class TestTVDecay:
 
     def test_weighted_convergence(self, model_for):
         model = model_for(4, -1.0, 1.0)
-        curve = tv_decay_curve(model, validate("UUDD"), horizon=4000)
+        curve = tv_decay_curve(model, TwoMotzkinPath("UUDD"), horizon=4000)
         assert curve[-1][1] < 1e-6
 
 
@@ -477,10 +503,10 @@ class TestEmpirical:
 
     def test_alignment(self):
         idx = StateIndex.build(2)
-        occ = {validate("UD").symbols: 3, validate("II").symbols: 1}
+        occ = {TwoMotzkinPath("UD").symbols: 3, TwoMotzkinPath("II").symbols: 1}
         emp = empirical_distribution(occ, idx)
         assert emp.sum() == pytest.approx(1.0)
-        assert emp[idx.index_of(validate("UD"))] == pytest.approx(0.75)
+        assert emp[idx.index_of(TwoMotzkinPath("UD"))] == pytest.approx(0.75)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigInvalidError):

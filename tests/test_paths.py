@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from treegibbs import (
     DyckPath,
+    TwoMotzkinPath,
     catalan,
     enumerate_paths,
     iter_paths,
-    motzkin,
-    validate,
 )
 from treegibbs.errors import (
     CapExceededError,
@@ -26,6 +25,7 @@ from treegibbs.errors import (
     NegativePrefixError,
     UnbalancedError,
 )
+from treegibbs.paths import I
 
 
 def brute_force_words(m: int, alphabet: str = "UHID") -> list[str]:
@@ -79,27 +79,27 @@ def walk_count(m: int, colors: int = 2) -> int:
 
 class TestValidate:
     def test_single_peak(self):
-        assert validate("UD").word == "UD"
+        assert TwoMotzkinPath("UD").word == "UD"
 
     def test_empty(self):
-        assert len(validate("")) == 0
+        assert len(TwoMotzkinPath("")) == 0
 
     def test_negative_prefix_at_first_symbol(self):
         with pytest.raises(NegativePrefixError) as err:
-            validate("DU")
+            TwoMotzkinPath("DU")
         assert err.value.index == 0
 
     def test_negative_prefix_reports_offending_d(self):
         with pytest.raises(NegativePrefixError) as err:
-            validate("UDDU")
+            TwoMotzkinPath("UDDU")
         assert err.value.index == 2
 
     def test_unbalanced_reports_first_unmatched_u(self):
         with pytest.raises(UnbalancedError) as err:
-            validate("UUD")
+            TwoMotzkinPath("UUD")
         assert err.value.index == 0
         with pytest.raises(UnbalancedError) as err:
-            validate("UDU")
+            TwoMotzkinPath("UDU")
         assert err.value.index == 2
 
     def test_unbalanced_index_matches_reference_scan(self):
@@ -117,7 +117,7 @@ class TestValidate:
         for m in range(1, 8):
             for word in map("".join, product("UHID", repeat=m)):
                 try:
-                    validate(word)
+                    TwoMotzkinPath(word)
                 except UnbalancedError as err:
                     assert err.index == first_unmatched_up(word), word
                     checked += 1
@@ -127,11 +127,11 @@ class TestValidate:
 
     def test_foreign_character(self):
         with pytest.raises(InvalidSymbolError) as err:
-            validate("UHXD")
+            TwoMotzkinPath("UHXD")
         assert err.value.index == 2
 
     def test_prefix_sums_example(self):
-        x = validate("UHIDHH")
+        x = TwoMotzkinPath("UHIDHH")
         heights = []
         h = 0
         for ch in x.word:
@@ -140,13 +140,13 @@ class TestValidate:
         assert heights == [1, 1, 1, 0, 0, 0]
 
     def test_bytes_and_str_agree(self):
-        assert validate(b"UHID") == validate("UHID")
+        assert TwoMotzkinPath(b"UHID") == TwoMotzkinPath("UHID")
 
     def test_immutable_and_hashable(self):
-        x = validate("UD")
+        x = TwoMotzkinPath("UD")
         with pytest.raises(AttributeError):
             x.symbols = b"HH"
-        assert len({x, validate("UD"), validate("HH")}) == 2
+        assert len({x, TwoMotzkinPath("UD"), TwoMotzkinPath("HH")}) == 2
 
 
 class TestSymbolCounts:
@@ -155,7 +155,7 @@ class TestSymbolCounts:
         [("", (0, 0, 0, 0)), ("UHID", (1, 1, 1, 1)), ("UUDD", (2, 0, 0, 2))],
     )
     def test_examples(self, word, expected):
-        assert validate(word).counts() == expected
+        assert TwoMotzkinPath(word).counts() == expected
 
     def test_counts_balance(self):
         for x in enumerate_paths(6):
@@ -169,7 +169,7 @@ class TestSkeleton:
         "word,expected", [("HIHI", ""), ("UHIDUD", "UDUD"), ("UUHDID", "UUDD")]
     )
     def test_examples(self, word, expected):
-        assert validate(word).skeleton().word == expected
+        assert TwoMotzkinPath(word).skeleton().word == expected
 
     def test_skeleton_is_dyck_path(self):
         for x in enumerate_paths(6):
@@ -219,7 +219,7 @@ class TestEnumeration:
 
     def test_roundtrip_serialization(self):
         for x in enumerate_paths(5):
-            assert validate(x.word) == x
+            assert TwoMotzkinPath(x.word) == x
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -241,11 +241,13 @@ class TestCounting:
 
     @pytest.mark.parametrize("n,expected", [(0, 1), (3, 4), (5, 21)])
     def test_motzkin(self, n, expected):
-        assert motzkin(n) == expected
+        # The paths with one level colour are the Motzkin paths.
+        assert sum(I not in x.symbols for x in enumerate_paths(n)) == expected
 
     def test_motzkin_matches_single_color_walks(self):
         for n in range(0, 11):
-            assert motzkin(n) == walk_count(n, colors=1)
+            one_color = sum(I not in x.symbols for x in enumerate_paths(n))
+            assert one_color == walk_count(n, colors=1)
 
     def test_up_count_strata(self):
         # Paths with k up steps: positions * skeletons * level colorings.
@@ -290,13 +292,13 @@ class TestRandomizedProperties:
     @given(random_path_words())
     @settings(max_examples=200)
     def test_validate_roundtrips(self, word):
-        x = validate(word)
+        x = TwoMotzkinPath(word)
         assert x.word == word
-        assert validate(x.word) == x
+        assert TwoMotzkinPath(x.word) == x
 
     @given(random_path_words())
     @settings(max_examples=200)
     def test_skeleton_valid_and_even(self, word):
-        s = validate(word).skeleton()
+        s = TwoMotzkinPath(word).skeleton()
         DyckPath(s.word)
         assert len(s) % 2 == 0

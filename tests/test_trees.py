@@ -13,7 +13,6 @@ from treegibbs import (
     enumerate_paths,
     text_to_tree,
     tree_to_text,
-    validate,
 )
 from treegibbs.errors import EmptyTreeError, UnbalancedParensError
 
@@ -81,7 +80,7 @@ class TestBijection:
         [("", SINGLE_EDGE), ("I", PlaneTree([[1], [2], []])), ("UD", CHERRY)],
     )
     def test_decode_examples(self, word, tree):
-        assert decode(validate(word)) == tree
+        assert decode(TwoMotzkinPath(word)) == tree
 
     def test_encode_rejects_empty_tree(self):
         with pytest.raises(EmptyTreeError):
@@ -109,7 +108,7 @@ class TestBijection:
     @given(random_path_words(max_len=120))
     @settings(max_examples=150)
     def test_roundtrip_random_long_paths(self, word):
-        x = validate(word)
+        x = TwoMotzkinPath(word)
         assert encode(decode(x)) == x
 
     def test_deep_path_tree_no_recursion_limit(self):
