@@ -337,7 +337,8 @@ class ChainState:
 class DrawCell(NamedTuple):
     """A move class and the positions its draws pick, drawn with probability
     ``weight``: ``i`` from u1 (``j = i + 1`` for pair moves, ``j = i`` for a
-    site move); a transposition picks ``j`` from u2."""
+    site move).  A transposition cell, ``i < j``, holds both draws (i, j) and
+    (j, i), whose u1 and u2 pick the two positions in either order."""
 
     move: int
     i: int
@@ -356,8 +357,10 @@ def draw_cells(
     words, and the acceptance probability of each row -- the threshold
     the u2 draw (u3 for a transposition) must fall below.  The cell moves
     ``cell.weight * accept`` of each row's mass to its target; the rest of
-    the mass stays on the word.  Transpositions with ``i == j`` never
-    change a word and are not yielded.
+    the mass stays on the word.  Each transposition cell is one pair
+    ``i < j`` and holds the draws (i, j) and (j, i), which swap the same
+    two steps, so its weight is 2 / (4 m^2); transpositions with ``i == j``
+    never change a word and are not yielded.
     """
     m = words.shape[1]
     if m < 1:
@@ -389,26 +392,17 @@ def draw_cells(
         targets[:, i] = np.where(to_i, I, H)
         yield DrawCell(1, i, i, 0.25 / m), rows, targets, np.where(to_i, h_to_i, i_to_h)
 
-    # Cells (i, j) and (j, i) swap the same two steps: their rows and
-    # targets are found once, at i < j, and reused at i > j.
-    spans = {}
     for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if i > j:
-                rows, targets = spans.pop((j, i))
-            else:
-                # Moving the D right raises the span; moving the U right lowers
-                # the heights after steps i..j-1 by 2, so they must be >= 2.
-                valid = down[:, i] & up[:, j]
-                lowered = np.flatnonzero(up[:, i] & down[:, j])
-                valid[lowered[heights[lowered, i:j].min(axis=1) >= 2]] = True
-                rows = np.flatnonzero(valid)
-                targets = words[rows]
-                targets[:, [i, j]] = targets[:, [j, i]]
-                spans[i, j] = rows, targets
-            yield DrawCell(2, i, j, 0.25 / (m * m)), rows, targets, np.full(rows.size, 0.5)
+        for j in range(i + 1, m):
+            # Moving the D right raises the span; moving the U right lowers
+            # the heights after steps i..j-1 by 2, so they must be >= 2.
+            valid = down[:, i] & up[:, j]
+            lowered = np.flatnonzero(up[:, i] & down[:, j])
+            valid[lowered[heights[lowered, i:j].min(axis=1) >= 2]] = True
+            rows = np.flatnonzero(valid)
+            targets = words[rows]
+            targets[:, [i, j]] = targets[:, [j, i]]
+            yield DrawCell(2, i, j, 0.5 / (m * m)), rows, targets, np.full(rows.size, 0.5)
 
     for p in range(pairs):
         rows = np.flatnonzero(vertical[:, p] != vertical[:, p + 1])

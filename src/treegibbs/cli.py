@@ -27,20 +27,12 @@ from . import __version__
 from .chain import ChainConfig, Sample, batch_means_stderr, check_schedule, run
 from .energy import EnergyParams, resolve_params
 from .errors import (
-    BalanceViolationError,
     CapExceededError,
     ConfigInvalidError,
-    EmptyBlockError,
     EmptyTreeError,
-    InternalInvariantViolationError,
-    LengthMismatchError,
-    MassUnderflowError,
-    NoConvergenceError,
-    NotAPartitionError,
     PathValidationError,
     TreeGibbsError,
     UnbalancedParensError,
-    UnknownParameterSetError,
 )
 from .paths import TwoMotzkinPath
 from .trees import decode, degree_profile, encode, text_to_tree, tree_to_text
@@ -507,29 +499,21 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (CapExceededError, MemoryError) as exc:
+    except (CapExceededError, MemoryError) as exc:  # a cap is also a ValueError
         reason = str(exc) or "out of memory"
         sys.stderr.write(f"capacity error: {reason}; lower --m/--n or raise the cap in code\n")
         return EXIT_CAPACITY
-    except (
-        PathValidationError,
-        UnbalancedParensError,
-        EmptyTreeError,
-        ConfigInvalidError,
-        UnknownParameterSetError,
-        LengthMismatchError,
-        EmptyBlockError,
-        NotAPartitionError,
-        MassUnderflowError,
-    ) as exc:
-        sys.stderr.write(f"validation error: {exc}\n")
-        return EXIT_VALIDATION
-    except (BalanceViolationError, NoConvergenceError, InternalInvariantViolationError) as exc:
-        sys.stderr.write(f"internal check failed: {exc}\n")
-        return EXIT_INTERNAL
     except TreeGibbsError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INTERNAL
+        # The error's builtin base says whose fault it is: bad input, or a
+        # check of the program's own work.
+        if isinstance(exc, (ValueError, KeyError)):
+            prefix, code = "validation error", EXIT_VALIDATION
+        elif isinstance(exc, RuntimeError):
+            prefix, code = "internal check failed", EXIT_INTERNAL
+        else:
+            prefix, code = "error", EXIT_INTERNAL
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_VALIDATION

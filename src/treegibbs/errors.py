@@ -2,6 +2,9 @@
 
 Validation errors carry the first offending index where one exists, so
 callers (and the CLI) can point at the exact spot in an input word.
+Each class's builtin base sets its CLI exit code: a ``ValueError`` or
+``KeyError`` is bad input (3, or 4 for ``CapExceededError``), a
+``RuntimeError`` a failed internal check (5).
 """
 
 from __future__ import annotations

@@ -213,17 +213,11 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     cells = []
     lengths = np.ones(n, dtype=np.intp)  # the diagonal, then one entry per cell
     moved = np.zeros(n)
-    # Transpositions (i, j) and (j, i) move the same rows to the same targets
-    # (``draw_cells`` hands out the same arrays), so (j, i) adds its values to
-    # the entries of (i, j).
-    swaps = {}
+    # No two cells move a row to the same target (a transposition cell holds
+    # both of its draws), so each cell's entries are placed as they are.
     for cell, rows, targets, accept in draw_cells(index.words, params):
         vals = cell.weight * accept
         moved[rows] += vals
-        twin = swaps.pop((cell.j, cell.i), None) if cell.move == 2 else None
-        if twin is not None and twin[0] is rows:
-            np.add(twin[1], vals, out=twin[1])
-            continue
         target_codes = _codes(targets)
         cols = np.searchsorted(codes, target_codes)
         if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
@@ -232,8 +226,6 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
         keys = rows * n
         keys += cols
         cells.append((keys, vals))
-        if cell.move == 2:
-            swaps[cell.i, cell.j] = rows, vals
     # Every entry goes to its row's next free slot as a packed (row, column,
     # slot) key; slot 0 of each row is the diagonal, which keeps what no cell
     # moves.  One sort of the keys then orders the columns of every row.

@@ -569,7 +569,9 @@ class TestDrawCells:
         # Every state x every draw cell: u1 at the cell's midpoint, the
         # acceptance draw just below its threshold gives exactly the
         # cell's target, at the threshold the word stays; rows the cell
-        # does not list stay even for a zero acceptance draw.
+        # does not list stay even for a zero acceptance draw.  A
+        # transposition cell is checked for both of its draws, (i, j) and
+        # (j, i).
         paths = enumerate_paths(m)
         words = np.frombuffer(b"".join(x.symbols for x in paths), np.uint8).reshape(-1, m)
         state = ChainState(ChainConfig(m=m, params=params, seed=0))
@@ -580,20 +582,21 @@ class TestDrawCells:
             u1 = (cell.i + 0.5) / (m if cell.move in (1, 2) else pairs)
             u2 = (cell.j + 0.5) / m
 
-            def step(word, u):
+            def steps(word, u):
+                # The words each of the cell's draws leaves.
                 if cell.move == 2:
-                    return _inject(state, word, 2, u1, u2, u)
-                return _inject(state, word, cell.move, u1, u, 0.9)
+                    return {_inject(state, word, 2, u1, u2, u), _inject(state, word, 2, u2, u1, u)}
+                return {_inject(state, word, cell.move, u1, u, 0.9)}
 
             moves = {r: (t.tobytes(), q) for r, t, q in zip(rows.tolist(), targets, accept)}
             for r, x in enumerate(paths):
                 if r in moves:
                     target, q = moves[r]
-                    assert step(x.symbols, np.nextafter(q, 0.0)) == target, (x, cell)
-                    assert step(x.symbols, q) == x.symbols, (x, cell)
+                    assert steps(x.symbols, np.nextafter(q, 0.0)) == {target}, (x, cell)
+                    assert steps(x.symbols, q) == {x.symbols}, (x, cell)
                 else:
-                    assert step(x.symbols, 0.0) == x.symbols, (x, cell)
-        assert len(cells) == 2 * pairs + m + m * (m - 1)
+                    assert steps(x.symbols, 0.0) == {x.symbols}, (x, cell)
+        assert len(cells) == 2 * pairs + m + m * (m - 1) // 2
         # The draws the table leaves out never change a word: transpositions
         # with i == j, and the pair moves at m = 1.
         for x in paths:

@@ -7,11 +7,49 @@ import sys
 import numpy as np
 import pytest
 
+import treegibbs.errors as errors
 from treegibbs import EnergyParams, enumerate_paths, resolve_params
 
 from conftest import cached_model, dense_lambda1
 
 CLI = [sys.executable, "-m", "treegibbs"]
+
+ERROR_CLASSES = sorted(
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.TreeGibbsError)
+)
+# The exit code and stderr prefix of each error class, recorded when the CLI
+# still listed the classes by name; a new class needs a row here.
+ERROR_EXITS = {
+    "BalanceViolationError": (5, "internal check failed: "),
+    "CapExceededError": (4, "capacity error: "),
+    "ConfigInvalidError": (3, "validation error: "),
+    "EmptyBlockError": (3, "validation error: "),
+    "EmptyTreeError": (3, "validation error: "),
+    "InternalInvariantViolationError": (5, "internal check failed: "),
+    "InvalidSymbolError": (3, "validation error: "),
+    "LengthMismatchError": (3, "validation error: "),
+    "MassUnderflowError": (3, "validation error: "),
+    "NegativePrefixError": (3, "validation error: "),
+    "NoConvergenceError": (5, "internal check failed: "),
+    "NotAPartitionError": (3, "validation error: "),
+    "PathValidationError": (3, "validation error: "),
+    "TreeGibbsError": (5, "error: "),
+    "UnbalancedError": (3, "validation error: "),
+    "UnbalancedParensError": (3, "validation error: "),
+    "UnknownParameterSetError": (3, "validation error: "),
+}
+# Constructor arguments of the classes that take more than a message.
+ERROR_ARGS = {
+    **dict.fromkeys(
+        ["PathValidationError", "InvalidSymbolError", "UnbalancedError", "NegativePrefixError",
+         "UnbalancedParensError"],
+        ("boom", 0),
+    ),
+    "CapExceededError": ("m", 20, 10),
+    "NoConvergenceError": (7, 0.5),
+}
 
 
 def cli(*args, input_text=None, env=None):
@@ -456,6 +494,23 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert "capacity error: out of memory" in err
         assert "lower --m" in err
+
+    @pytest.mark.parametrize("name", ERROR_CLASSES)
+    def test_each_error_class_keeps_its_exit(self, name, monkeypatch, capsys):
+        import treegibbs.decomposition as decomposition
+        from treegibbs.cli import main
+
+        exc = getattr(errors, name)(*ERROR_ARGS.get(name, ("boom",)))
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(decomposition, "decomposition_report", fail)
+        code, prefix = ERROR_EXITS[name]
+        assert main(["decompose", "report", "--m", "3", "--alpha", "0", "--beta", "0"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), err
+        assert str(exc) in err
 
 
 class TestReplayErrors:

@@ -97,16 +97,19 @@ class TestPartitions:
                 assert idx.tolist() == reference[label]
 
     def test_report_labels_each_state_once(self, monkeypatch):
+        # The report labels the states through StateIndex.label_blocks, which
+        # must compute the labels once per index, however often it is read.
         calls = []
-        real = decomposition.classify
+        labels = StateIndex.label_blocks
+        real = labels.func
 
-        def counting(x):
-            calls.append(x)
-            return real(x)
+        def counting(index):
+            calls.append(index)
+            return real(index)
 
-        monkeypatch.setattr(decomposition, "classify", counting)
+        monkeypatch.setattr(labels, "func", counting)
         decomposition_report(6, EnergyParams(1.0, -1.0), level="kqs")
-        assert len(calls) <= catalan(7)
+        assert len(calls) == 1
 
 
 class TestRestriction:

@@ -251,6 +251,23 @@ class TestTransitionModel:
         assert main(["exact", "gap", "--m", "4", "--params", "turner04-cg"]) == 5
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_cells_need_not_share_arrays(self, m, monkeypatch):
+        # The build places each cell's entries as they are, so fresh copies
+        # of every cell's arrays build the same kernel.
+        params = resolve_params("turner04-cg")
+        expected = build_transition_model(m, params).P
+        real = exact.draw_cells
+
+        def copied(words, params):
+            for cell, *arrays in real(words, params):
+                yield (cell, *(a.copy() for a in arrays))
+
+        monkeypatch.setattr(exact, "draw_cells", copied)
+        P = build_transition_model(m, params).P
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(P, name), getattr(expected, name)), name
+
     def test_detailed_balance_reporting(self, model_for):
         worst, pair = detailed_balance_violation(model_for(4, -1.0, 0.0))
         assert worst <= 1e-15
@@ -273,7 +290,8 @@ class TestKernel:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_scipy_reference(self, m, name):
         # The reference assembles the same draw cells through scipy's COO ->
-        # CSR conversion, which sums repeated entries.
+        # CSR conversion; no two cells place the same entry, and no cell
+        # places a diagonal one.
         import scipy.sparse as sp
 
         from treegibbs.chain import draw_cells
