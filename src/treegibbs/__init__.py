@@ -52,8 +52,6 @@ _LAZY = {
     **dict.fromkeys(
         (
             "PartitionLabel",
-            "ProjectionModel",
-            "RestrictionModel",
             "check_decomposition_bound",
             "check_skeleton_projection",
             "classify",
@@ -66,6 +64,7 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
+            "Chain",
             "SpectralReport",
             "TransitionModel",
             "build_transition_model",
@@ -91,6 +90,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NNTM",
+    "Chain",
     "ChainConfig",
     "ChainState",
     "DegreeProfile",
@@ -99,8 +99,6 @@ __all__ = [
     "NNTMParams",
     "PartitionLabel",
     "PlaneTree",
-    "ProjectionModel",
-    "RestrictionModel",
     "Sample",
     "SpectralReport",
     "StateIndex",

@@ -4,7 +4,9 @@ Every subcommand that writes files also drops a ``.manifest.json`` next to
 its primary output recording the exact argv, resolved parameters, seed,
 and version; ``treegibbs replay <manifest>`` re-runs it.  Data files
 never embed timestamps, so identical flags and seed reproduce them
-byte for byte.
+byte for byte.  Each file is written under a ``.part`` name and renamed
+when it is complete, so an interrupted command leaves no truncated file
+under the final name.
 
 Exit codes: 0 success, 2 usage, 3 input validation, 4 capacity (a size
 cap, or running out of memory), 5 internal-check failure.
@@ -17,6 +19,7 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -109,6 +112,33 @@ def _add_energy_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@contextmanager
+def _output(out: Path | None):
+    """A text sink for ``out``, or stdout when it is None.
+
+    Every file the CLI writes goes through here: it is written as
+    ``<out>.part`` in the same directory and renamed onto ``out`` when the
+    block ends, so ``out`` is complete or absent.  On any exception,
+    ``KeyboardInterrupt`` included, the part file is removed.
+    """
+    if out is None:
+        yield sys.stdout
+        return
+    part = out.with_name(out.name + ".part")
+    try:
+        with open(part, "w", newline="") as sink:
+            yield sink
+        os.replace(part, out)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(payload: dict, out: Path | None) -> None:
+    with _output(out) as sink:
+        sink.write(json.dumps(payload, indent=2) + "\n")
+
+
 def _manifest(out: Path, subcommand: str, argv: list[str], extra: dict, started: str) -> None:
     manifest = {
         "subcommand": subcommand,
@@ -118,17 +148,7 @@ def _manifest(out: Path, subcommand: str, argv: list[str], extra: dict, started:
         "finished_at": datetime.now(timezone.utc).isoformat(),
         **extra,
     }
-    out.with_name(out.name + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n"
-    )
-
-
-def _write_json(payload: dict, out: Path | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
+    _write_json(manifest, out.with_name(out.name + ".manifest.json"))
 
 
 # --------------------------------------------------------------------------
@@ -171,9 +191,8 @@ def _sample_chain(
         tail = template % (s.path.word, number(s.energy), p.d0, p.d1, p.r)
         write("".join(f"{head}{t}{tail}" for t in s.steps))
 
-    sink = open(out_file, "w", newline="") if out_file is not None else sys.stdout
-    write = sink.write
-    try:
+    with _output(out_file) as sink:
+        write = sink.write
         if not jsonl:
             write("step,path,energy,d0,d1,r\n")
         result = run(
@@ -185,9 +204,6 @@ def _sample_chain(
             include_degrees=True,
             track_occupancy=track,
         )
-    finally:
-        if out_file is not None:
-            sink.close()
 
     # ``run`` always emits the burn-in row, so there is at least one sample.
     energies, d0s, d1s = (np.repeat(column, rows) for column in zip(*fields))
@@ -270,9 +286,7 @@ def cmd_sample(args, argv: list[str]) -> int:
         "per_chain": summaries,
     }
     if out is not None:
-        out.with_name(out.name + ".summary.json").write_text(
-            json.dumps(summary, indent=2) + "\n"
-        )
+        _write_json(summary, out.with_name(out.name + ".summary.json"))
         _manifest(
             out,
             "sample",
@@ -296,10 +310,10 @@ def cmd_sample(args, argv: list[str]) -> int:
 def cmd_convert(args, argv: list[str]) -> int:
     started = datetime.now(timezone.utc).isoformat()
     out = _resolve_out(args.out)
-    source = sys.stdin if args.infile == "-" else open(args.infile)
-    sink = sys.stdout if out is None else open(out, "w")
     failures = 0
-    try:
+    with ExitStack() as stack:
+        source = sys.stdin if args.infile == "-" else stack.enter_context(open(args.infile))
+        sink = stack.enter_context(_output(out))
         for lineno, raw in enumerate(source, start=1):
             line = raw.rstrip("\n")
             try:
@@ -322,11 +336,6 @@ def cmd_convert(args, argv: list[str]) -> int:
             except (PathValidationError, UnbalancedParensError, EmptyTreeError) as exc:
                 failures += 1
                 sys.stderr.write(f"{args.infile}:{lineno}: {exc}\n")
-    finally:
-        if source is not sys.stdin:
-            source.close()
-        if sink is not sys.stdout:
-            sink.close()
     if out is not None:
         _manifest(out, "convert", argv, {"failures": failures}, started)
     return EXIT_VALIDATION if failures else EXIT_OK
@@ -376,12 +385,15 @@ def cmd_exact(args, argv: list[str]) -> int:
             iterations=report.iterations,
         )
     else:  # tv-curve
-        model = build_transition_model(args.m, params)
-        start = TwoMotzkinPath("H" * args.m if args.start == "all-H" else args.start)
-        if len(start) != args.m:
+        # A start given by --from is checked before the kernel is built.
+        start = None if args.start == "all-H" else TwoMotzkinPath(args.start)
+        if start is not None and len(start) != args.m:
             raise ConfigInvalidError(
                 f"--from path has length {len(start)}, expected m={args.m}"
             )
+        model = build_transition_model(args.m, params)
+        if start is None:
+            start = TwoMotzkinPath("H" * args.m)
         curve = tv_decay_curve(model, start, args.horizon)
         payload.update(
             state_order_hash=model.index.order_hash(),

@@ -10,15 +10,17 @@ product lower bound relating the full spectral gap to the projection
 and restriction gaps.
 
 Every state is labelled once per ``StateIndex`` (``label_blocks``) and
-every level groups those labels.  A restriction chain is a slice of the
-verified kernel's arrays to a strictly ascending block, which keeps each
-row's columns in order without a sort, with each row's rejected mass added
-to its stored diagonal; one routine projects any chain onto a partition by
-summing the flows on those arrays into another :class:`Kernel`.  The
-skeleton checks of every (k, q) block read off one projection of the
-kernel onto the (k, q, s) labels, with no restriction chain.  Every gap,
-full, projected or restricted, is ``exact.spectral_gap``: thick-restart
-Lanczos on the chain's kernel.
+every level groups those labels.  Restrictions and projections are
+``exact.Chain``s, a kernel with its stationary law, like the full
+chain.  A restriction chain is a slice of the verified kernel's arrays
+to a strictly ascending block, which keeps each row's columns in order
+without a sort, with each row's rejected mass added to its stored
+diagonal; one routine projects any chain onto a partition by summing the
+flows on those arrays into another :class:`Kernel`.  The skeleton checks
+of every (k, q) block read off one projection of the kernel onto the
+(k, q, s) labels, with no restriction chain.  Every gap, full, projected
+or restricted, is ``exact.spectral_gap``: thick-restart Lanczos on the
+chain's kernel.
 """
 
 from __future__ import annotations
@@ -30,8 +32,13 @@ from math import comb, log
 import numpy as np
 
 from .energy import EnergyParams
-from .errors import EmptyBlockError, InternalInvariantViolationError, NotAPartitionError
-from .exact import Kernel, StateIndex, TransitionModel, build_transition_model, spectral_gap
+from .errors import (
+    ConfigInvalidError,
+    EmptyBlockError,
+    InternalInvariantViolationError,
+    NotAPartitionError,
+)
+from .exact import Chain, Kernel, StateIndex, TransitionModel, build_transition_model, spectral_gap
 from .law import logsumexp
 from .paths import TwoMotzkinPath, U, catalan
 
@@ -68,26 +75,15 @@ def blocks_at(index: StateIndex, depth: int) -> dict:
     return {key: np.sort(np.concatenate(parts)) for key, parts in runs.items()}
 
 
-@dataclass
-class RestrictionModel:
-    """The chain confined to one block; departures fold into the diagonal."""
-
-    block: np.ndarray  # original state indices, in the order of P's rows
-    P: Kernel  # |block| x |block| slice of the model's kernel
-    pi: np.ndarray  # stationary law: pi restricted and renormalized
-
-    @property
-    def n(self) -> int:
-        return len(self.block)
-
-
-def restriction_chain(model: TransitionModel, block: np.ndarray) -> RestrictionModel:
+def restriction_chain(model: TransitionModel, block: np.ndarray) -> Chain:
     """Restrict the kernel to ``block``, rejecting transitions that leave it.
 
-    ``block`` lists states of ``model`` in strictly ascending order;
-    ``NotAPartitionError`` for a repeated or out-of-order index, or one
-    outside the space.  ``InternalInvariantViolationError`` for a row of the
-    kernel that stores no diagonal entry, which every built kernel has.
+    The chain's state i is ``block[i]``, and its law is pi restricted to the
+    block and renormalized.  ``block`` lists states of ``model`` in strictly
+    ascending order; ``NotAPartitionError`` for a repeated or out-of-order
+    index, or one outside the space.  ``InternalInvariantViolationError``
+    for a row of the kernel that stores no diagonal entry, which every built
+    kernel has.
     """
     block = np.asarray(block, dtype=np.intp)
     if block.size == 0:
@@ -117,32 +113,15 @@ def restriction_chain(model: TransitionModel, block: np.ndarray) -> RestrictionM
         raise InternalInvariantViolationError("a kernel row stores no diagonal entry")
     data[diagonal] += 1.0 - np.bincount(rows, data, minlength=size)
     weight = model.pi[block]
-    return RestrictionModel(block=block, P=Kernel(indptr, indices, data), pi=weight / weight.sum())
+    return Chain(Kernel(indptr, indices, data), weight / weight.sum())
 
 
-@dataclass
-class ProjectionModel:
-    """Aggregate chain over blocks with pi-weighted transitions."""
-
-    labels: list
-    P: Kernel
-    pi: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-
-def projection_chain(
-    chain: TransitionModel | RestrictionModel,
-    blocks: list[np.ndarray],
-    labels: list | None = None,
-) -> ProjectionModel:
+def projection_chain(chain: Chain, blocks: list[np.ndarray]) -> Chain:
     """Project a chain onto a partition of its states.
 
-    ``chain`` is any model with a :class:`Kernel` ``P`` and its law ``pi``: a
-    ``TransitionModel``, or a ``RestrictionModel`` whose blocks index
-    positions inside the restricted ordering.
+    ``blocks`` index the states of ``chain``, a full chain or a restriction
+    (whose state i is its block's i-th state).  State i of the projection is
+    ``blocks[i]``, and its law is the blocks' masses under pi.
     """
     P, pi = chain.P, chain.pi
     n = len(pi)
@@ -175,11 +154,7 @@ def projection_chain(
     pi_bar = np.array([pi[np.asarray(b, dtype=int)].sum() for b in blocks])
     indptr = np.zeros(n_blocks + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n_blocks), out=indptr[1:])
-    return ProjectionModel(
-        labels=list(labels) if labels is not None else list(range(n_blocks)),
-        P=Kernel(indptr, cols, flow / pi_bar[rows]),
-        pi=pi_bar,
-    )
+    return Chain(Kernel(indptr, cols, flow / pi_bar[rows]), pi_bar)
 
 
 def projected_k_distribution(m: int, params: EnergyParams) -> np.ndarray:
@@ -244,7 +219,7 @@ def check_skeleton_projection(
     """
     m = model.index.m
     families = model.index.label_blocks
-    proj = projection_chain(model, list(families.values()), list(families))
+    proj = projection_chain(model, list(families.values()))
     expected_rate = 1.0 / (4.0 * m * m)
     proj_rows = proj.P.rows
     reports = {}
@@ -297,23 +272,24 @@ def check_decomposition_bound(
 ) -> DecompositionBoundReport:
     """Check Gap(P) >= 1/2 * Gap(projection) * min(block restriction gaps).
 
-    Defaults to the up-step-count partition.  A one-state block or
-    projection contributes gap 1 so the product stays meaningful.  Every
-    other gap, the full one too, is ``spectral_gap``.
+    Defaults to the up-step-count partition, with the restriction gaps
+    keyed by k; blocks given without ``labels`` are keyed by position.  A
+    one-state block or projection contributes gap 1 so the product stays
+    meaningful.  Every other gap, the full one too, is ``spectral_gap``.
     """
 
-    def gap(chain) -> float:
+    def gap(chain: Chain) -> float:
         return 1.0 if chain.n == 1 else spectral_gap(chain).gap
 
     if blocks is None:
         by_k = blocks_at(model.index, 1)
-        labels = list(by_k)
-        blocks = list(by_k.values())
+        labels, blocks = list(by_k), list(by_k.values())
+    elif labels is None:
+        labels = range(len(blocks))
     gap_full = spectral_gap(model).gap
-    proj = projection_chain(model, blocks, labels=labels)
-    gap_proj = gap(proj)
+    gap_proj = gap(projection_chain(model, blocks))
     restriction_gaps = {
-        label: gap(restriction_chain(model, block)) for label, block in zip(proj.labels, blocks)
+        label: gap(restriction_chain(model, block)) for label, block in zip(labels, blocks)
     }
     min_gap = min(restriction_gaps.values())
     bound = 0.5 * gap_proj * min_gap
@@ -330,7 +306,7 @@ def check_decomposition_bound(
 def decomposition_report(m: int, params: EnergyParams, level: str = "k") -> dict:
     """JSON-ready structural report at the requested partition depth."""
     if level not in ("k", "kq", "kqs"):
-        raise ValueError(f"level must be one of k, kq, kqs; got {level!r}")
+        raise ConfigInvalidError(f"level must be one of k, kq, kqs; got {level!r}")
     model = build_transition_model(m, params)
     by_k = blocks_at(model.index, 1)
 

@@ -2,18 +2,23 @@
 
 Builds the full transition matrix over all catalan(m + 1) states and its
 spectral diagnostics, on the state index (one word matrix) and exact
-Gibbs law of :mod:`treegibbs.law` (its names import from here too).
-Everything here is a verification instrument: state spaces are
-enumerated, matrices are sparse but complete, and every model is checked
-for stochasticity, stationarity, and detailed balance before it is
-handed out.  Like the rest of the package it needs numpy alone.
+Gibbs law of :mod:`treegibbs.law`.  Everything here is a verification
+instrument: state spaces are enumerated, matrices are sparse but
+complete, and every model is checked for stochasticity, stationarity,
+and detailed balance before it is handed out.  Like the rest of the
+package it needs numpy alone.
 
-The kernel is the sampler's draw-cell table (``chain.draw_cells``) applied
-to that matrix, held as a :class:`Kernel` (CSR arrays); no mirror of it is
-kept, so the checks certify the moves the sampler makes.
-:func:`second_eigenvalue` is the one place a kernel becomes a second
+A :class:`Chain` is a kernel with its stationary law.  The full chain is
+a :class:`TransitionModel`, a chain that also keeps its state index and
+parameters; the restrictions and projections of
+:mod:`treegibbs.decomposition` are plain chains.  :func:`spectral_gap`
+takes any of them: it is the one place a kernel becomes a second
 eigenvalue, by thick-restart Lanczos on the symmetrized kernel, whatever
 its size.
+
+The kernel is the sampler's draw-cell table (``chain.draw_cells``) applied
+to the word matrix, held as a :class:`Kernel` (CSR arrays); no mirror of it
+is kept, so the checks certify the moves the sampler makes.
 
 Memory per kernel entry sets the largest m the oracle reaches, so a
 kernel keeps its column and value arrays and nothing else per entry.  The
@@ -44,13 +49,7 @@ from .errors import (
     MassUnderflowError,
     NoConvergenceError,
 )
-from .law import (  # noqa: F401  (re-exported: the oracle's names stay importable from here)
-    StateIndex,
-    _codes,
-    empirical_distribution,
-    gibbs_distribution,
-    tv_distance,
-)
+from .law import StateIndex, _codes, gibbs_distribution, tv_distance
 from .paths import TwoMotzkinPath
 
 # Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors (ARPACK's
@@ -168,18 +167,25 @@ class Kernel:
 
 
 @dataclass
-class TransitionModel:
-    """Verified sparse kernel with its stationary law over an enumerated space."""
+class Chain:
+    """A kernel ``P`` with its stationary law ``pi``, on ``n`` states."""
 
-    index: StateIndex
-    params: EnergyParams
     P: Kernel
     pi: np.ndarray
-    log_z: float
 
     @property
     def n(self) -> int:
         return len(self.pi)
+
+
+@dataclass
+class TransitionModel(Chain):
+    """The verified full chain over the enumerated space ``index``, under
+    ``params``, with its log partition value."""
+
+    index: StateIndex
+    params: EnergyParams
+    log_z: float
 
     @cached_property
     def energies(self) -> np.ndarray:
@@ -189,7 +195,7 @@ class TransitionModel:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Second eigenvalue diagnostics of a verified model."""
+    """Second eigenvalue diagnostics of a chain."""
 
     lambda1: float
     gap: float
@@ -320,23 +326,42 @@ def is_strongly_connected(model: TransitionModel) -> bool:
     return True
 
 
-def spectral_gap(model) -> SpectralReport:
-    """Second-largest eigenvalue of the kernel and the gap 1 - lambda1.
-
-    ``model`` is any chain with a :class:`Kernel` ``P``, its law ``pi`` and
-    size ``n``.  Laziness makes the spectrum nonnegative, so the second
+def spectral_gap(chain: Chain) -> SpectralReport:
+    """Second-largest eigenvalue of a reversible chain's kernel and the gap
+    1 - lambda1.  Laziness makes the spectrum nonnegative, so the second
     eigenvalue is also the second-largest modulus.
+
+    :func:`lanczos_top` on the :func:`symmetrized`
+    A = diag(pi)^{1/2} P diag(pi)^{-1/2}, with its known top eigenvector
+    sqrt(pi) deflated.  ``residual`` is max ||A v - lambda v|| over both
+    eigenpairs, ``iterations`` the count of products with A.
+    ``ConfigInvalidError`` for fewer than two states;
+    ``MassUnderflowError`` when some state has mass 0, which A cannot be
+    scaled by; ``NoConvergenceError`` when the residual exceeds
+    ``LANCZOS_REJECT``, which no pair the solver should accept comes near.
     """
-    if model.n < 2:
+    if chain.n < 2:
         raise ConfigInvalidError("spectral gap needs at least two states")
-    lambda1, residual, iterations = second_eigenvalue(model.P, model.pi)
+    pi = chain.pi
+    empty = len(pi) - np.count_nonzero(pi)
+    if empty:
+        raise MassUnderflowError(
+            f"the Gibbs mass of {empty} of {len(pi)} states underflows to 0 in float64, "
+            "so the kernel cannot be symmetrized; use smaller |alpha| and |beta|"
+        )
+    root = np.sqrt(pi)
+    A = symmetrized(chain.P, root)
+    lambda1, v, products = lanczos_top(A, root)
+    residual = float(max(np.linalg.norm(A @ v - lambda1 * v), np.linalg.norm(A @ root - root)))
+    if not residual <= LANCZOS_REJECT:
+        raise NoConvergenceError(products, residual)
     gap = 1.0 - lambda1
     return SpectralReport(
         lambda1=lambda1,
         gap=gap,
         relaxation_time=1.0 / gap,
         residual=residual,
-        iterations=iterations,
+        iterations=products,
     )
 
 
@@ -391,33 +416,6 @@ def symmetrized(P: Kernel, root: np.ndarray) -> SymmetricOperator:
             at = P.indptr[part] + np.arange(lengths[part[0]])[:, None]
             blocks.append((part, P.indices[at], a[at]))
     return SymmetricOperator(P.n, tuple(blocks))
-
-
-def second_eigenvalue(P: Kernel, pi: np.ndarray) -> tuple[float, float, int]:
-    """(lambda1, residual, iterations) of a reversible kernel P on two or
-    more states with law pi.
-
-    :func:`lanczos_top` on the :func:`symmetrized`
-    A = diag(pi)^{1/2} P diag(pi)^{-1/2}, with its known top eigenvector
-    sqrt(pi) deflated; residual max ||A v - lambda v|| over both eigenpairs,
-    iterations the count of products with A.  ``MassUnderflowError`` when
-    some state has mass 0, which A cannot be scaled by;
-    ``NoConvergenceError`` when the residual exceeds ``LANCZOS_REJECT``,
-    which no pair the solver should accept comes near.
-    """
-    empty = len(pi) - np.count_nonzero(pi)
-    if empty:
-        raise MassUnderflowError(
-            f"the Gibbs mass of {empty} of {len(pi)} states underflows to 0 in float64, "
-            "so the kernel cannot be symmetrized; use smaller |alpha| and |beta|"
-        )
-    root = np.sqrt(pi)
-    A = symmetrized(P, root)
-    lambda1, v, products = lanczos_top(A, root)
-    residual = float(max(np.linalg.norm(A @ v - lambda1 * v), np.linalg.norm(A @ root - root)))
-    if not residual <= LANCZOS_REJECT:
-        raise NoConvergenceError(products, residual)
-    return lambda1, residual, products
 
 
 def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray, int]:

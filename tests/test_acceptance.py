@@ -35,7 +35,8 @@ from treegibbs import (
     tv_distance,
 )
 from treegibbs.decomposition import blocks_at
-from treegibbs.exact import empirical_distribution, is_strongly_connected
+from treegibbs.exact import is_strongly_connected
+from treegibbs.law import empirical_distribution
 
 from conftest import PARAM_GRID, cached_model, dense_lambda1, sample_rows, scipy_csr
 

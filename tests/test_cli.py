@@ -171,6 +171,34 @@ class TestSample:
         assert res.returncode == 3, res.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_interrupted_run_leaves_no_file(self, tmp_path, monkeypatch):
+        # Interrupted after the first sample is written: no data file, part
+        # file, summary or manifest is left behind.
+        import treegibbs.cli as cli_module
+
+        run = cli_module.run
+
+        def interrupted_run(cfg, **kwargs):
+            collect = kwargs["collector"]
+
+            def collect_then_stop(sample):
+                collect(sample)
+                raise KeyboardInterrupt
+
+            return run(cfg, **{**kwargs, "collector": collect_then_stop})
+
+        argv = ["sample", "--n", "6", "--params", "turner04-cg", "--steps", "100",
+                "--out", str(tmp_path / "s.csv")]
+        monkeypatch.setattr(cli_module, "run", interrupted_run)
+        with pytest.raises(KeyboardInterrupt):
+            cli_module.main(argv)
+        assert list(tmp_path.iterdir()) == []
+        # Uninterrupted, the run leaves its three files and no part file.
+        monkeypatch.setattr(cli_module, "run", run)
+        assert cli_module.main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "s.csv", "s.csv.manifest.json", "s.csv.summary.json"]
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -428,6 +456,24 @@ class TestExact:
         assert res.returncode == 3, res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize(
+        "start,message",
+        [("UD", "--from path has length 2, expected m=4"),
+         ("UXHH", "symbol 'X' not in U/H/I/D (index 1)")],
+        ids=["length", "symbol"],
+    )
+    def test_bad_start_is_rejected_before_the_build(self, start, message, monkeypatch, capsys):
+        import treegibbs.exact as exact
+        from treegibbs.cli import main
+
+        def no_build(m, params):
+            raise AssertionError("built a kernel for a start that is rejected")
+
+        monkeypatch.setattr(exact, "build_transition_model", no_build)
+        argv = ["exact", "tv-curve", "--m", "4", "--from", start, "--params", "turner04-cg"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
     def test_wrong_start_length(self):
         res = cli("exact", "tv-curve", "--m", 3, "--alpha", 0, "--beta", 0, "--from", "UD")
         assert res.returncode == 3
@@ -559,9 +605,9 @@ class TestReplayErrors:
 
 # The package's public names; the exact oracle's among them load lazily.
 PUBLIC_NAMES = [
-    "BUILTIN_NNTM", "ChainConfig", "ChainState", "DegreeProfile", "DyckPath",
-    "EnergyParams", "NNTMParams", "PartitionLabel", "PlaneTree", "ProjectionModel",
-    "RestrictionModel", "Sample", "SpectralReport", "StateIndex", "SymbolCounts",
+    "BUILTIN_NNTM", "Chain", "ChainConfig", "ChainState", "DegreeProfile", "DyckPath",
+    "EnergyParams", "NNTMParams", "PartitionLabel", "PlaneTree", "Sample",
+    "SpectralReport", "StateIndex", "SymbolCounts",
     "TransitionModel", "TwoMotzkinPath", "batch_means_stderr", "build_transition_model",
     "builtin_params", "catalan", "check_decomposition_bound", "check_skeleton_projection",
     "classify", "decode", "decomposition_report", "degree_profile", "derive_params",
@@ -617,6 +663,40 @@ print(json.dumps([rc, before, after, treegibbs.__all__, missing]))
         assert not after
         assert names == PUBLIC_NAMES
         assert missing == []
+
+    def test_commands_import_only_the_oracle_they_use(self, tmp_path):
+        # The oracle's modules load on first use: sampling past the exact-law
+        # summary's cap and converting load none of them, a small sample
+        # loads the law alone, and a gap loads no decomposition code.
+        paths = tmp_path / "paths.txt"
+        paths.write_text("HUHD\n")
+        script = f"""
+import json, sys
+from treegibbs import cli
+oracle = ["treegibbs.law", "treegibbs.exact", "treegibbs.decomposition"]
+loaded = []
+for argv in [
+    ["sample", "--n", "20", "--params", "turner04-cg", "--steps", "100",
+     "--out", {str(tmp_path / "s.csv")!r}],
+    ["convert", "--to", "trees", "--in", {str(paths)!r}, "--out", {str(tmp_path / "t.txt")!r}],
+    ["sample", "--n", "8", "--params", "turner04-cg", "--steps", "100",
+     "--out", {str(tmp_path / "small.csv")!r}],
+    ["exact", "gap", "--m", "3", "--params", "turner04-cg",
+     "--out", {str(tmp_path / "gap.json")!r}],
+]:
+    rc = cli.main(argv)
+    loaded.append([argv[0], rc, [name for name in oracle if name in sys.modules]])
+print(json.dumps(loaded))
+"""
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == [
+            ["sample", 0, []],
+            ["convert", 0, []],
+            ["sample", 0, ["treegibbs.law"]],
+            ["exact", 0, ["treegibbs.law", "treegibbs.exact"]],
+        ]
 
     def test_oracle_runs_without_numpy_random(self, tmp_path):
         # With sys.modules["numpy.random"] = None importing it raises, so the

@@ -29,8 +29,13 @@ from treegibbs import (
 )
 from treegibbs.cli import main
 from treegibbs.decomposition import blocks_at
-from treegibbs.errors import EmptyBlockError, InternalInvariantViolationError, NotAPartitionError
-from treegibbs.exact import Kernel
+from treegibbs.errors import (
+    ConfigInvalidError,
+    EmptyBlockError,
+    InternalInvariantViolationError,
+    NotAPartitionError,
+)
+from treegibbs.exact import Chain, Kernel
 
 from conftest import dense_lambda1, kernel_from_dense, scipy_csr
 
@@ -110,6 +115,19 @@ class TestPartitions:
         monkeypatch.setattr(labels, "func", counting)
         decomposition_report(6, EnergyParams(1.0, -1.0), level="kqs")
         assert len(calls) == 1
+
+
+def test_every_chain_is_a_chain(model_for):
+    # The full chain, its restrictions and its projections are one type: a
+    # kernel with its law, which spectral_gap takes.
+    model = model_for(4, 1.0, -1.0)
+    by_k = blocks_at(model.index, 1)
+    res = restriction_chain(model, by_k[1])
+    proj = projection_chain(model, list(by_k.values()))
+    assert isinstance(model, Chain)
+    assert type(res) is Chain and type(proj) is Chain
+    assert (res.n, proj.n) == (len(by_k[1]), len(by_k))
+    assert projection_chain(res, [np.arange(res.n)]).n == 1
 
 
 class TestRestriction:
@@ -217,7 +235,7 @@ class TestProjection:
         # Brute-force masses at alpha = beta = 0: |S_k| / 42 = (16, 24, 2) / 42.
         model = model_for(4, 0.0, 0.0)
         by_k = blocks_at(model.index, 1)
-        proj = projection_chain(model, list(by_k.values()), labels=list(by_k))
+        proj = projection_chain(model, list(by_k.values()))
         assert np.allclose(proj.pi, np.array([16, 24, 2]) / 42, atol=1e-14)
 
     @pytest.mark.parametrize("alpha,beta", GRID)
@@ -297,7 +315,7 @@ def skeleton_reference(model, k, q):
     block = np.sort(np.concatenate(list(families.values())))
     energies = model.energies[block]
     sub_blocks = [np.searchsorted(block, idx) for idx in families.values()]
-    proj = projection_chain(restriction_chain(model, block), sub_blocks, list(families))
+    proj = projection_chain(restriction_chain(model, block), sub_blocks)
     off = proj.P.toarray()[~np.eye(proj.n, dtype=bool)]
     positive = [float(v) for v in off if v > 0.0]
     expected_rate = 1.0 / (4.0 * m * m)
@@ -487,7 +505,7 @@ class TestReport:
         assert kqs["offdiag_rate_expected"] == pytest.approx(1 / 64)
 
     def test_bad_level(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalidError, match="level must be one of k, kq, kqs"):
             decomposition_report(3, ZERO, level="qk")
 
     def test_json_serializable(self):

@@ -27,7 +27,6 @@ from treegibbs.cli import main
 from treegibbs.exact import (
     Kernel,
     detailed_balance_violation,
-    empirical_distribution,
     is_strongly_connected,
     stationarity_residual,
     symmetrized,
@@ -40,7 +39,7 @@ from treegibbs.errors import (
     InternalInvariantViolationError,
     LengthMismatchError,
 )
-from treegibbs.law import logsumexp
+from treegibbs.law import empirical_distribution, logsumexp
 from treegibbs.paths import TwoMotzkinPath
 
 from conftest import dense_lambda1, kernel_from_dense, sample_rows, scipy_csr
