@@ -1,12 +1,16 @@
 """Command-line surface: sampling, conversion, exact analysis, decomposition.
 
-Every subcommand that writes files also drops a ``.manifest.json`` next to
-its primary output recording the exact argv, resolved parameters, seed,
-and version; ``treegibbs replay <manifest>`` re-runs it.  Data files
-never embed timestamps, so identical flags and seed reproduce them
-byte for byte.  Each file is written under a ``.part`` name and renamed
-when it is complete, so an interrupted command leaves no truncated file
-under the final name.
+Every command runs in one frame, ``main``: it parses the flags, takes the
+start time, resolves ``--out`` (a path computation that creates nothing),
+runs the command, and, when the command returns with an ``--out``, writes
+``<out>.manifest.json`` recording the exact argv, resolved parameters,
+seed, version and timestamps; ``treegibbs replay <manifest>`` re-runs it.
+Data files never embed timestamps, so identical flags and seed reproduce
+them byte for byte.  Each file is written under a ``.part`` name and
+renamed when it is complete, and ``_output`` creates ``--out``'s missing
+directories just before it opens the part file.  So a command rejected
+at validation leaves nothing behind, and one interrupted while writing
+leaves no data file, part file, manifest or directory.
 
 Exit codes: 0 success, 2 usage, 3 input validation, 4 capacity (a size
 cap, or running out of memory), 5 internal-check failure.
@@ -19,7 +23,7 @@ import json
 import math
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,7 +78,6 @@ def _resolve_out(path: str | None) -> Path | None:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not p.is_absolute():
         p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -116,39 +119,34 @@ def _add_energy_flags(parser: argparse.ArgumentParser) -> None:
 def _output(out: Path | None):
     """A text sink for ``out``, or stdout when it is None.
 
-    Every file the CLI writes goes through here: it is written as
-    ``<out>.part`` in the same directory and renamed onto ``out`` when the
+    Every file the CLI writes goes through here, and nothing else creates a
+    directory: the missing parents of ``out`` are made, and ``out`` is
+    written as ``<out>.part`` beside it and renamed onto ``out`` when the
     block ends, so ``out`` is complete or absent.  On any exception,
-    ``KeyboardInterrupt`` included, the part file is removed.
+    ``KeyboardInterrupt`` included, the part file and the directories made
+    here, where empty, are removed.
     """
     if out is None:
         yield sys.stdout
         return
+    made = [d for d in out.parents if not d.exists()]  # nearest first
     part = out.with_name(out.name + ".part")
     try:
+        out.parent.mkdir(parents=True, exist_ok=True)
         with open(part, "w", newline="") as sink:
             yield sink
         os.replace(part, out)
     except BaseException:
         part.unlink(missing_ok=True)
+        for d in made:
+            with suppress(OSError):
+                d.rmdir()
         raise
 
 
 def _write_json(payload: dict, out: Path | None) -> None:
     with _output(out) as sink:
         sink.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _manifest(out: Path, subcommand: str, argv: list[str], extra: dict, started: str) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "argv": argv,
-        "version": __version__,
-        "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        **extra,
-    }
-    _write_json(manifest, out.with_name(out.name + ".manifest.json"))
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def _sample_chain(
     return summary
 
 
-def cmd_sample(args, argv: list[str]) -> int:
+def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
     params = _energy_from_args(args)
     if args.n < 2:
         raise ConfigInvalidError(f"--n must be at least 2, got {args.n}")
@@ -251,8 +249,6 @@ def cmd_sample(args, argv: list[str]) -> int:
         raise ConfigInvalidError("--chains must be positive")
     # Before any output is opened: a rejected run leaves no file behind.
     check_schedule(args.steps, args.burn_in, args.thin)
-    started = datetime.now(timezone.utc).isoformat()
-    out = _resolve_out(args.out)
     if out is None and args.chains > 1:
         raise _UsageError("--chains > 1 requires --out")
 
@@ -285,31 +281,18 @@ def cmd_sample(args, argv: list[str]) -> int:
         "chains": args.chains,
         "per_chain": summaries,
     }
-    if out is not None:
-        _write_json(summary, out.with_name(out.name + ".summary.json"))
-        _manifest(
-            out,
-            "sample",
-            argv,
-            {
-                "seed": args.seed,
-                "params": asdict(params),
-                "outputs": [str(f) for f in files],
-            },
-            started,
-        )
-    else:
+    if out is None:
         sys.stderr.write(json.dumps(summary, indent=2) + "\n")
-    return EXIT_OK
+        return EXIT_OK, {}
+    _write_json(summary, out.with_name(out.name + ".summary.json"))
+    return EXIT_OK, {"seed": args.seed, "params": asdict(params), "outputs": [str(f) for f in files]}
 
 
 # --------------------------------------------------------------------------
 # convert
 
 
-def cmd_convert(args, argv: list[str]) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    out = _resolve_out(args.out)
+def cmd_convert(args, out: Path | None) -> tuple[int, dict]:
     failures = 0
     with ExitStack() as stack:
         source = sys.stdin if args.infile == "-" else stack.enter_context(open(args.infile))
@@ -336,16 +319,14 @@ def cmd_convert(args, argv: list[str]) -> int:
             except (PathValidationError, UnbalancedParensError, EmptyTreeError) as exc:
                 failures += 1
                 sys.stderr.write(f"{args.infile}:{lineno}: {exc}\n")
-    if out is not None:
-        _manifest(out, "convert", argv, {"failures": failures}, started)
-    return EXIT_VALIDATION if failures else EXIT_OK
+    return EXIT_VALIDATION if failures else EXIT_OK, {"failures": failures}
 
 
 # --------------------------------------------------------------------------
 # exact
 
 
-def cmd_exact(args, argv: list[str]) -> int:
+def cmd_exact(args, out: Path | None) -> tuple[int, dict]:
     from .exact import (
         StateIndex,
         build_transition_model,
@@ -356,27 +337,31 @@ def cmd_exact(args, argv: list[str]) -> int:
 
     params = _energy_from_args(args)
     _check_energy_range(params, args.m)
-    started = datetime.now(timezone.utc).isoformat()
-    out = _resolve_out(args.out)
+    if args.what == "tv-curve" and args.start != "all-H":
+        # A start given by --from is checked before the kernel is built.
+        start = TwoMotzkinPath(args.start)
+        if len(start) != args.m:
+            raise ConfigInvalidError(
+                f"--from path has length {len(start)}, expected m={args.m}"
+            )
+    if args.what == "pi":
+        index = StateIndex.build(args.m)
+        pi, log_z = gibbs_distribution(args.m, params, index=index)
+    else:
+        model = build_transition_model(args.m, params)
+        index, log_z = model.index, model.log_z
     payload: dict = {
         "m": args.m,
         "alpha": params.alpha,
         "beta": params.beta,
+        "state_order_hash": index.order_hash(),
+        "log_z": log_z,
     }
     if args.what == "pi":
-        index = StateIndex.build(args.m)
-        pi, log_z = gibbs_distribution(args.m, params, index=index)
-        payload.update(
-            state_order_hash=index.order_hash(),
-            log_z=log_z,
-            pi=pi.tolist(),
-        )
+        payload["pi"] = pi.tolist()
     elif args.what == "gap":
-        model = build_transition_model(args.m, params)
         report = spectral_gap(model)
         payload.update(
-            state_order_hash=model.index.order_hash(),
-            log_z=model.log_z,
             lambda1=report.lambda1,
             gap=report.gap,
             relaxation_time=report.relaxation_time,
@@ -385,51 +370,33 @@ def cmd_exact(args, argv: list[str]) -> int:
             iterations=report.iterations,
         )
     else:  # tv-curve
-        # A start given by --from is checked before the kernel is built.
-        start = None if args.start == "all-H" else TwoMotzkinPath(args.start)
-        if start is not None and len(start) != args.m:
-            raise ConfigInvalidError(
-                f"--from path has length {len(start)}, expected m={args.m}"
-            )
-        model = build_transition_model(args.m, params)
-        if start is None:
+        if args.start == "all-H":
             start = TwoMotzkinPath("H" * args.m)
         curve = tv_decay_curve(model, start, args.horizon)
-        payload.update(
-            state_order_hash=model.index.order_hash(),
-            log_z=model.log_z,
-            start=start.word,
-            curve=[[t, v] for t, v in curve],
-        )
+        payload.update(start=start.word, curve=[[t, v] for t, v in curve])
     _write_json(payload, out)
-    if out is not None:
-        _manifest(out, "exact", argv, {"what": args.what}, started)
-    return EXIT_OK
+    return EXIT_OK, {"what": args.what}
 
 
 # --------------------------------------------------------------------------
 # decompose
 
 
-def cmd_decompose(args, argv: list[str]) -> int:
+def cmd_decompose(args, out: Path | None) -> tuple[int, dict]:
     from .decomposition import decomposition_report
 
     params = _energy_from_args(args)
     _check_energy_range(params, args.m)
-    started = datetime.now(timezone.utc).isoformat()
-    out = _resolve_out(args.out)
     report = decomposition_report(args.m, params, level=args.level)
     _write_json(report, out)
-    if out is not None:
-        _manifest(out, "decompose", argv, {"level": args.level}, started)
-    return EXIT_OK
+    return EXIT_OK, {"level": args.level}
 
 
 # --------------------------------------------------------------------------
 # replay
 
 
-def cmd_replay(args, argv: list[str]) -> int:
+def cmd_replay(args, out: Path | None) -> tuple[int, dict]:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -439,7 +406,7 @@ def cmd_replay(args, argv: list[str]) -> int:
         raise ConfigInvalidError(f"{args.manifest} has no recorded argv")
     if recorded[0] == "replay":  # no command records one, and it could replay itself
         raise ConfigInvalidError(f"{args.manifest} records a replay, not a command")
-    return main(recorded)
+    return main(recorded), {}
 
 
 # --------------------------------------------------------------------------
@@ -506,8 +473,21 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = datetime.now(timezone.utc).isoformat()
+    out = _resolve_out(getattr(args, "out", None))  # replay takes no --out
     try:
-        return args.func(args, argv)
+        code, extra = args.func(args, out)
+        if out is not None:
+            manifest = {
+                "subcommand": args.command,
+                "argv": argv,
+                "version": __version__,
+                "started_at": started,
+                "finished_at": datetime.now(timezone.utc).isoformat(),
+                **extra,
+            }
+            _write_json(manifest, out.with_name(out.name + ".manifest.json"))
+        return code
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

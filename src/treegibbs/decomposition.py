@@ -268,29 +268,23 @@ class DecompositionBoundReport:
 def check_decomposition_bound(
     model: TransitionModel,
     blocks: list[np.ndarray] | None = None,
-    labels: list | None = None,
 ) -> DecompositionBoundReport:
     """Check Gap(P) >= 1/2 * Gap(projection) * min(block restriction gaps).
 
-    Defaults to the up-step-count partition, with the restriction gaps
-    keyed by k; blocks given without ``labels`` are keyed by position.  A
-    one-state block or projection contributes gap 1 so the product stays
-    meaningful.  Every other gap, the full one too, is ``spectral_gap``.
+    Defaults to the up-step-count partition k = 0..floor(m/2).  The
+    restriction gaps are keyed by block position, which for that default is
+    k.  A one-state block or projection contributes gap 1 so the product
+    stays meaningful.  Every other gap, the full one too, is ``spectral_gap``.
     """
 
     def gap(chain: Chain) -> float:
         return 1.0 if chain.n == 1 else spectral_gap(chain).gap
 
     if blocks is None:
-        by_k = blocks_at(model.index, 1)
-        labels, blocks = list(by_k), list(by_k.values())
-    elif labels is None:
-        labels = range(len(blocks))
+        blocks = list(blocks_at(model.index, 1).values())
     gap_full = spectral_gap(model).gap
     gap_proj = gap(projection_chain(model, blocks))
-    restriction_gaps = {
-        label: gap(restriction_chain(model, block)) for label, block in zip(labels, blocks)
-    }
+    restriction_gaps = {i: gap(restriction_chain(model, block)) for i, block in enumerate(blocks)}
     min_gap = min(restriction_gaps.values())
     bound = 0.5 * gap_proj * min_gap
     return DecompositionBoundReport(

@@ -63,6 +63,9 @@ LANCZOS_KEEP = 8
 LANCZOS_TOL = 1e-14
 LANCZOS_MAX_PRODUCTS = 10_000
 LANCZOS_REJECT = 1e-10
+# verify_model's bound on row-sum and stationarity errors, and on detailed
+# balance relative to the largest flow pi(x) P(x, y).
+VERIFY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,20 +263,20 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     return model
 
 
-def verify_model(model: TransitionModel, tol: float = 1e-12) -> None:
+def verify_model(model: TransitionModel) -> None:
     """Stochasticity, stationarity, and detailed balance, or raise.
 
     Each check computes the per-entry arrays it reads (rows, mirrors,
     flows) and lets them go."""
     row_err = float(np.abs(model.P.row_sums() - 1.0).max())
-    if row_err > tol:
+    if row_err > VERIFY_TOL:
         raise BalanceViolationError(f"row sums off by {row_err:.3e}", magnitude=row_err)
     stat_err = stationarity_residual(model)
-    if stat_err > tol:
+    if stat_err > VERIFY_TOL:
         raise BalanceViolationError(f"pi P != pi, residual {stat_err:.3e}", magnitude=stat_err)
     worst, pair = detailed_balance_violation(model)
     flow_scale = float((model.P.of_rows(model.pi) * model.P.data).max())
-    if worst > tol * flow_scale:
+    if worst > VERIFY_TOL * flow_scale:
         x, y = pair
         raise BalanceViolationError(
             f"detailed balance violated by {worst:.3e} at pair "
@@ -482,15 +485,14 @@ def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray,
 
 def tv_decay_curve(
     model: TransitionModel,
-    x0: TwoMotzkinPath | int,
+    x0: TwoMotzkinPath,
     horizon: int,
 ) -> list[tuple[int, float]]:
     """TV(P^t(x0, .), pi) for t = 0..horizon via iterated row products."""
     if horizon < 0:
         raise ConfigInvalidError("horizon must be nonnegative")
-    start = x0 if isinstance(x0, int) else model.index.index_of(x0)
     dist = np.zeros(model.n)
-    dist[start] = 1.0
+    dist[model.index.index_of(x0)] = 1.0
     curve = [(0, tv_distance(dist, model.pi))]
     for t in range(1, horizon + 1):
         dist = dist @ model.P

@@ -103,6 +103,33 @@ class TestSample:
         assert cli("replay", manifest).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("exact", "pi", "--m", 3),
+            ("exact", "gap", "--m", 4),
+            ("exact", "tv-curve", "--m", 4, "--from", "UDHH", "--horizon", 50),
+            ("decompose", "report", "--m", 4, "--level", "kqs"),
+            ("convert", "--to", "trees", "--degrees"),
+        ],
+        ids=["exact-pi", "exact-gap", "exact-tv-curve", "decompose-kqs", "convert"],
+    )
+    def test_replay_reproduces_every_command(self, tmp_path, command):
+        if command[0] == "convert":
+            words = tmp_path / "words.txt"
+            words.write_text("UD\nUHID\nHH\n")
+            flags = [*command, "--in", words]
+        else:
+            flags = [*command, "--params", "turner04-cg"]
+        out = tmp_path / "out.txt"
+        res = cli(*flags, "--out", out)
+        assert res.returncode == 0, res.stderr
+        recorded = out.read_bytes()
+        out.unlink()
+        res = cli("replay", tmp_path / "out.txt.manifest.json")
+        assert res.returncode == 0, res.stderr
+        assert out.read_bytes() == recorded
+
     def test_summary_and_manifest(self, tmp_path):
         out = tmp_path / "s.csv"
         res = cli("sample", "--n", 4, "--alpha", 0, "--beta", 0,
@@ -169,6 +196,37 @@ class TestSample:
         res = cli("sample", "--n", 8, "--params", "turner04-cg", *schedule,
                   "--chains", chains, "--out", tmp_path / "a.csv")
         assert res.returncode == 3, res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,code",
+        [
+            (("exact", "tv-curve", "--m", 4, "--from", "UD", "--params", "turner04-cg"), 3),
+            (("exact", "gap", "--m", 13, "--params", "turner04-cg"), 4),
+            (("decompose", "report", "--m", -2, "--params", "turner04-cg"), 3),
+            (("convert", "--to", "trees"), 3),
+            (("sample", "--n", 5, "--params", "turner04-cg", "--chains", 0), 3),
+        ],
+        ids=["tv-curve-start", "gap-cap", "decompose-negative-m", "convert-missing-input",
+             "sample-no-chains"],
+    )
+    def test_rejected_command_leaves_nothing(self, tmp_path, command, code):
+        if command[0] == "convert":
+            command = (*command, "--in", tmp_path / "missing.txt")
+        res = cli(*command, "--out", tmp_path / "a" / "b" / "x.out")
+        assert res.returncode == code, res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_run_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        import treegibbs.cli as cli_module
+
+        def interrupted_run(cfg, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "run", interrupted_run)
+        with pytest.raises(KeyboardInterrupt):
+            cli_module.main(["sample", "--n", "6", "--params", "turner04-cg",
+                             "--out", str(tmp_path / "a" / "b" / "s.csv")])
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_run_leaves_no_file(self, tmp_path, monkeypatch):

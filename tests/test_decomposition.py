@@ -422,7 +422,7 @@ class TestDecompositionBound:
     def test_singleton_partition_degenerates_to_half_gap(self, model_for):
         model = model_for(3, 0.0, 0.0)
         blocks = [np.array([i]) for i in range(model.n)]
-        report = check_decomposition_bound(model, blocks=blocks, labels=list(range(model.n)))
+        report = check_decomposition_bound(model, blocks=blocks)
         # Projection equals the chain itself; every restriction gap is 1.
         assert report.min_restriction_gap == 1.0
         assert report.gap_projection == pytest.approx(report.gap_full, abs=1e-12)
