@@ -407,7 +407,7 @@ class TestMoveLoop:
         if m >= 4:
             assert outcomes[True] and outcomes[False]
 
-    @pytest.mark.parametrize("params", [ZERO, resolve_params("turner04-cg")])
+    @pytest.mark.parametrize("params", [ZERO, resolve_params("turner04-cg"), EnergyParams(-1.0, 1.0)])
     @pytest.mark.parametrize("m", [1, 2, 6, 49])
     def test_advance_matches_single_steps(self, m, params):
         burned = ChainState(ChainConfig(m=m, params=params, seed=3))
@@ -559,11 +559,14 @@ def _inject(state: ChainState, word: bytes, move: int, u1: float, u2: float, u3:
     return bytes(state.word)
 
 
-CELL_PARAMS = [resolve_params("turner04-cg"), ZERO, EnergyParams(1.0, -1.0)]
+# (-1, 1) is the one set with beta > alpha, where I -> H is the larger
+# site acceptance; (1, -1) has H -> I larger, as Turner-04-CG does.
+CELL_PARAMS = [resolve_params("turner04-cg"), ZERO, EnergyParams(1.0, -1.0), EnergyParams(-1.0, 1.0)]
+CELL_IDS = ["turner04-cg", "zero", "1,-1", "-1,1"]
 
 
 class TestDrawCells:
-    @pytest.mark.parametrize("params", CELL_PARAMS, ids=["turner04-cg", "zero", "1,-1"])
+    @pytest.mark.parametrize("params", CELL_PARAMS, ids=CELL_IDS)
     @pytest.mark.parametrize("m", range(1, 7))
     def test_advance_lands_on_each_cells_target(self, m, params):
         # Every state x every draw cell: u1 at the cell's midpoint, the
@@ -609,7 +612,7 @@ class TestDrawCells:
 
 
 class TestScreen:
-    @pytest.mark.parametrize("params", CELL_PARAMS, ids=["turner04-cg", "zero", "1,-1"])
+    @pytest.mark.parametrize("params", CELL_PARAMS, ids=CELL_IDS)
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_edges_match_reference_rule(self, m, params):
         # Every state x every class, with the acceptance draw at and one ulp
