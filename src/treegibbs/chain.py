@@ -17,24 +17,27 @@ Classes 1 and 2 change the energy by +/-alpha and +/-(alpha - beta);
 classes 3 and 4 preserve all symbol counts.  Every proposal carries
 acceptance factor 1/2, so the chain is lazy and its spectrum nonnegative.
 
-``ChainState.advance`` is the one loop that applies moves; when asked, it
-reports how long it holds each word, and ``run`` reads its visit counts
-off those reports and emits each held word once, as one ``Sample`` over
-the emission times it covers.  ``step`` is ``advance(1)``.  Since a proposal
-whose uniform is at or above its class's largest acceptance is rejected
-whatever the word, each block of draws is screened in numpy when it is
-drawn, and the loop visits only the draws a word could accept (43% of
-them under Turner-04-CG at m = 49).  The screen also reads off each
-survivor's uniform which directions it accepts, so the loop only tests
-the word.  The raw draws, their order and so every output are the same
-as without the screen.  ``run`` reads the energy and degrees of its held
-words in numpy batches (``word_fields``), the same reader the oracle's
-energies go through.  ``draw_cells`` is the exact kernel: the same moves
-as a table of draw cells, each vectorized over a matrix of words, from
-which the oracle builds the transition matrix and
-``transition_distribution`` reads one row.  No other copy of the kernel
-is kept, and a test injects every cell's draws into ``advance`` and
-requires the cell's target word.
+The four classes are written once, as one table of rules (``_move_rules``):
+per class, the symbols a proposal needs at its two positions, the symbols
+it writes there and its acceptance.  ``ChainState.advance`` is the one
+loop that applies moves; when asked, it reports how long it holds each
+word, and ``run`` reads its visit counts off those reports and emits each
+held word once, as one ``Sample`` over the emission times it covers.
+``step`` is ``advance(1)``.  Since a proposal whose uniform is at or above
+its class's largest acceptance is rejected whatever the word, each block
+of draws is screened in numpy when it is drawn, and the loop visits only
+the draws a word could accept (43% of them under Turner-04-CG at m = 49).
+The raw draws, their order and so every output are the same as without
+the screen.  ``run`` reads the energy and degrees of its held words in
+numpy batches (``word_fields``), the same reader the oracle's energies go
+through.  ``draw_cells`` is the exact kernel: the same table read by a
+list of draw cells, each vectorized over a matrix of words, from which
+the oracle builds the transition matrix and ``transition_distribution``
+reads one row.  The one rule that looks past its two symbols, a
+transposition moving a U right past a D, keeps its height condition in a
+scalar form in the loop and a vectorized one in ``draw_cells``; a test
+injects every cell's draws into ``advance`` and requires the cell's
+target word, which ties the two together.
 """
 
 from __future__ import annotations
@@ -65,13 +68,6 @@ _PER_ROW_THIN = 128
 # ``_FLUSH_MIN_M`` symbols.
 _FLUSH_SYMBOLS = 1 << 16
 _FLUSH_MIN_M = 64
-# Move codes of the screened draws (see ``ChainState._load``).
-_PAIR, _PAIR_ONE, _SITE, _SITE_ONE, _TRANSPOSE, _SWAP = range(6)
-# Two symbols an adjacent swap may exchange, one up/down and one level
-# step, are told apart by their byte sum: no other pair has theirs.
-_SWAPPABLE = [total in (U + H, U + I, D + H, D + I) for total in range(256)]
-
-
 def _sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -96,6 +92,34 @@ def move_constants(params: EnergyParams) -> MoveConstants:
         h_to_i=0.5 * _sigmoid(a - b),
         i_to_h=0.5 * _sigmoid(b - a),
     )
+
+
+# The one rule with a condition beyond its two symbols: a transposition
+# (class 2) that moves a U right past a D lowers the span between them by
+# 2, so it applies only where no height there drops below 0.
+_TRANSPOSE = 2
+_LOWERING = (U, D)
+
+
+def _move_rules(params: EnergyParams) -> tuple[dict, ...]:
+    """The four move classes, in the order of their class numbers: for each,
+    the symbols a proposal needs at its positions i and j, mapped to the
+    symbols it writes there and its acceptance.  A site move has i == j."""
+    ud_to_hh, hh_to_ud, h_to_i, i_to_h = move_constants(params)
+    return (
+        {(U, D): ((H, H), ud_to_hh), (H, H): ((U, D), hh_to_ud)},
+        {(H, H): ((I, I), h_to_i), (I, I): ((H, H), i_to_h)},
+        {(U, D): ((D, U), 0.5), (D, U): ((U, D), 0.5)},
+        {(a, b): ((b, a), 0.5) for v in (U, D) for s in (H, I) for a, b in ((v, s), (s, v))},
+    )
+
+
+def _lookup(rules: dict) -> list[list[tuple | None]]:
+    """``rules`` as lists indexed by the symbol at i, then the one at j (None
+    where no rule applies), which beat a dict in the move loop."""
+    none = [None] * 256
+    rows = {a: [rules.get((a, b)) for b in range(256)] for a in (U, D, H, I)}
+    return [rows.get(a, none) for a in range(256)]
 
 
 @dataclass(frozen=True)
@@ -137,21 +161,28 @@ class ChainState:
         self._rng = np.random.Generator(np.random.PCG64(seq))
         self._cursor = _RNG_BLOCK  # forces a refill on first use
         # Per move class: the number of positions u1 picks i from, the bound
-        # a draw's uniform must fall below for any word to accept it, the
-        # bound below which either direction is accepted, and the move codes
-        # of ``_load`` for a draw below and above that second bound (no
-        # transposition or swap survives above it: its two bounds are equal).
+        # a draw's uniform must fall below for any word to accept it (0 for a
+        # class with no positions), and the bound below which every rule of
+        # the class accepts it.
         m, pairs = cfg.m, cfg.m - 1
-        ud_to_hh, hh_to_ud, h_to_i, i_to_h = move_constants(cfg.params)
+        rules = _move_rules(cfg.params)
         self._spans = np.array([pairs, m, m, pairs])
-        pair_limit = max(ud_to_hh, hh_to_ud) if pairs else 0.0
-        self._limits = np.array([pair_limit, max(h_to_i, i_to_h), 0.5, 0.5 if pairs else 0.0])
-        self._either = np.array([min(ud_to_hh, hh_to_ud), min(h_to_i, i_to_h), 0.5, 0.5])
-        self._move_codes = np.array([[_PAIR, _SITE, _TRANSPOSE, _SWAP], [_PAIR_ONE, _SITE_ONE, -1, -1]])
-        # The one direction a _PAIR_ONE or _SITE_ONE draw can take: the
-        # symbols it requires at i (and j) and the ones it writes there.
-        self._pair_one = (U, D, H, H) if ud_to_hh > hh_to_ud else (H, H, U, D)
-        self._site_one = (H, I) if h_to_i > i_to_h else (I, H)
+        accepts = [[q for _, q in table.values()] for table in rules]
+        self._limits = np.array([max(qs) if n else 0.0 for qs, n in zip(accepts, self._spans)])
+        self._either = np.array([min(qs) for qs in accepts])
+        # The lookup of move code c is class c's rules, and that of c + 4 its
+        # rules with the class's largest acceptance: the ones a draw between
+        # the two bounds accepts.  Each takes the symbols at i and j to the
+        # symbols written there and whether the height walk must pass.
+        self._lookups = [
+            _lookup({
+                key: (*new, c == _TRANSPOSE and key == _LOWERING)
+                for key, (new, q) in table.items()
+                if q == max(qs) or not one_way
+            })
+            for one_way in (False, True)
+            for c, (table, qs) in enumerate(zip(rules, accepts))
+        ]
         # The block's surviving draws (see ``_load``): offset in the block,
         # move code, and positions i and j.
         self._offsets: list[int] = []
@@ -180,29 +211,26 @@ class ChainState:
         site and from u2 for a transposition.  ``u * n`` in float64
         truncated to int64 is the same IEEE product and truncation as
         ``int(u * n)``.  A draw is dropped when its uniform alone rejects
-        it, whatever the word: u2 at or above the larger acceptance of its
-        pair or site class, u3 >= 1/2 for a transposition (and ``i == j``,
-        which swaps nothing), u2 >= 1/2 for an adjacent swap, and the pair
-        classes at m = 1.
+        it, whatever the word: its uniform (u3 for a transposition, u2
+        otherwise) at or above the largest acceptance of its class, which
+        drops every pair and adjacent-swap draw at m = 1, and a
+        transposition with ``i == j``, which swaps nothing.
 
         A survivor's uniform is read here and nowhere else: it becomes the
-        draw's move code.  A pair or site draw whose u2 lies below both of
-        its class's acceptances may move the word either way (``_PAIR``,
-        ``_SITE``); one whose u2 lies between them may only take the
-        direction with the larger acceptance (``_PAIR_ONE``, ``_SITE_ONE``).
-        A surviving transposition or adjacent swap is accepted whenever its
-        word allows it.  The survivors are kept as plain lists, which beat
-        numpy scalars for single-element access in the move loop; the
-        draws, and so the chain, are unchanged.
+        draw's move code: its class number if the uniform lies below every
+        acceptance of its class, else the class number plus 4, which takes
+        only the class's rules with the largest acceptance.  The survivors
+        are kept as plain lists, which beat numpy scalars for single-element
+        access in the move loop; the draws, and so the chain, are unchanged.
         """
-        swap = ls == 2
+        transpose = ls == _TRANSPOSE
         i = (u1 * self._spans[ls]).astype(np.int64)
-        j = np.where(swap, (u2 * self.cfg.m).astype(np.int64), i + ((ls == 0) | (ls == 3)))
-        u = np.where(swap, u3, u2)
-        kept = np.flatnonzero((u < self._limits[ls]) & ((i != j) | ~swap))
+        j = np.where(transpose, (u2 * self.cfg.m).astype(np.int64), i + ((ls == 0) | (ls == 3)))
+        u = np.where(transpose, u3, u2)
+        kept = np.flatnonzero((u < self._limits[ls]) & ((i != j) | ~transpose))
         ls = ls[kept]
         self._offsets = kept.tolist()
-        self._moves = self._move_codes[(u[kept] >= self._either[ls]).view(np.int8), ls].tolist()
+        self._moves = (ls + 4 * (u[kept] >= self._either[ls])).tolist()
         # Only a transposition can have j < i, and swapping i and j is the
         # same move as swapping j and i.
         i, j = i[kept], j[kept]
@@ -223,8 +251,10 @@ class ChainState:
         the step leaves that cell's target word or the word unchanged.  The
         loop visits only the draws that survive the block's screen (see
         ``_load``); a screened-out draw is a step that keeps the word.  A
-        survivor's move code already says which directions its uniform
-        accepts, so the loop reads no uniform and tests only the word.
+        survivor's move code already says which rules its uniform accepts,
+        so the loop reads no uniform: it looks the two symbols up in the
+        move code's rules, walks the heights for the one rule that needs
+        it, and writes the rule's symbols.
 
         With ``hold``, every step of the call is reported as part of one
         held segment: ``hold(word, since, now)`` says that ``word`` is the
@@ -238,10 +268,7 @@ class ChainState:
         if steps <= 0:
             return
         w = self.word
-        pair_a, pair_b, pair_x, pair_y = self._pair_one
-        site_a, site_x = self._site_one
-        swappable = _SWAPPABLE
-        up_down = U + D  # the byte sum of no other two symbols
+        lookups = self._lookups
         c = self._cursor
         t = self.step_count
         self.step_count += steps
@@ -262,65 +289,27 @@ class ChainState:
             b = bisect_left(offsets, stop, a)
             draws = zip(offsets[a:b], self._moves[a:b], self._i[a:b], self._j[a:b])
             c = stop
-            # Each accepted move sets positions i and j to x and y below;
-            # the screen has already accepted the draw's uniform.
             for o, move, i, j in draws:
-                if move == _SWAP:  # adjacent swap of an up/down and a level step
-                    y = w[i]
-                    x = w[j]
-                    if not swappable[x + y]:
+                rule = lookups[move][w[i]][w[j]]
+                if rule is None:
+                    continue
+                x, y, lowers = rule
+                if lowers:
+                    # The U moves right, so heights inside the span drop by
+                    # 2; outside it nothing changes.  Walk the swapped span
+                    # from the D now at i, stopping at the first negative
+                    # height.
+                    h = w.count(U, 0, i) - w.count(D, 0, i) - 1
+                    if h < 0:
                         continue
-                elif move == _TRANSPOSE:  # up/down transposition, i < j
-                    y = w[i]
-                    x = w[j]
-                    if x + y != up_down:
-                        continue
-                    if y == U:
-                        # The U moves right, so heights inside the span drop
-                        # by 2; outside it nothing changes.  Walk the swapped
-                        # span from the D now at i, stopping at the first
-                        # negative height.
-                        h = w.count(U, 0, i) - w.count(D, 0, i) - 1
-                        if h < 0:
-                            continue
-                        for s in w[i + 1 : j]:
-                            if s == U:
-                                h += 1
-                            elif s == D:
-                                h -= 1
-                                if h < 0:
-                                    break
-                        if h < 0:
-                            continue
-                elif move == _PAIR_ONE:  # UD <-> HH, one way only
-                    if w[i] != pair_a or w[j] != pair_b:
-                        continue
-                    x = pair_x
-                    y = pair_y
-                elif move == _SITE:  # H <-> I either way
-                    a = w[i]
-                    if a == H:
-                        x = y = I
-                    elif a == I:
-                        x = y = H
-                    else:
-                        continue
-                elif move == _SITE_ONE:  # H <-> I, one way only
-                    if w[i] != site_a:
-                        continue
-                    x = y = site_x
-                else:  # UD <-> HH either way
-                    a = w[i]
-                    if a == U:
-                        if w[j] != D:
-                            continue
-                        x = y = H
-                    elif a == H:
-                        if w[j] != H:
-                            continue
-                        x = U
-                        y = D
-                    else:
+                    for s in w[i + 1 : j]:
+                        if s == U:
+                            h += 1
+                        elif s == D:
+                            h -= 1
+                            if h < 0:
+                                break
+                    if h < 0:
                         continue
                 if hold is not None:
                     now = base + o
@@ -346,10 +335,21 @@ class DrawCell(NamedTuple):
     weight: float
 
 
+# Height change of each symbol: +1 for U, -1 for D, 0 for the level steps.
+_STEP = np.zeros(256, dtype=np.int8)
+_STEP[U] = 1
+_STEP[D] = -1
+
+
+# Each symbol's number in the keys of ``draw_cells``' lookups.
+_SYMBOL_NUMBER = np.zeros(256, dtype=np.uint8)
+_SYMBOL_NUMBER[[U, D, H, I]] = range(4)
+
+
 def draw_cells(
     words: np.ndarray, params: EnergyParams
 ) -> Iterator[tuple[DrawCell, np.ndarray, np.ndarray, np.ndarray]]:
-    """The move semantics of ``ChainState.advance``, vectorized over words.
+    """The move rules of ``ChainState.advance``, vectorized over words.
 
     ``words`` is an ``(n, m)`` uint8 matrix of valid words.  For each draw
     cell that can change a word, yields ``(cell, rows, targets, accept)``:
@@ -361,54 +361,50 @@ def draw_cells(
     ``i < j`` and holds the draws (i, j) and (j, i), which swap the same
     two steps, so its weight is 2 / (4 m^2); transpositions with ``i == j``
     never change a word and are not yielded.
+
+    Each cell reads its class's rules, the table the move loop reads, as
+    numpy lookups of the symbols at i and j.  Only the transposition that
+    moves a U right past a D has code of its own: its vectorized height
+    condition, tied to the loop's by the test that injects every cell.
     """
     m = words.shape[1]
     if m < 1:
         raise ConfigInvalidError("transition law requires m >= 1")
-    ud_to_hh, hh_to_ud, h_to_i, i_to_h = move_constants(params)
+    # Per class: whether a rule applies, the symbols it writes at i and j,
+    # and its acceptance, indexed by 4 * (number at i) + (number at j).
+    lookups = []
+    for table in _move_rules(params):
+        applies = np.zeros(16, dtype=bool)
+        writes = np.zeros((2, 16), dtype=np.uint8)
+        accepts = np.zeros(16)
+        for (a, b), (new, q) in table.items():
+            key = 4 * _SYMBOL_NUMBER[a] + _SYMBOL_NUMBER[b]
+            applies[key], writes[:, key], accepts[key] = True, new, q
+        lookups.append((applies, *writes, accepts))
+    lowering = 4 * _SYMBOL_NUMBER[_LOWERING[0]] + _SYMBOL_NUMBER[_LOWERING[1]]
+    numbers = _SYMBOL_NUMBER[words].T.copy()  # one row per position
+    heights = np.cumsum(_STEP[words], axis=1, dtype=np.int32)  # after each step
     pairs = m - 1  # zero at m = 1, where the pair moves never apply
-    up = words == U
-    down = words == D
-    vertical = up | down
-    heights = np.cumsum(up.astype(np.int8) - down, axis=1)  # after each step
-
-    for p in range(pairs):
-        a, b = words[:, p], words[:, p + 1]
-        ud = (a == U) & (b == D)
-        rows = np.flatnonzero(ud | ((a == H) & (b == H)))
-        to_hh = ud[rows]
+    cells = [
+        *(DrawCell(0, p, p + 1, 0.25 / pairs) for p in range(pairs)),
+        *(DrawCell(1, i, i, 0.25 / m) for i in range(m)),
+        *(DrawCell(2, i, j, 0.5 / (m * m)) for i in range(m) for j in range(i + 1, m)),
+        *(DrawCell(3, p, p + 1, 0.25 / pairs) for p in range(pairs)),
+    ]
+    for cell in cells:
+        applies, at_i, at_j, accepts = lookups[cell.move]
+        i, j = cell.i, cell.j
+        keys = (4 * numbers[i] + numbers[j]).astype(np.intp)
+        valid = applies[keys]
+        if cell.move == _TRANSPOSE:
+            lowered = np.flatnonzero(keys == lowering)
+            valid[lowered[heights[lowered, i:j].min(axis=1) < 2]] = False
+        rows = np.flatnonzero(valid)
+        keys = keys[rows]
         targets = words[rows]
-        targets[:, p] = np.where(to_hh, H, U)
-        targets[:, p + 1] = np.where(to_hh, H, D)
-        accept = np.where(to_hh, ud_to_hh, hh_to_ud)
-        yield DrawCell(0, p, p + 1, 0.25 / pairs), rows, targets, accept
-
-    for i in range(m):
-        s = words[:, i]
-        h = s == H
-        rows = np.flatnonzero(h | (s == I))
-        to_i = h[rows]
-        targets = words[rows]
-        targets[:, i] = np.where(to_i, I, H)
-        yield DrawCell(1, i, i, 0.25 / m), rows, targets, np.where(to_i, h_to_i, i_to_h)
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            # Moving the D right raises the span; moving the U right lowers
-            # the heights after steps i..j-1 by 2, so they must be >= 2.
-            valid = down[:, i] & up[:, j]
-            lowered = np.flatnonzero(up[:, i] & down[:, j])
-            valid[lowered[heights[lowered, i:j].min(axis=1) >= 2]] = True
-            rows = np.flatnonzero(valid)
-            targets = words[rows]
-            targets[:, [i, j]] = targets[:, [j, i]]
-            yield DrawCell(2, i, j, 0.5 / (m * m)), rows, targets, np.full(rows.size, 0.5)
-
-    for p in range(pairs):
-        rows = np.flatnonzero(vertical[:, p] != vertical[:, p + 1])
-        targets = words[rows]
-        targets[:, [p, p + 1]] = targets[:, [p + 1, p]]
-        yield DrawCell(3, p, p + 1, 0.25 / pairs), rows, targets, np.full(rows.size, 0.5)
+        targets[:, i] = at_i[keys]
+        targets[:, j] = at_j[keys]
+        yield cell, rows, targets, accepts[keys]
 
 
 def transition_distribution(
@@ -436,12 +432,6 @@ class WordFields(NamedTuple):
     d0: np.ndarray
     d1: np.ndarray
     r: np.ndarray | None
-
-
-# Height change of each symbol: +1 for U, -1 for D, 0 for the level steps.
-_STEP = np.zeros(256, dtype=np.int8)
-_STEP[U] = 1
-_STEP[D] = -1
 
 
 def word_fields(words: np.ndarray, params: EnergyParams, root_degree: bool = True) -> WordFields:

@@ -1,8 +1,8 @@
 """Command-line surface: sampling, conversion, exact analysis, decomposition.
 
 Every command runs in one frame, ``main``: it parses the flags, takes the
-start time, resolves ``--out`` (a path computation that creates nothing),
-runs the command, and, when the command returns with an ``--out``, writes
+start time, takes ``--out`` as a path (which creates nothing), runs the
+command, and, when the command returns with an ``--out``, writes
 ``<out>.manifest.json`` recording the exact argv, resolved parameters,
 seed, version and timestamps; ``treegibbs replay <manifest>`` re-runs it.
 Data files never embed timestamps, so identical flags and seed reproduce
@@ -50,8 +50,6 @@ EXIT_VALIDATION = 3
 EXIT_CAPACITY = 4
 EXIT_INTERNAL = 5
 
-OUT_DIR_ENV = "TREEGIBBS_OUT_DIR"
-
 # Sample summaries include exact-distribution diagnostics up to this length.
 _SUMMARY_EXACT_CAP = 8
 
@@ -69,16 +67,6 @@ def _parse_count(value: str) -> int:
     if not math.isfinite(as_float) or as_float < 0 or as_float != int(as_float):
         raise argparse.ArgumentTypeError(f"{value!r} is not a nonnegative integer")
     return int(as_float)
-
-
-def _resolve_out(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    p = Path(path)
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    return p
 
 
 def _energy_from_args(args) -> EnergyParams:
@@ -474,7 +462,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
-    out = _resolve_out(getattr(args, "out", None))  # replay takes no --out
+    out = getattr(args, "out", None)  # replay takes no --out
+    out = None if out is None else Path(out)
     try:
         code, extra = args.func(args, out)
         if out is not None:

@@ -52,13 +52,12 @@ ERROR_ARGS = {
 }
 
 
-def cli(*args, input_text=None, env=None):
+def cli(*args, input_text=None):
     return subprocess.run(
         CLI + [str(a) for a in args],
         input=input_text,
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
 
@@ -167,15 +166,6 @@ class TestSample:
         res = cli("sample", "--n", 4, "--alpha", 0, "--beta", 0, "--steps", 200,
                   "--seed", 5, "--chains", 2, "--out", tmp_path / "mc2.csv")
         assert (tmp_path / "mc2.chain0.csv").read_bytes() == f0.read_bytes()
-
-    def test_out_dir_env(self, tmp_path):
-        import os
-
-        env = dict(os.environ, TREEGIBBS_OUT_DIR=str(tmp_path / "nested"))
-        res = cli("sample", "--n", 3, "--alpha", 0, "--beta", 0, "--steps", 10,
-                  "--out", "x.csv", env=env)
-        assert res.returncode == 0, res.stderr
-        assert (tmp_path / "nested" / "x.csv").exists()
 
     def test_flag_validation(self, tmp_path):
         assert cli("sample", "--n", 5, "--steps", 10).returncode == 2  # no energy
