@@ -217,7 +217,7 @@ class ChainState:
         transposition with ``i == j``, which swaps nothing.
 
         A survivor's uniform is read here and nowhere else: it becomes the
-        draw's move code: its class number if the uniform lies below every
+        draw's move code, its class number if the uniform lies below every
         acceptance of its class, else the class number plus 4, which takes
         only the class's rules with the largest acceptance.  The survivors
         are kept as plain lists, which beat numpy scalars for single-element
@@ -254,7 +254,10 @@ class ChainState:
         survivor's move code already says which rules its uniform accepts,
         so the loop reads no uniform: it looks the two symbols up in the
         move code's rules, walks the heights for the one rule that needs
-        it, and writes the rule's symbols.
+        it, and writes the rule's symbols.  The rules are the module's one
+        table, which ``draw_cells`` reads too; the height walk is the one
+        rule with a second, vectorized form there, and the test that injects
+        every cell's draws into this loop ties the two together.
 
         With ``hold``, every step of the call is reported as part of one
         held segment: ``hold(word, since, now)`` says that ``word`` is the
