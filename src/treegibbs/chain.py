@@ -50,7 +50,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .energy import EnergyParams
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, InternalInvariantViolationError
 from .paths import D, H, I, U, TwoMotzkinPath
 from .trees import DegreeProfile
 
@@ -112,6 +112,34 @@ def _move_rules(params: EnergyParams) -> tuple[dict, ...]:
         {(U, D): ((D, U), 0.5), (D, U): ((U, D), 0.5)},
         {(a, b): ((b, a), 0.5) for v in (U, D) for s in (H, I) for a, b in ((v, s), (s, v))},
     )
+
+
+# Path reversal R reads a word backwards and swaps U and D.
+_MIRROR = {U: D, D: U, H: H, I: I}
+
+
+def check_reversal_symmetry(params: EnergyParams) -> None:
+    """Certify, for every m, that the chain commutes with path reversal R.
+
+    R maps the positions (i, j) of a draw to (m - 1 - j, m - 1 - i), and
+    every class draws its cells with one weight, so the chain commutes with
+    R when each rule (a, b) -> (x, y) has its mirror (R b, R a) -> (R y, R x)
+    in the same class with the same acceptance, and the lowering rule, the
+    one with a height condition, is its own mirror (its condition is then
+    mirrored too).  R keeps the symbol counts, so it keeps every Gibbs
+    weight.  ``InternalInvariantViolationError`` naming the first rule
+    whose mirror fails.
+    """
+    for c, table in enumerate(_move_rules(params)):
+        for (a, b), ((x, y), q) in table.items():
+            if table.get((_MIRROR[b], _MIRROR[a])) != ((_MIRROR[y], _MIRROR[x]), q):
+                raise InternalInvariantViolationError(
+                    f"move class {c}: the rule {bytes((a, b))!r} -> {bytes((x, y))!r} "
+                    "has no mirror under path reversal with the same acceptance"
+                )
+    a, b = _LOWERING
+    if (_MIRROR[b], _MIRROR[a]) != _LOWERING:
+        raise InternalInvariantViolationError("the lowering transposition is not its own mirror")
 
 
 def _lookup(rules: dict) -> list[list[tuple | None]]:

@@ -319,7 +319,7 @@ def cmd_exact(args, out: Path | None) -> tuple[int, dict]:
         StateIndex,
         build_transition_model,
         gibbs_distribution,
-        spectral_gap,
+        reversal_gap,
         tv_decay_curve,
     )
 
@@ -332,12 +332,12 @@ def cmd_exact(args, out: Path | None) -> tuple[int, dict]:
             raise ConfigInvalidError(
                 f"--from path has length {len(start)}, expected m={args.m}"
             )
-    if args.what == "pi":
-        index = StateIndex.build(args.m)
-        pi, log_z = gibbs_distribution(args.m, params, index=index)
-    else:
+    if args.what == "tv-curve":
         model = build_transition_model(args.m, params)
         index, log_z = model.index, model.log_z
+    else:
+        index = StateIndex.build(args.m)
+        pi, log_z = gibbs_distribution(args.m, params, index=index)
     payload: dict = {
         "m": args.m,
         "alpha": params.alpha,
@@ -348,7 +348,7 @@ def cmd_exact(args, out: Path | None) -> tuple[int, dict]:
     if args.what == "pi":
         payload["pi"] = pi.tolist()
     elif args.what == "gap":
-        report = spectral_gap(model)
+        report = reversal_gap(index, pi, log_z, params)
         payload.update(
             lambda1=report.lambda1,
             gap=report.gap,

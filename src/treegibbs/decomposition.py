@@ -135,26 +135,48 @@ def projection_chain(chain: Chain, blocks: list[np.ndarray]) -> Chain:
     for b_idx, block in enumerate(blocks):
         membership[np.asarray(block, dtype=int)] = b_idx
     # Aggregate flows pi(x) P(x, y) by block of x and block of y, each sum
-    # taken in entry order.  The (block, block) codes that occur ascend: row
-    # by row, columns ascending, as a Kernel stores them.  (``np.unique``
-    # would import ``numpy.ma``, about 1 MB and 10 ms per process, and its
-    # inverse takes twice the memory of a ``searchsorted``.)
+    # taken in entry order, into the (block, block) codes that occur, which
+    # ascend: row by row, columns ascending, as a Kernel stores them.
     pairs = P.of_rows(membership)
     pairs *= n_blocks
     pairs += membership[P.indices]
-    codes = np.sort(pairs)
-    new = np.ones(len(codes), dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=new[1:])
-    codes = codes[new]
-    slots = np.searchsorted(codes, pairs)
     weights = P.of_rows(pi)
     weights *= P.data
-    flow = np.bincount(slots, weights=weights, minlength=len(codes))
+    flows = _dense_flows if n_blocks * n_blocks <= P.nnz else _sorted_flows
+    codes, flow = flows(pairs, weights, n_blocks)
     rows, cols = np.divmod(codes, n_blocks)
     pi_bar = np.array([pi[np.asarray(b, dtype=int)].sum() for b in blocks])
     indptr = np.zeros(n_blocks + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n_blocks), out=indptr[1:])
     return Chain(Kernel(indptr, cols, flow / pi_bar[rows]), pi_bar)
+
+
+def _dense_flows(
+    pairs: np.ndarray, weights: np.ndarray, n_blocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (block, block) codes that occur among ``pairs``, ascending, and the
+    sum of ``weights`` over each, taken in entry order: one ``bincount``
+    over all n_blocks^2 codes, for partitions with no more codes than
+    entries."""
+    seen = np.zeros(n_blocks * n_blocks, dtype=bool)
+    seen[pairs] = True
+    codes = np.flatnonzero(seen)
+    return codes, np.bincount(pairs, weights=weights, minlength=len(seen))[codes]
+
+
+def _sorted_flows(
+    pairs: np.ndarray, weights: np.ndarray, n_blocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_dense_flows` by sorting the entries' codes, for partitions with
+    more codes than entries; ``n_blocks`` is not read.  (``np.unique`` would
+    import ``numpy.ma``, about 1 MB and 10 ms per process, and its inverse
+    takes twice the memory of a ``searchsorted``.)"""
+    codes = np.sort(pairs)
+    new = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    codes = codes[new]
+    slots = np.searchsorted(codes, pairs)
+    return codes, np.bincount(slots, weights=weights, minlength=len(codes))
 
 
 def projected_k_distribution(m: int, params: EnergyParams) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Exhaustive small-instance ground truth for the path chain.
 
-Builds the full transition matrix over all catalan(m + 1) states and its
+Builds transition matrices over the catalan(m + 1) states and their
 spectral diagnostics, on the state index (one word matrix) and exact
 Gibbs law of :mod:`treegibbs.law`.  Everything here is a verification
 instrument: state spaces are enumerated, matrices are sparse but
@@ -16,31 +16,50 @@ takes any of them: it is the one place a kernel becomes a second
 eigenvalue, by thick-restart Lanczos on the symmetrized kernel, whatever
 its size.
 
-The kernel is the sampler's draw-cell table (``chain.draw_cells``) applied
-to the word matrix, held as a :class:`Kernel` (CSR arrays); no mirror of it
-is kept, so the checks certify the moves the sampler makes.
+Every kernel comes out of one assembly (``_assemble``): the sampler's
+draw-cell table (``chain.draw_cells``) applied to a word matrix of row
+states, and a map from each target word to a column and a sign.  The
+identity map on all words gives the full chain, bit for bit as it was
+built before the map; ``exact pi``, ``tv-curve`` and ``decompose`` use
+it.  The chain commutes with path reversal R (a word read backwards, U
+and D swapped; ``chain.check_reversal_symmetry`` certifies it from the
+rule table for every m), so its spectrum splits into the functions even
+and odd under R.  :func:`build_sector` maps each target to its orbit's
+representative, x <= Rx: the even sector is the lumped chain on the
+orbits, and the odd sector, on the non-palindromic orbits, takes the
+mass sent to a reversed word with sign -1; it is symmetric under the
+orbit masses but not stochastic.  ``exact gap`` (:func:`reversal_gap`)
+builds, verifies, symmetrizes and solves one sector, lets it go and
+does the other, each solve started from a closed-form guess at its
+sector's slowest mode.  It never builds the full kernel; its
+``iterations`` are the two solves' products summed, and its ``residual``
+the larger of the two.  No mirror of the draw cells is kept, so the
+checks certify the moves the sampler makes.
 
 Memory per kernel entry sets the largest m the oracle reaches, so a
 kernel keeps its column and value arrays and nothing else per entry.  The
-build packs each entry as one (row, column, slot) key and sorts the keys
-in place; the checks, the symmetrization and the projections compute the
-entries' rows and mirrors when they need them and let them go.
+assembly packs each entry as one (row, column, turned, slot) key and
+sorts the keys in place; the checks, the symmetrization and the
+projections compute the entries' rows and mirrors when they need them
+and let them go.
 
-The build places every entry once: an entry placed twice is an internal
+A row places each target word once: a word placed twice is an internal
 fault, raised rather than summed, since a sum would hide a draw cell
-listed twice behind rows that still sum to 1.  Restrictions
-(``decomposition.restriction_chain``) slice these arrays to an ascending
-block, which keeps each row's columns in order, so they need no sort.
+listed twice behind rows that still sum to 1.  Two distinct words that
+share a column, a word and its reversal in a sector, are summed.
+Restrictions (``decomposition.restriction_chain``) slice these arrays to
+an ascending block, which keeps each row's columns in order, so they
+need no sort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .chain import draw_cells
+from .chain import check_reversal_symmetry, draw_cells
 from .energy import EnergyParams
 from .errors import (
     BalanceViolationError,
@@ -50,7 +69,7 @@ from .errors import (
     NoConvergenceError,
 )
 from .law import StateIndex, _codes, gibbs_distribution, tv_distance
-from .paths import TwoMotzkinPath
+from .paths import D, U, TwoMotzkinPath
 
 # Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors (ARPACK's
 # default is 20) and a restart keeps the LANCZOS_KEEP largest Ritz vectors.  A
@@ -94,20 +113,32 @@ class Kernel:
         cls, indptr: np.ndarray, keys: np.ndarray, data: np.ndarray, shift: int
     ) -> Kernel:
         """The kernel of row-grouped packed entries: ``keys[indptr[i]:indptr[i + 1]]``
-        holds ``(i * n + column) << shift | slot`` for each entry of row i,
-        whose value is ``data[indptr[i] + slot]``.  Sorts ``keys`` in place and
-        makes it the column array.  ``InternalInvariantViolationError`` if two
-        entries share a row and a column: a kernel stores each entry once."""
+        holds ``((i * n + column) << 1 | turned) << shift | slot`` for each entry
+        of row i, whose value is ``data[indptr[i] + slot]``.  ``turned`` tells
+        apart two target words placed in one column (a word and its reversal,
+        in a reversal sector); their entries are summed, the unturned one
+        first.  Sorts ``keys`` in place and makes it the column array, and
+        reorders ``data`` in place.
+        ``InternalInvariantViolationError`` if two entries share a row, a
+        column and ``turned``: a row places each target word once."""
         n = len(indptr) - 1
         # One sort orders the columns of every row, and leaves each row's
         # entries in its own range; the slot says where each value was.
         keys.sort()
         at = keys & ((1 << shift) - 1)
         at += np.repeat(indptr[:-1], np.diff(indptr))
-        data = data[at]
-        keys >>= shift  # row * n + column
+        data[:] = data[at]
+        del at
+        keys >>= shift  # (row * n + column) << 1 | turned
         if (keys[1:] == keys[:-1]).any():
-            raise InternalInvariantViolationError("two kernel entries share a row and a column")
+            raise InternalInvariantViolationError("a kernel row places one target word twice")
+        keys >>= 1  # row * n + column
+        # A column holds at most a word and its reversal, so a repeat is a pair.
+        second = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if len(second):
+            data[second - 1] += data[second]
+            data, keys = np.delete(data, second), np.delete(keys, second)
+            indptr = indptr - np.searchsorted(second, indptr)
         keys %= n  # the columns
         return cls(indptr, keys, data)
 
@@ -171,10 +202,16 @@ class Kernel:
 
 @dataclass
 class Chain:
-    """A kernel ``P`` with its stationary law ``pi``, on ``n`` states."""
+    """A kernel ``P`` with its stationary law ``pi``, on ``n`` states.
+
+    An odd reversal sector (:func:`build_sector`) is held as a chain too:
+    there ``P`` is an operator symmetric under ``pi`` but not ``stochastic``,
+    and ``pi`` is not a law.
+    """
 
     P: Kernel
     pi: np.ndarray
+    stochastic: bool = field(default=True, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -184,7 +221,8 @@ class Chain:
 @dataclass
 class TransitionModel(Chain):
     """The verified full chain over the enumerated space ``index``, under
-    ``params``, with its log partition value."""
+    ``params``, with its log partition value; or one reversal sector of it,
+    whose ``index`` holds the orbit representatives."""
 
     index: StateIndex
     params: EnergyParams
@@ -215,67 +253,145 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     """
     index = StateIndex.build(m)
     pi, log_z = gibbs_distribution(m, params, index=index)
-
-    n = len(index)
-    codes = index.codes
-    # Each cell's entries as row * n + column keys, with their values.
-    cells = []
-    lengths = np.ones(n, dtype=np.intp)  # the diagonal, then one entry per cell
-    moved = np.zeros(n)
-    # No two cells move a row to the same target (a transposition cell holds
-    # both of its draws), so each cell's entries are placed as they are.
-    for cell, rows, targets, accept in draw_cells(index.words, params):
-        vals = cell.weight * accept
-        moved[rows] += vals
-        target_codes = _codes(targets)
-        cols = np.searchsorted(codes, target_codes)
-        if not np.array_equal(codes[np.minimum(cols, n - 1)], target_codes):
-            raise InternalInvariantViolationError("a move left the enumerated state space")
-        lengths[rows] += 1
-        keys = rows * n
-        keys += cols
-        cells.append((keys, vals))
-    # Every entry goes to its row's next free slot as a packed (row, column,
-    # slot) key; slot 0 of each row is the diagonal, which keeps what no cell
-    # moves.  One sort of the keys then orders the columns of every row.
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(lengths, out=indptr[1:])
-    shift = int(lengths.max()).bit_length()
-    keys = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    free = indptr[:-1].copy()
-    keys[free] = np.arange(n) * (n + 1) << shift
-    data[free] = 1.0 - moved
-    free += 1
-    cells.reverse()
-    while cells:
-        cell_keys, vals = cells.pop()
-        rows = cell_keys // n
-        at = free[rows]
-        free[rows] += 1
-        cell_keys <<= shift
-        cell_keys |= at - indptr[rows]
-        keys[at], data[at] = cell_keys, vals
-    P = Kernel._from_keys(indptr, keys, data, shift)
-    del data  # the values in slot order; P holds them in column order
+    P = _assemble(index, index.words, 2 * np.arange(len(index)), params)
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
     verify_model(model)
     return model
 
 
+def build_sector(
+    index: StateIndex, pi: np.ndarray, log_z: float, params: EnergyParams, odd: bool
+) -> TransitionModel:
+    """The even or the odd reversal sector of the full chain on ``index``,
+    whose law is ``pi``, verified.
+
+    The chain commutes with path reversal R (``chain.check_reversal_symmetry``
+    certifies it from the rule table), so its spectrum is that of the even
+    functions, f(Rx) = f(x), and that of the odd ones, f(Rx) = -f(x).  A
+    sector's states are the orbit representatives x <= Rx (in state order),
+    odd ones excluding the palindromes x = Rx, where odd functions vanish.
+    The even sector is the lumped chain on the orbits, P(x, y) + P(x, Ry),
+    reversible under the orbit masses pi(x) (2 - [x = Rx]).  The odd sector
+    is P(x, y) - P(x, Ry), symmetric under those masses but not stochastic.
+    Empty for the odd sector when every state is a palindrome (m <= 1).
+    """
+    reps, place = _orbit_columns(index, odd)
+    words = index.words[reps]
+    P = _assemble(index, words, place, params, turned_sign=-1.0 if odd else 1.0)
+    del place
+    sector = TransitionModel(
+        index=StateIndex(m=index.m, words=words, codes=index.codes[reps]),
+        params=params,
+        P=P,
+        pi=pi[reps] * (2.0 - (index.reversals[reps] == reps)),
+        log_z=log_z,
+        stochastic=not odd,
+    )
+    verify_model(sector)
+    return sector
+
+
+def _orbit_columns(index: StateIndex, odd: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A reversal sector's states and where the mass sent to each state goes.
+
+    The states are the representatives x <= Rx, in state order, without the
+    palindromes in the odd sector.  ``place`` is the :func:`_assemble` map:
+    each state's mass goes to its orbit's column, turned when the state is
+    the reversal of the column's representative, and an odd sector drops
+    the mass sent to a palindrome.
+    """
+    reversals = index.reversals
+    states = np.arange(len(index))
+    (reps,) = np.nonzero(states < reversals if odd else states <= reversals)
+    place = np.full(len(index), -1)
+    place[reps] = 2 * np.arange(len(reps))
+    place = place[np.minimum(states, reversals)]
+    place += states > reversals
+    return reps, place
+
+
+def _assemble(
+    index: StateIndex,
+    words: np.ndarray,
+    place: np.ndarray,
+    params: EnergyParams,
+    turned_sign: float = 1.0,
+) -> Kernel:
+    """The kernel of the chain's moves from the states whose words are the
+    rows of ``words``, one row each, over the states of ``index``.
+
+    The mass a move sends to state t goes to column ``place[t] >> 1``, as a
+    turned word when ``place[t]`` is odd (its value then times
+    ``turned_sign``), and is dropped when ``place[t]`` is negative.  Row i's
+    own state must be placed at column i, unturned: what no move takes from
+    it stays there.  A row that places one target word twice is an internal
+    fault, raised rather than summed, since a sum would hide a draw cell
+    listed twice behind rows that still sum to 1; distinct words placed in
+    one column, a word and its reversal, are summed (:meth:`Kernel._from_keys`).
+    """
+    n, codes = len(words), index.codes
+    # Each cell's entries as (row * n + column) << 1 | turned keys, with
+    # their values.
+    cells = []
+    lengths = np.ones(n, dtype=np.intp)  # the diagonal, then one entry per cell
+    moved = np.zeros(n)
+    for cell, rows, targets, accept in draw_cells(words, params):
+        vals = cell.weight * accept
+        moved[rows] += vals
+        target_codes = _codes(targets)
+        states = np.searchsorted(codes, target_codes)
+        if not np.array_equal(codes[np.minimum(states, len(codes) - 1)], target_codes):
+            raise InternalInvariantViolationError("a move left the enumerated state space")
+        cols = place[states]
+        kept = cols >= 0
+        if not kept.all():
+            rows, cols, vals = rows[kept], cols[kept], vals[kept]
+        if turned_sign != 1.0:
+            vals[(cols & 1) == 1] *= turned_sign
+        lengths[rows] += 1
+        keys = rows * (2 * n)
+        keys += cols
+        cells.append((keys, vals))
+    # Every entry goes to its row's next free slot as a packed (row, column,
+    # turned, slot) key; slot 0 of each row is the diagonal, which keeps what
+    # no cell moves.  One sort of the keys then orders the columns of every
+    # row.
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(lengths, out=indptr[1:])
+    shift = int(lengths.max(initial=1)).bit_length()
+    keys = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    free = indptr[:-1].copy()
+    keys[free] = np.arange(n) * (2 * n + 2) << shift
+    data[free] = 1.0 - moved
+    free += 1
+    cells.reverse()
+    while cells:
+        cell_keys, vals = cells.pop()
+        rows = cell_keys // (2 * n)
+        at = free[rows]
+        free[rows] += 1
+        cell_keys <<= shift
+        cell_keys |= at - indptr[rows]
+        keys[at], data[at] = cell_keys, vals
+    return Kernel._from_keys(indptr, keys, data, shift)
+
+
 def verify_model(model: TransitionModel) -> None:
-    """Stochasticity, stationarity, and detailed balance, or raise.
+    """Stochasticity, stationarity, and detailed balance, or raise; detailed
+    balance alone for an operator that is not ``stochastic``.
 
     Each check computes the per-entry arrays it reads (rows, mirrors,
     flows) and lets them go."""
-    row_err = float(np.abs(model.P.row_sums() - 1.0).max())
-    if row_err > VERIFY_TOL:
-        raise BalanceViolationError(f"row sums off by {row_err:.3e}", magnitude=row_err)
-    stat_err = stationarity_residual(model)
-    if stat_err > VERIFY_TOL:
-        raise BalanceViolationError(f"pi P != pi, residual {stat_err:.3e}", magnitude=stat_err)
+    if model.stochastic:
+        row_err = float(np.abs(model.P.row_sums() - 1.0).max())
+        if row_err > VERIFY_TOL:
+            raise BalanceViolationError(f"row sums off by {row_err:.3e}", magnitude=row_err)
+        stat_err = stationarity_residual(model)
+        if stat_err > VERIFY_TOL:
+            raise BalanceViolationError(f"pi P != pi, residual {stat_err:.3e}", magnitude=stat_err)
     worst, pair = detailed_balance_violation(model)
-    flow_scale = float((model.P.of_rows(model.pi) * model.P.data).max())
+    flow_scale = float(np.abs(model.P.of_rows(model.pi) * model.P.data).max(initial=0.0))
     if worst > VERIFY_TOL * flow_scale:
         x, y = pair
         raise BalanceViolationError(
@@ -336,26 +452,45 @@ def spectral_gap(chain: Chain) -> SpectralReport:
 
     :func:`lanczos_top` on the :func:`symmetrized`
     A = diag(pi)^{1/2} P diag(pi)^{-1/2}, with its known top eigenvector
-    sqrt(pi) deflated.  ``residual`` is max ||A v - lambda v|| over both
-    eigenpairs, ``iterations`` the count of products with A.
-    ``ConfigInvalidError`` for fewer than two states;
-    ``MassUnderflowError`` when some state has mass 0, which A cannot be
-    scaled by; ``NoConvergenceError`` when the residual exceeds
-    ``LANCZOS_REJECT``, which no pair the solver should accept comes near.
+    sqrt(pi) deflated.  A chain that is not ``stochastic`` (an odd reversal
+    sector) has no known eigenvector, and lambda1 is A's largest eigenvalue.
+    ``residual`` is max ||A v - lambda v|| over the eigenpairs (the
+    solution, and sqrt(pi) when it is deflated), ``iterations`` the count of
+    products with A.  ``ConfigInvalidError`` for a stochastic chain of fewer
+    than two states; ``MassUnderflowError`` when some state has mass 0,
+    which A cannot be scaled by; ``NoConvergenceError`` when the residual
+    exceeds ``LANCZOS_REJECT``, which no pair the solver should accept comes
+    near.
     """
-    if chain.n < 2:
+    if chain.stochastic and chain.n < 2:
         raise ConfigInvalidError("spectral gap needs at least two states")
-    pi = chain.pi
+    root = _root_masses(chain.pi)
+    return _solve(symmetrized(chain.P, root), root, chain.stochastic)
+
+
+def _root_masses(pi: np.ndarray) -> np.ndarray:
+    """sqrt(pi), or ``MassUnderflowError`` when some state has mass 0."""
     empty = len(pi) - np.count_nonzero(pi)
     if empty:
         raise MassUnderflowError(
             f"the Gibbs mass of {empty} of {len(pi)} states underflows to 0 in float64, "
             "so the kernel cannot be symmetrized; use smaller |alpha| and |beta|"
         )
-    root = np.sqrt(pi)
-    A = symmetrized(chain.P, root)
-    lambda1, v, products = lanczos_top(A, root)
-    residual = float(max(np.linalg.norm(A @ v - lambda1 * v), np.linalg.norm(A @ root - root)))
+    return np.sqrt(pi)
+
+
+def _solve(
+    A: SymmetricOperator, root: np.ndarray, stochastic: bool, guess: np.ndarray | None = None
+) -> SpectralReport:
+    """The :func:`spectral_gap` report of the symmetrized operator A, scaled
+    by ``root``, once the kernel itself is no longer needed.  ``guess`` is an
+    observable on the states, a guess at the slowest mode: the solve then
+    starts from root * guess plus the cosines."""
+    u = root if stochastic else None
+    lambda1, v, products = lanczos_top(A, u, None if guess is None else root * guess)
+    residual = float(np.linalg.norm(A @ v - lambda1 * v))
+    if u is not None:
+        residual = max(residual, float(np.linalg.norm(A @ u - u)))
     if not residual <= LANCZOS_REJECT:
         raise NoConvergenceError(products, residual)
     gap = 1.0 - lambda1
@@ -366,6 +501,59 @@ def spectral_gap(chain: Chain) -> SpectralReport:
         residual=residual,
         iterations=products,
     )
+
+
+def reversal_gap(
+    index: StateIndex, pi: np.ndarray, log_z: float, params: EnergyParams
+) -> SpectralReport:
+    """The spectral gap of the full chain on ``index``, whose law is ``pi``,
+    solved one reversal sector at a time (:func:`build_sector`).
+
+    ``chain.check_reversal_symmetry`` certifies the split first.  Each sector
+    is built, verified and symmetrized, and let go before it is solved as
+    :func:`spectral_gap` solves a chain, so no full kernel is built and at
+    most one sector's is held.  lambda1 is the larger of the even sector's
+    second eigenvalue and the odd sector's first (there is no odd sector at
+    m <= 1).  ``iterations`` is the sum of the solves' products and
+    ``residual`` the larger of their residuals.
+
+    Each solve starts from a closed-form guess at its sector's slowest mode
+    (:func:`_slow_mode`).  On the full chain that start would be unsafe: an
+    observable even under reversal has no component in the odd sector, where
+    the slowest mode may lie, and the cosines alone would reach it.
+    """
+    check_reversal_symmetry(params)
+    reports = []
+    for odd in (False, True):
+        sector = build_sector(index, pi, log_z, params, odd)
+        if not sector.n:
+            break
+        root = _root_masses(sector.pi)
+        A = symmetrized(sector.P, root)
+        guess = _slow_mode(sector.index.words, odd)
+        del sector  # A holds all the solve reads
+        reports.append(_solve(A, root, not odd, guess))
+        del A
+    lambda1 = max(report.lambda1 for report in reports)
+    gap = 1.0 - lambda1
+    return SpectralReport(
+        lambda1=lambda1,
+        gap=gap,
+        relaxation_time=1.0 / gap,
+        residual=max(report.residual for report in reports),
+        iterations=sum(report.iterations for report in reports),
+    )
+
+
+def _slow_mode(words: np.ndarray, odd: bool) -> np.ndarray:
+    """A guess at a reversal sector's slowest mode, on the rows of a word
+    matrix: the area under the path in the even sector, and in the odd one
+    the heights' first moment about the midpoint, which reversal negates."""
+    m = words.shape[1]
+    heights = np.cumsum((words == U).astype(np.int64) - (words == D), axis=1)
+    if odd:
+        return heights @ (np.arange(1, m + 1) - 0.5 * m)
+    return heights.sum(axis=1).astype(float)
 
 
 _BLOCK_ROWS = 1 << 14  # rows per block of SymmetricOperator: a product's temporaries stay small
@@ -421,9 +609,12 @@ def symmetrized(P: Kernel, root: np.ndarray) -> SymmetricOperator:
     return SymmetricOperator(P.n, tuple(blocks))
 
 
-def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray, int]:
+def lanczos_top(
+    A: SymmetricOperator, u: np.ndarray | None, guess: np.ndarray | None = None
+) -> tuple[float, np.ndarray, int]:
     """Largest eigenvalue of a symmetric A on the complement of its unit
-    eigenvector u, its unit eigenvector, and the count of products with A.
+    eigenvector u (on the whole space when u is None), its unit eigenvector,
+    and the count of products with A.
 
     Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000)
     from a closed-form start, the cosines of the multiples of the golden
@@ -432,18 +623,29 @@ def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray,
     ``numpy.random`` stream would serve too, but NumPy may change its
     streams between versions (NEP 19), and where numpy loads ``numpy.random``
     lazily (numpy 2.4 does; older versions import it with numpy) importing
-    it costs a process about 13 ms and several MB.  Each product is
-    orthogonalized against u and the basis.  A full cycle restarts from the
-    ``LANCZOS_KEEP`` largest Ritz vectors and the last Lanczos vector.
-    ``NoConvergenceError`` after ``LANCZOS_MAX_PRODUCTS`` products.
+    it costs a process about 13 ms and several MB.  A ``guess`` at the
+    eigenvector, taken off u, is added to the cosines, each scaled to unit
+    norm: the guess cuts the products, and the cosines keep the start
+    generic, so that the solve still reaches an eigenvector the guess is
+    orthogonal to.  Each product is orthogonalized against u
+    and the basis.  A full cycle restarts from the ``LANCZOS_KEEP`` largest
+    Ritz vectors and the last Lanczos vector.  ``NoConvergenceError`` after
+    ``LANCZOS_MAX_PRODUCTS`` products.
     """
-    n = len(u)
-    size = min(LANCZOS_BASIS, n - 1)
+    n = A.n
+    size = min(LANCZOS_BASIS, n if u is None else n - 1)
     keep = min(LANCZOS_KEEP, size - 1)
     V = np.empty((size + 1, n))  # the basis, one vector per row
     T = np.zeros((size, size))  # A projected onto the basis
     v = np.cos(np.arange(n) * (np.pi * (3.0 - np.sqrt(5.0))))
-    v -= (u @ v) * u
+    if guess is not None:
+        if u is not None:
+            guess = guess - (u @ guess) * u
+        norm = np.linalg.norm(guess)
+        if norm > 0.0:
+            v = v / np.linalg.norm(v) + guess / norm
+    if u is not None:
+        v -= (u @ v) * u
     V[0] = v / np.linalg.norm(v)
     products = 0
     start = 0
@@ -464,7 +666,8 @@ def lanczos_top(A: SymmetricOperator, u: np.ndarray) -> tuple[float, np.ndarray,
                 w -= h @ V[: j + 1]
                 coef += h
             # Last, so that no subtraction brings u's direction back.
-            w -= (u @ w) * u
+            if u is not None:
+                w -= (u @ w) * u
             T[: j + 1, j] = T[j, : j + 1] = coef
             beta = float(np.linalg.norm(w))
             theta, S = np.linalg.eigh(T[: j + 1, : j + 1])

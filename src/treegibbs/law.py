@@ -26,6 +26,9 @@ from .paths import D, SYMBOL_ORDER, U, PathSequence, TwoMotzkinPath, enumerate_p
 # codes of a StateIndex's words ascend and fit in int64 for m <= 31.
 _DIGIT = np.zeros(256, dtype=np.int64)
 _DIGIT[list(SYMBOL_ORDER)] = np.arange(4)
+# Each symbol under path reversal: U and D swap, the level steps stay.
+_REVERSED = np.arange(256, dtype=np.uint8)
+_REVERSED[[U, D]] = D, U
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +77,14 @@ class StateIndex:
     def energies(self, params: EnergyParams) -> np.ndarray:
         """``path_energy`` of every state, read off the word matrix by ``chain.word_fields``."""
         return word_fields(self.words, params, root_degree=False).energy
+
+    @cached_property
+    def reversals(self) -> np.ndarray:
+        """Index of each state's reversal: its word read backwards with U and D
+        swapped, which is a path of the same length.  Read-only: it is shared."""
+        found = np.searchsorted(self.codes, _codes(_REVERSED[self.words[:, ::-1]]))
+        found.flags.writeable = False
+        return found
 
     @cached_property
     def label_blocks(self) -> dict[tuple[int, str, str], np.ndarray]:

@@ -449,8 +449,8 @@ class TestExact:
         # far above any converged solve's.
         solve = exact.lanczos_top
 
-        def off_pair(A, u):
-            lambda1, v, products = solve(A, u)
+        def off_pair(A, u, guess=None):
+            lambda1, v, products = solve(A, u, guess)
             return lambda1 + 1e-6, v, products
 
         monkeypatch.setattr(exact, "lanczos_top", off_pair)

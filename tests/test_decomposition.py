@@ -249,6 +249,26 @@ class TestProjection:
         assert np.abs(flows - flows.T).max() < 1e-14
         assert proj.pi.sum() == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("depth", [1, 3], ids=["k", "label"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_dense_and_sorted_flows_agree_bit_for_bit(
+        self, m, depth, alpha, beta, model_for, monkeypatch
+    ):
+        # The k partition takes the dense bincount and, from m = 2, the label
+        # partition the sort; each is run again with the other form.
+        model = model_for(m, alpha, beta)
+        blocks = list(blocks_at(model.index, depth).values())
+        expected = projection_chain(model, blocks)
+        dense, ordered = decomposition._dense_flows, decomposition._sorted_flows
+        monkeypatch.setattr(decomposition, "_dense_flows", ordered)
+        monkeypatch.setattr(decomposition, "_sorted_flows", dense)
+        swapped = projection_chain(model, blocks)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(swapped.P, name), getattr(expected.P, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert swapped.pi.tobytes() == expected.pi.tobytes()
+
 
 class TestProjectedKDistribution:
     def test_m2_uniform(self):

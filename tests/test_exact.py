@@ -26,8 +26,10 @@ from treegibbs import (
 from treegibbs.cli import main
 from treegibbs.exact import (
     Kernel,
+    build_sector,
     detailed_balance_violation,
     is_strongly_connected,
+    reversal_gap,
     stationarity_residual,
     symmetrized,
     verify_model,
@@ -40,7 +42,7 @@ from treegibbs.errors import (
     LengthMismatchError,
 )
 from treegibbs.law import empirical_distribution, logsumexp
-from treegibbs.paths import TwoMotzkinPath
+from treegibbs.paths import D, H, U, TwoMotzkinPath
 
 from conftest import dense_lambda1, kernel_from_dense, sample_rows, scipy_csr
 
@@ -51,6 +53,8 @@ PIN_PARAMS = {
     "0,0": ZERO,
     "1,-1": EnergyParams(1.0, -1.0),
 }
+# With (-1, 1), the one parameter set under which I -> H is one-way.
+FOUR_PARAMS = {**PIN_PARAMS, "-1,1": EnergyParams(-1.0, 1.0)}
 
 
 class TestStateIndex:
@@ -317,19 +321,29 @@ class TestKernel:
 
     def test_from_keys_sorts_columns_and_rejects_repeats(self):
         # Rows 0 and 2 of three states, each entry packed as
-        # (row * 3 + column) << 2 | slot, its value at indptr[row] + slot.
+        # ((row * 3 + column) << 1 | turned) << 2 | slot, its value at
+        # indptr[row] + slot.
         def packed(entries):
-            return np.array([(r * 3 + c) << 2 | slot for r, c, slot in entries])
+            return np.array([((r * 3 + c) << 1 | t) << 2 | slot for r, c, t, slot in entries])
 
         indptr = np.array([0, 2, 2, 4])
         data = np.array([1.0, 2.0, 3.0, 4.0])
-        P = Kernel._from_keys(indptr, packed([(0, 2, 0), (0, 0, 1), (2, 1, 0), (2, 0, 1)]), data, 2)
+        entries = [(0, 2, 0, 0), (0, 0, 0, 1), (2, 1, 0, 0), (2, 0, 0, 1)]
+        P = Kernel._from_keys(indptr, packed(entries), data.copy(), 2)
         assert P.indptr.tolist() == [0, 2, 2, 4]
         assert P.indices.tolist() == [0, 2, 0, 1]
         assert P.data.tolist() == [2.0, 1.0, 4.0, 3.0]
         assert P.shape == (3, 3) and P.nnz == 4
+        # A word and its reversal placed in one column are summed.
+        entries[2] = (2, 0, 1, 0)
+        P = Kernel._from_keys(indptr, packed(entries), data.copy(), 2)
+        assert P.indptr.tolist() == [0, 2, 2, 3]
+        assert P.indices.tolist() == [0, 2, 0]
+        assert P.data.tolist() == [2.0, 1.0, 4.0 + 3.0]
+        # The same target word twice is a fault.
+        entries = [(0, 2, 0, 0), (0, 2, 0, 1), (2, 1, 0, 0), (2, 0, 0, 1)]
         with pytest.raises(InternalInvariantViolationError):
-            Kernel._from_keys(indptr, packed([(0, 2, 0), (0, 2, 1), (2, 1, 0), (2, 0, 1)]), data, 2)
+            Kernel._from_keys(indptr, packed(entries), data.copy(), 2)
 
     @pytest.mark.parametrize(
         "dense",
@@ -443,6 +457,140 @@ class TestSpectral:
             spectral_gap(tiny)
 
 
+    def test_guess_orthogonal_to_the_top_eigenvector(self):
+        # Two blocks, the top eigenvector in the first and the guess in the
+        # second.  Products keep exact zeros, so a start from the guess alone
+        # would never leave the second block; the cosines reach the first.
+        first = np.array([[0.9, 0.05], [0.05, 0.5]])
+        second = np.array([[0.6, 0.1, 0.0], [0.1, 0.4, 0.1], [0.0, 0.1, 0.3]])
+        dense = np.zeros((5, 5))
+        dense[:2, :2], dense[2:, 2:] = first, second
+        A = symmetrized(kernel_from_dense(dense), np.ones(5))
+        top = np.linalg.eigvalsh(dense)[-1]
+        assert top > np.linalg.eigvalsh(second)[-1] + 0.2
+        lambda1, v, _ = exact.lanczos_top(A, None, np.array([0.0, 0.0, 1.0, 2.0, 3.0]))
+        assert abs(lambda1 - top) <= 1e-12
+        assert np.abs(dense @ v - lambda1 * v).max() <= 1e-12
+
+
+class TestReversalSectors:
+    """The chain commutes with path reversal R, so ``exact gap`` solves the
+    even and the odd sector apart (``exact.build_sector``)."""
+
+    @pytest.mark.parametrize("name", FOUR_PARAMS)
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_kernel_commutes_with_reversal(self, m, name):
+        from math import comb
+
+        model = build_transition_model(m, FOUR_PARAMS[name])
+        P, rev = model.P, model.index.reversals
+        states = np.arange(model.n)
+        assert np.array_equal(rev[rev], states)
+        assert np.count_nonzero(rev == states) == comb(m + 1, (m + 1) // 2)  # palindromes
+        assert np.array_equal(model.pi[rev], model.pi)
+        # The entry at (Rx, Ry) of each entry (x, y) is stored and, off the
+        # diagonal, equal; a diagonal is 1 minus its row's moves, summed in
+        # another order.
+        rows = P.rows
+        codes = rows * P.n + P.indices
+        mirrored = rev[rows] * P.n + rev[P.indices]
+        at = np.searchsorted(codes, mirrored).clip(max=P.nnz - 1)
+        assert np.array_equal(codes[at], mirrored)
+        off = rows != P.indices
+        assert np.array_equal(P.data[at][off], P.data[off])
+        assert np.abs(P.data[at][~off] - P.data[~off]).max() <= 2.3e-16
+
+    @pytest.mark.parametrize("name", FOUR_PARAMS)
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_sector_gap_matches_the_full_model(self, m, name):
+        params = FOUR_PARAMS[name]
+        model = build_transition_model(m, params)
+        full = spectral_gap(model)
+        sectors = reversal_gap(model.index, model.pi, model.log_z, params)
+        assert abs(sectors.lambda1 - full.lambda1) <= 1e-12
+        assert abs(sectors.gap - full.gap) <= 1e-12
+        assert sectors.residual <= 1e-13
+        if m <= 6:
+            assert abs(sectors.lambda1 - dense_lambda1(model.P, model.pi)) <= 1e-12
+
+    @pytest.mark.parametrize("name", FOUR_PARAMS)
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_sector_spectra_make_up_the_full_spectrum(self, m, name):
+        model = build_transition_model(m, FOUR_PARAMS[name])
+
+        def spectrum(chain):
+            root = np.sqrt(chain.pi)
+            return np.linalg.eigvalsh(root[:, None] * chain.P.toarray() / root)
+
+        even, odd = (build_sector(model.index, model.pi, model.log_z, model.params, odd)
+                     for odd in (False, True))
+        assert even.stochastic and not odd.stochastic
+        assert even.n + odd.n == model.n
+        both = np.sort(np.concatenate([spectrum(even), spectrum(odd)]))
+        assert np.abs(both - spectrum(model)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name,lambda1",
+        [("turner04-cg", (0.8750000000000001, 0.941076988680778)),
+         ("1,-1", (0.8750000000000002, 0.9831767239697222)),
+         ("0,0", (0.875, 0.9657253726847361)),
+         ("-1,1", (0.8750000000000002, 0.9439776416626923))],
+    )
+    def test_shortest_paths(self, name, lambda1, capsys):
+        # Every state is a palindrome at m <= 1, so there is no odd sector;
+        # at m = 2 it holds the one orbit {HI, IH}.  The values are the
+        # full chain's.
+        params = FOUR_PARAMS[name]
+        flags = ["--alpha", repr(params.alpha), f"--beta={params.beta!r}"]
+        assert main(["exact", "gap", "--m", "0", *flags]) == 3
+        assert capsys.readouterr().err == "validation error: transition law requires m >= 1\n"
+        for m, expected in zip((1, 2), lambda1):
+            assert main(["exact", "gap", "--m", str(m), *flags]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert abs(report["lambda1"] - expected) <= 1e-12
+            index = StateIndex.build(m)
+            pi, log_z = gibbs_distribution(m, params, index=index)
+            odd = build_sector(index, pi, log_z, params, odd=True)
+            assert [x.word for x in odd.index.paths] == ([] if m == 1 else ["HI"])
+
+    def test_rule_without_its_mirror_fails_the_construction_check(self, monkeypatch, capsys):
+        # U H -> H U at 0.4 while its mirror H D -> D H keeps 0.5.
+        import treegibbs.chain as chain
+
+        real = chain._move_rules
+
+        def mutant(params):
+            rules = real(params)
+            rules[3][U, H] = ((H, U), 0.4)
+            return rules
+
+        monkeypatch.setattr(chain, "_move_rules", mutant)
+        with pytest.raises(InternalInvariantViolationError, match="mirror"):
+            chain.check_reversal_symmetry(resolve_params("turner04-cg"))
+        assert main(["exact", "gap", "--m", "4", "--params", "turner04-cg"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: move class 3") and "Traceback" not in err
+
+    def test_self_mirrored_rule_change_fails_verification(self, monkeypatch, capsys):
+        # D U -> U D is its own mirror, so at 0.4 the chain still commutes
+        # with reversal and the construction check passes; the sector's
+        # detailed balance check refuses it.
+        import treegibbs.chain as chain
+
+        real = chain._move_rules
+
+        def mutant(params):
+            rules = real(params)
+            rules[2][D, U] = ((U, D), 0.4)
+            return rules
+
+        monkeypatch.setattr(chain, "_move_rules", mutant)
+        chain.check_reversal_symmetry(resolve_params("turner04-cg"))
+        assert main(["exact", "gap", "--m", "4", "--params", "turner04-cg"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("internal check failed: ") and "Traceback" not in err
+
+
 class TestFootprint:
     def test_traced_peak_per_kernel_entry(self):
         # What the oracle holds per kernel entry at m = 9 (211 764 entries),
@@ -463,6 +611,22 @@ class TestFootprint:
             tracemalloc.stop()
         assert build_peak / model.P.nnz <= 54
         assert solve_peak / model.P.nnz <= 66
+
+    def test_exact_gap_traced_peak_per_full_kernel_entry(self, capsys):
+        # `exact gap` holds one reversal sector at a time and never the full
+        # kernel: at m = 9 its whole run peaks at about 27 B per entry of the
+        # full kernel (211 764 entries).  Building and solving the full
+        # chain, as `exact gap` once did, reads about 58 B.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            assert main(["exact", "gap", "--m", "9", "--params", "turner04-cg"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["m"] == 9
+        assert peak / 211_764 <= 34
 
 
 class TestTV:
