@@ -51,7 +51,7 @@ import numpy as np
 
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, InternalInvariantViolationError
-from .paths import D, H, I, U, TwoMotzkinPath
+from .paths import D, H, I, REVERSED_SYMBOL, U, TwoMotzkinPath
 from .trees import DegreeProfile
 
 _RNG_BLOCK = 4096
@@ -114,12 +114,9 @@ def _move_rules(params: EnergyParams) -> tuple[dict, ...]:
     )
 
 
-# Path reversal R reads a word backwards and swaps U and D.
-_MIRROR = {U: D, D: U, H: H, I: I}
-
-
 def check_reversal_symmetry(params: EnergyParams) -> None:
-    """Certify, for every m, that the chain commutes with path reversal R.
+    """Certify, for every m, that the chain commutes with path reversal R
+    (``paths.REVERSED_SYMBOL``).
 
     R maps the positions (i, j) of a draw to (m - 1 - j, m - 1 - i), and
     every class draws its cells with one weight, so the chain commutes with
@@ -130,15 +127,16 @@ def check_reversal_symmetry(params: EnergyParams) -> None:
     weight.  ``InternalInvariantViolationError`` naming the first rule
     whose mirror fails.
     """
+    r = REVERSED_SYMBOL
     for c, table in enumerate(_move_rules(params)):
         for (a, b), ((x, y), q) in table.items():
-            if table.get((_MIRROR[b], _MIRROR[a])) != ((_MIRROR[y], _MIRROR[x]), q):
+            if table.get((r[b], r[a])) != ((r[y], r[x]), q):
                 raise InternalInvariantViolationError(
                     f"move class {c}: the rule {bytes((a, b))!r} -> {bytes((x, y))!r} "
                     "has no mirror under path reversal with the same acceptance"
                 )
     a, b = _LOWERING
-    if (_MIRROR[b], _MIRROR[a]) != _LOWERING:
+    if (r[b], r[a]) != _LOWERING:
         raise InternalInvariantViolationError("the lowering transposition is not its own mirror")
 
 

@@ -20,15 +20,22 @@ import numpy as np
 from .chain import word_fields
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, LengthMismatchError
-from .paths import D, SYMBOL_ORDER, U, PathSequence, TwoMotzkinPath, enumerate_paths
+from .paths import (
+    D,
+    REVERSED_SYMBOL,
+    SYMBOL_ORDER,
+    U,
+    PathSequence,
+    TwoMotzkinPath,
+    enumerate_paths,
+)
 
 # Base-4 digit of each symbol in enumeration order (U < H < I < D), so the
 # codes of a StateIndex's words ascend and fit in int64 for m <= 31.
 _DIGIT = np.zeros(256, dtype=np.int64)
 _DIGIT[list(SYMBOL_ORDER)] = np.arange(4)
-# Each symbol under path reversal: U and D swap, the level steps stay.
-_REVERSED = np.arange(256, dtype=np.uint8)
-_REVERSED[[U, D]] = D, U
+_REVERSED = np.arange(256, dtype=np.uint8)  # REVERSED_SYMBOL as a lookup table
+_REVERSED[list(REVERSED_SYMBOL)] = list(REVERSED_SYMBOL.values())
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,9 @@ ALPHABET = frozenset((U, H, I, D))
 SYMBOL_ORDER = bytes((U, H, I, D))
 _SYMBOLS = np.frombuffer(SYMBOL_ORDER, np.uint8)
 _RISE = np.array([1, 0, 0, -1], np.int8)  # height change of each, in that order
+# Path reversal reads a word backwards and swaps U and D, which maps the
+# paths of each length onto themselves.
+REVERSED_SYMBOL = {U: D, H: H, I: I, D: U}
 
 ENUMERATION_CAP = 12  # also the exact oracle's: catalan(13) = 742 900 states
 
