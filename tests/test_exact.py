@@ -53,7 +53,7 @@ PIN_PARAMS = {
     "0,0": ZERO,
     "1,-1": EnergyParams(1.0, -1.0),
 }
-# With (-1, 1), the one parameter set under which I -> H is one-way.
+# (-1, 1) adds a set with beta > alpha, where I -> H is the larger site acceptance.
 FOUR_PARAMS = {**PIN_PARAMS, "-1,1": EnergyParams(-1.0, 1.0)}
 
 
@@ -456,7 +456,6 @@ class TestSpectral:
             tiny = dataclasses.replace(model, pi=np.array([1.0]))
             spectral_gap(tiny)
 
-
     def test_guess_orthogonal_to_the_top_eigenvector(self):
         # Two blocks, the top eigenvector in the first and the guess in the
         # second.  Products keep exact zeros, so a start from the guess alone
@@ -480,13 +479,11 @@ class TestReversalSectors:
     @pytest.mark.parametrize("name", FOUR_PARAMS)
     @pytest.mark.parametrize("m", range(1, 11))
     def test_kernel_commutes_with_reversal(self, m, name):
-        from math import comb
-
         model = build_transition_model(m, FOUR_PARAMS[name])
         P, rev = model.P, model.index.reversals
         states = np.arange(model.n)
         assert np.array_equal(rev[rev], states)
-        assert np.count_nonzero(rev == states) == comb(m + 1, (m + 1) // 2)  # palindromes
+        assert np.count_nonzero(rev == states) == math.comb(m + 1, (m + 1) // 2)  # palindromes
         assert np.array_equal(model.pi[rev], model.pi)
         # The entry at (Rx, Ry) of each entry (x, y) is stored and, off the
         # diagonal, equal; a diagonal is 1 minus its row's moves, summed in
