@@ -452,20 +452,17 @@ def spectral_gap(chain: Chain) -> SpectralReport:
 
     :func:`lanczos_top` on the :func:`symmetrized`
     A = diag(pi)^{1/2} P diag(pi)^{-1/2}, with its known top eigenvector
-    sqrt(pi) deflated.  A chain that is not ``stochastic`` (an odd reversal
-    sector) has no known eigenvector, and lambda1 is A's largest eigenvalue.
-    ``residual`` is max ||A v - lambda v|| over the eigenpairs (the
-    solution, and sqrt(pi) when it is deflated), ``iterations`` the count of
-    products with A.  ``ConfigInvalidError`` for a stochastic chain of fewer
-    than two states; ``MassUnderflowError`` when some state has mass 0,
-    which A cannot be scaled by; ``NoConvergenceError`` when the residual
-    exceeds ``LANCZOS_REJECT``, which no pair the solver should accept comes
-    near.
+    sqrt(pi) deflated.  ``residual`` is max ||A v - lambda v|| over both
+    eigenpairs, ``iterations`` the count of products with A.
+    ``ConfigInvalidError`` for fewer than two states;
+    ``MassUnderflowError`` when some state has mass 0, which A cannot be
+    scaled by; ``NoConvergenceError`` when the residual exceeds
+    ``LANCZOS_REJECT``, which no pair the solver should accept comes near.
     """
-    if chain.stochastic and chain.n < 2:
+    if chain.n < 2:
         raise ConfigInvalidError("spectral gap needs at least two states")
     root = _root_masses(chain.pi)
-    return _solve(symmetrized(chain.P, root), root, chain.stochastic)
+    return _solve(symmetrized(chain.P, root), root, True)
 
 
 def _root_masses(pi: np.ndarray) -> np.ndarray:
@@ -483,7 +480,9 @@ def _solve(
     A: SymmetricOperator, root: np.ndarray, stochastic: bool, guess: np.ndarray | None = None
 ) -> SpectralReport:
     """The :func:`spectral_gap` report of the symmetrized operator A, scaled
-    by ``root``, once the kernel itself is no longer needed.  ``guess`` is an
+    by ``root``, once the kernel itself is no longer needed.  A kernel that
+    is not ``stochastic`` (an odd reversal sector) has no known eigenvector
+    to deflate, and lambda1 is A's largest eigenvalue.  ``guess`` is an
     observable on the states, a guess at the slowest mode: the solve then
     starts from root * guess plus the cosines."""
     u = root if stochastic else None
