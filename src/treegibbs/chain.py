@@ -630,8 +630,14 @@ def run(
 
 
 def batch_means_stderr(values, n_batches: int = 50) -> float:
-    """Standard error of the mean of a correlated series via batch means."""
-    arr = np.asarray(values, dtype=float)
+    """Standard error of the mean of a correlated series via batch means.
+
+    Integer input is averaged without a float copy: ``mean`` sums it in
+    float64, where batch sums below 2**53 are exact in any order.
+    """
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        arr = arr.astype(float)
     if arr.size < 2 * n_batches:
         n_batches = max(2, arr.size // 2)
     batch = arr.size // n_batches

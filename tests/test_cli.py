@@ -1,14 +1,19 @@
 """End-to-end CLI tests: flags, exit codes, file outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import treegibbs.errors as errors
-from treegibbs import EnergyParams, enumerate_paths, resolve_params
+from treegibbs import EnergyParams, batch_means_stderr, enumerate_paths, resolve_params
+from treegibbs.cli import _row_statistics, _sample_chain, build_parser
 
 from conftest import cached_model, dense_lambda1
 
@@ -60,6 +65,24 @@ def cli(*args, input_text=None):
         text=True,
         timeout=300,
     )
+
+
+def assert_numbers_agree(a, b, key=None):
+    """Two reports have the same keys, and every number agrees to 1e-12
+    (``relaxation_time`` relatively); everything else is equal."""
+    if isinstance(a, dict):
+        assert list(a) == list(b), key
+        for k in a:
+            assert_numbers_agree(a[k], b[k], k)
+    elif isinstance(a, list):
+        assert len(a) == len(b), key
+        for x, y in zip(a, b):
+            assert_numbers_agree(x, y, key)
+    elif isinstance(a, float) or isinstance(b, float):
+        scale = abs(a) if key == "relaxation_time" else 1.0
+        assert abs(a - b) <= 1e-12 * scale, (key, a, b)
+    else:
+        assert a == b, key
 
 
 class TestSample:
@@ -358,6 +381,82 @@ class TestSample:
         assert min(energies) <= mean <= max(energies)
 
 
+def expanded_statistics(fields, rows):
+    """The summary statistics computed over every row, each held word's
+    (energy, d0, d1) repeated ``rows`` times: the reference for
+    ``_row_statistics``, with d0 copied to float for the batch means."""
+    energies, d0s, d1s = (np.repeat(column, rows) for column in zip(*fields))
+
+    def histogram(values):
+        keys, counts = np.unique(values, return_counts=True)
+        return {str(k): int(c) for k, c in zip(keys.tolist(), counts.tolist())}
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_energy = np.mean(energies)
+        if not np.isfinite(mean_energy):
+            mean_energy = np.sum(energies / len(energies))
+            mean_energy = np.clip(mean_energy, energies.min(), energies.max())
+    return {
+        "mean_energy": float(mean_energy),
+        "mean_d0": float(np.mean(d0s)),
+        "mean_d1": float(np.mean(d1s)),
+        "se_d0_batch_means": batch_means_stderr(d0s.astype(float)) if d0s.size >= 4 else None,
+        "d0_histogram": histogram(d0s),
+        "d1_histogram": histogram(d1s),
+    }
+
+
+HELD_WORD = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),  # energy
+    st.integers(1, 60),  # d0
+    st.integers(0, 60),  # d1
+    st.integers(1, 40),  # rows
+)
+
+
+class TestSampleSummary:
+    @settings(max_examples=200, deadline=None)
+    @given(held=st.lists(HELD_WORD, min_size=1, max_size=80), constant_d0=st.booleans())
+    @example(held=[(-2.5, 3, 1, 1)], constant_d0=False)  # one row
+    @example(held=[(-2.5, 3, 1, 2), (0.5, 2, 0, 1)], constant_d0=False)  # three rows
+    @example(held=[(1.5, 3, 1, 2), (0.5, 2, 0, 2)], constant_d0=False)  # four rows
+    @example(held=[(1e308, 2, 0, 3), (-1e308, 3, 1, 2), (1e308, 2, 1, 4)], constant_d0=False)
+    @example(held=[(1e308, 2, 0, 60), (-1e308, 3, 1, 70)], constant_d0=True)
+    def test_held_word_tallies_equal_the_per_row_statistics(self, held, constant_d0):
+        if constant_d0:
+            held = [(e, held[0][1], d1, n) for e, _, d1, n in held]
+        energy, d0, d1, rows = zip(*held)
+        got = _row_statistics(array("d", energy), array("q", d0), array("q", d1), array("q", rows))
+        want = expanded_statistics([h[:3] for h in held], rows)
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_traced_peak_per_emitted_row(self, tmp_path):
+        # At m = 49 and thin 1 the chain holds about 0.09 words a row: the
+        # summary's columns cost 32 B a held word, and its one per-row array
+        # (the energies) 8 B a row, so the run peaks near 11 B a row.  A
+        # summary that expands every series per row, and copies d0 to float
+        # for the batch means, reads 43 B.
+        import tracemalloc
+
+        params = resolve_params("turner04-cg")
+
+        def sample(steps, out):
+            args = build_parser().parse_args(
+                ["sample", "--n", "50", "--params", "turner04-cg", "--steps", str(steps),
+                 "--seed", "3"])
+            return _sample_chain(params, args, 0, out)
+
+        sample(1000, tmp_path / "warm.csv")  # lazy imports stay out of the trace
+        tracemalloc.start()
+        try:
+            summary = sample(200_000, tmp_path / "s.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["emitted"] == 200_001
+        assert peak / 200_001 <= 16
+
+
 class TestConvert:
     def test_path_to_tree_examples(self):
         res = cli("convert", "--to", "trees", input_text="UD\n\n")
@@ -538,6 +637,25 @@ class TestExact:
         assert cli("exact", "gap", "--m", 8, "--params", "turner04-cg", "--out", b).returncode == 0
         assert json.loads(a.read_text())["method"] == "lanczos"
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command",
+        [("exact", "gap", "--m", 8), ("decompose", "report", "--m", 6, "--level", "kqs")],
+        ids=["exact-gap", "decompose-kqs"],
+    )
+    def test_numbers_do_not_follow_the_blas_thread_count(self, command):
+        # Threaded BLAS sums the eigensolver's products in another order, so
+        # the bytes may differ across thread counts; the numbers may not.
+        reports = []
+        for threads in ("1", "2"):
+            res = subprocess.run(
+                CLI + [str(a) for a in command] + ["--params", "turner04-cg"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=300,
+            )
+            assert res.returncode == 0, res.stderr
+            reports.append(json.loads(res.stdout))
+        assert_numbers_agree(*reports)
 
 
 class TestDecompose:
