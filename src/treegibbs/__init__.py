@@ -25,10 +25,8 @@ from .energy import (
     derive_params,
     path_energy,
     resolve_params,
-    tree_energy,
 )
 from .paths import (
-    DyckPath,
     SymbolCounts,
     TwoMotzkinPath,
     catalan,
@@ -51,10 +49,8 @@ from .trees import (
 _LAZY = {
     **dict.fromkeys(
         (
-            "PartitionLabel",
             "check_decomposition_bound",
             "check_skeleton_projection",
-            "classify",
             "decomposition_report",
             "projected_k_distribution",
             "projection_chain",
@@ -94,10 +90,8 @@ __all__ = [
     "ChainConfig",
     "ChainState",
     "DegreeProfile",
-    "DyckPath",
     "EnergyParams",
     "NNTMParams",
-    "PartitionLabel",
     "PlaneTree",
     "Sample",
     "SpectralReport",
@@ -111,7 +105,6 @@ __all__ = [
     "catalan",
     "check_decomposition_bound",
     "check_skeleton_projection",
-    "classify",
     "decode",
     "decomposition_report",
     "degree_profile",
@@ -129,7 +122,6 @@ __all__ = [
     "run",
     "spectral_gap",
     "text_to_tree",
-    "tree_energy",
     "tree_to_text",
     "tv_decay_curve",
     "tv_distance",

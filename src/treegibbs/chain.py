@@ -32,12 +32,11 @@ the screen.  ``run`` reads the energy and degrees of its held words in
 numpy batches (``word_fields``), the same reader the oracle's energies go
 through.  ``draw_cells`` is the exact kernel: the same table read by a
 list of draw cells, each vectorized over a matrix of words, from which
-the oracle builds the transition matrix and ``transition_distribution``
-reads one row.  The one rule that looks past its two symbols, a
-transposition moving a U right past a D, keeps its height condition in a
-scalar form in the loop and a vectorized one in ``draw_cells``; a test
-injects every cell's draws into ``advance`` and requires the cell's
-target word, which ties the two together.
+the oracle builds the transition matrix.  The one rule that looks past
+its two symbols, a transposition moving a U right past a D, keeps its
+height condition in a scalar form in the loop and a vectorized one in
+``draw_cells``; a test injects every cell's draws into ``advance`` and
+requires the cell's target word, which ties the two together.
 """
 
 from __future__ import annotations
@@ -68,6 +67,8 @@ _PER_ROW_THIN = 128
 # ``_FLUSH_MIN_M`` symbols.
 _FLUSH_SYMBOLS = 1 << 16
 _FLUSH_MIN_M = 64
+
+
 def _sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -150,7 +151,8 @@ def _lookup(rules: dict) -> list[list[tuple | None]]:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Immutable description of one chain run."""
+    """Immutable description of one chain run; the chain starts from
+    ``initial_state``, or from the all-H word when it is None."""
 
     m: int
     params: EnergyParams
@@ -166,11 +168,6 @@ class ChainConfig:
                 f"initial state has length {len(self.initial_state)}, expected {self.m}"
             )
 
-    def resolved_initial(self) -> TwoMotzkinPath:
-        if self.initial_state is not None:
-            return self.initial_state
-        return TwoMotzkinPath._trusted(b"H" * self.m)
-
 
 class ChainState:
     """Mutable sampler state: current path, step counter, RNG stream.
@@ -181,7 +178,8 @@ class ChainState:
 
     def __init__(self, cfg: ChainConfig):
         self.cfg = cfg
-        self.word = bytearray(cfg.resolved_initial().symbols)
+        start = cfg.initial_state
+        self.word = bytearray(b"H" * cfg.m if start is None else start.symbols)
         self.step_count = 0
         seq = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, cfg.chain_id])
         self._rng = np.random.Generator(np.random.PCG64(seq))
@@ -436,24 +434,6 @@ def draw_cells(
         yield cell, rows, targets, accepts[keys]
 
 
-def transition_distribution(
-    x: TwoMotzkinPath, params: EnergyParams
-) -> dict[bytes, float]:
-    """Exact one-step law from ``x``: every reachable word mapped to its mass.
-
-    The one-row case of :func:`draw_cells`; the mass no cell moves stays
-    on ``x``, so ``x`` is always a key.
-    """
-    sym = x.symbols
-    moved: dict[bytes, float] = {}
-    words = np.frombuffer(sym, dtype=np.uint8).reshape(1, len(sym))
-    for cell, _, targets, accept in draw_cells(words, params):
-        for target, q in zip(targets, accept):
-            key = target.tobytes()
-            moved[key] = moved.get(key, 0.0) + cell.weight * float(q)
-    return {sym: 1.0 - sum(moved.values()), **moved}
-
-
 class WordFields(NamedTuple):
     """Per-row observables of a word matrix; see :func:`word_fields`."""
 
@@ -500,10 +480,6 @@ class Sample(NamedTuple):
 class RunResult:
     """Outcome of :func:`run`; ``samples`` is empty when a collector consumed them."""
 
-    config: ChainConfig
-    total_steps: int
-    burn_in: int
-    thin: int
     emitted: int = 0
     samples: list[Sample] = field(default_factory=list)
     occupancy: dict[bytes, int] | None = None
@@ -559,7 +535,7 @@ def run(
     check_schedule(total_steps, burn_in, thin)
     state = ChainState(cfg)
     occupancy: dict[bytes, int] | None = {} if track_occupancy else None
-    result = RunResult(cfg, total_steps, burn_in, thin, occupancy=occupancy)
+    result = RunResult(occupancy=occupancy)
     word = state.word
     params = cfg.params
     m = cfg.m

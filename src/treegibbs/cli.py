@@ -12,8 +12,11 @@ to 1e-12, since threaded BLAS sums the eigensolver's products in another
 order.  Each file is written under a ``.part`` name and renamed when it
 is complete, and ``_output`` creates ``--out``'s missing directories just
 before it opens the part file.  So a command rejected at validation
-leaves nothing behind, and one interrupted while writing leaves no data
-file, part file, manifest or directory.
+leaves nothing behind, and one that raises while writing, SIGINT's
+``KeyboardInterrupt`` included, leaves no data file, part file, manifest
+or directory.  SIGTERM and SIGKILL end the process with no cleanup: they
+can leave ``<out>.part``, but never a truncated ``<out>``, and no
+manifest, which is written last.
 
 Exit codes: 0 success, 2 usage, 3 input validation, 4 capacity (a size
 cap, or running out of memory), 5 internal-check failure.
@@ -62,14 +65,20 @@ class _UsageError(Exception):
 
 
 def _parse_count(value: str) -> int:
-    """Step counts accept scientific notation like 1e6."""
+    """Step counts: an integer literal, read exactly, or a float form like 1e6."""
     try:
-        as_float = float(value)
+        count = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a number") from None
-    if not math.isfinite(as_float) or as_float < 0 or as_float != int(as_float):
+        try:
+            as_float = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{value!r} is not a number") from None
+        if not math.isfinite(as_float) or as_float != int(as_float):
+            raise argparse.ArgumentTypeError(f"{value!r} is not a nonnegative integer") from None
+        count = int(as_float)
+    if count < 0:
         raise argparse.ArgumentTypeError(f"{value!r} is not a nonnegative integer")
-    return int(as_float)
+    return count
 
 
 def _energy_from_args(args) -> EnergyParams:

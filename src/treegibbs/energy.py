@@ -1,7 +1,7 @@
 """Branching energies, Gibbs log-weights, and thermodynamic parameter sets.
 
-A tree's branching energy is alpha * d0 + beta * d1, optionally plus
-gamma * r for the exterior loop.  On a 2-Motzkin path the same quantity
+A tree's branching energy is alpha * d0 + beta * d1; the exterior-loop
+term gamma * r is left out.  On a 2-Motzkin path the same quantity
 is alpha * (|x|_U + |x|_H + 1) + beta * |x|_I, since the encoding sends
 leaves to U/H labels (plus the dropped lead) and single-child nodes to I.
 
@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .errors import ConfigInvalidError, UnknownParameterSetError
 from .paths import TwoMotzkinPath
-from .trees import PlaneTree, degree_profile
 
 
 @dataclass(frozen=True)
@@ -93,15 +92,6 @@ def builtin_params(name: str) -> NNTMParams:
     except KeyError:
         known = ", ".join(sorted(BUILTIN_NNTM))
         raise UnknownParameterSetError(f"unknown parameter set {name!r}; known: {known}") from None
-
-
-def tree_energy(t: PlaneTree, e: EnergyParams, include_root: bool = False) -> float:
-    """Branching energy of a tree; the root term is opt-in."""
-    profile = degree_profile(t)
-    energy = e.branching(profile.d0, profile.d1)
-    if include_root:
-        energy += e.gamma * profile.r
-    return energy
 
 
 def path_energy(x: TwoMotzkinPath, e: EnergyParams) -> float:

@@ -424,27 +424,6 @@ def detailed_balance_violation(model: TransitionModel) -> tuple[float, tuple[int
     return float(asym[k]), (row, int(P.indices[k]))
 
 
-def is_strongly_connected(model: TransitionModel) -> bool:
-    """Strong connectivity of the positive-transition directed graph: every
-    state is reached from state 0, and reaches it."""
-    P = model.P
-    positive = P.data > 0
-    rows, cols = P.rows[positive], P.indices[positive]
-    for tail, head in ((rows, cols), (cols, rows)):
-        reached = np.zeros(P.n, dtype=bool)
-        reached[0] = True
-        count = 1
-        while True:
-            reached[head[reached[tail]]] = True
-            grown = int(np.count_nonzero(reached))
-            if grown == count:
-                break
-            count = grown
-        if count < P.n:
-            return False
-    return True
-
-
 def spectral_gap(chain: Chain) -> SpectralReport:
     """Second-largest eigenvalue of a reversible chain's kernel and the gap
     1 - lambda1.  Laziness makes the spectrum nonnegative, so the second

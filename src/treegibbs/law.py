@@ -98,10 +98,11 @@ class StateIndex:
         """Ascending state indices of each (k, q, s) label, in sorted label order.
 
         The label of a word is its up-step count, its level-step color word
-        and its up/down skeleton (``decomposition.classify``).  Each row,
-        stably sorted to put its U/D steps last, reads q then s, split at one
-        place per k; so rows sorted by k and then by these bytes are sorted
-        by label.  The arrays are read-only: they are shared.
+        (the word without its U/D steps) and its up/down skeleton (the word
+        without its H/I steps).  Each row, stably sorted to put its U/D
+        steps last, reads q then s, split at one place per k; so rows sorted
+        by k and then by these bytes are sorted by label.  The arrays are
+        read-only: they are shared.
         """
         words = self.words
         vertical = (words == U) | (words == D)

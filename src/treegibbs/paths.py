@@ -1,4 +1,4 @@
-"""2-Motzkin paths, Dyck paths, and their counting functions.
+"""2-Motzkin paths and their counting functions.
 
 A 2-Motzkin path of length m is a word over {U, H, I, D} in which no
 prefix contains more D's than U's and the whole word balances.  U/D are
@@ -51,11 +51,14 @@ def _first_unmatched_up(symbols: bytes) -> int:
 
 def _check_word(word: str | bytes | bytearray) -> bytes:
     """Validate a raw word and return its canonical bytes form."""
+    # "replace" writes one "?" per character it cannot encode, so indices
+    # into the bytes are indices into the str.
     symbols = word.encode("ascii", errors="replace") if isinstance(word, str) else bytes(word)
     height = 0
     for idx, s in enumerate(symbols):
         if s not in ALPHABET:
-            raise InvalidSymbolError(f"symbol {chr(s)!r} not in U/H/I/D", idx)
+            given = word[idx] if isinstance(word, str) else chr(s)
+            raise InvalidSymbolError(f"symbol {given!r} not in U/H/I/D", idx)
         if s == U:
             height += 1
         elif s == D:
@@ -112,10 +115,6 @@ class TwoMotzkinPath:
             d=self.symbols.count(D),
         )
 
-    def skeleton(self) -> "DyckPath":
-        """Dyck path left after deleting every level step."""
-        return DyckPath._trusted(bytes(s for s in self.symbols if s == U or s == D))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -129,18 +128,6 @@ class TwoMotzkinPath:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.word!r})"
-
-
-class DyckPath(TwoMotzkinPath):
-    """A 2-Motzkin path with no level steps (only U and D)."""
-
-    __slots__ = ()
-
-    def __init__(self, word: str | bytes | bytearray):
-        super().__init__(word)
-        for idx, s in enumerate(self.symbols):
-            if s == H or s == I:
-                raise InvalidSymbolError("level step not allowed in a Dyck path", idx)
 
 
 class SymbolCounts(NamedTuple):

@@ -3,7 +3,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from treegibbs import EnergyParams, build_transition_model
+from treegibbs import EnergyParams, TwoMotzkinPath, build_transition_model
+from treegibbs.chain import draw_cells
 from treegibbs.exact import Kernel
 
 PARAM_GRID = [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
@@ -39,6 +40,43 @@ def kernel_from_dense(a) -> Kernel:
     rows, cols = np.nonzero(a)
     indptr = np.searchsorted(rows, np.arange(len(a) + 1))
     return Kernel(indptr, cols, a[rows, cols])
+
+
+def transition_distribution(x: TwoMotzkinPath, params: EnergyParams) -> dict[bytes, float]:
+    """Exact one-step law from ``x``: every reachable word mapped to its mass.
+
+    The one-row case of ``draw_cells``; the mass no cell moves stays on
+    ``x``, so ``x`` is always a key.
+    """
+    sym = x.symbols
+    moved: dict[bytes, float] = {}
+    words = np.frombuffer(sym, dtype=np.uint8).reshape(1, len(sym))
+    for cell, _, targets, accept in draw_cells(words, params):
+        for target, q in zip(targets, accept):
+            key = target.tobytes()
+            moved[key] = moved.get(key, 0.0) + cell.weight * float(q)
+    return {sym: 1.0 - sum(moved.values()), **moved}
+
+
+def is_strongly_connected(chain) -> bool:
+    """Strong connectivity of the positive-transition directed graph of a
+    chain's kernel: every state is reached from state 0, and reaches it."""
+    P = chain.P
+    positive = P.data > 0
+    rows, cols = P.rows[positive], P.indices[positive]
+    for tail, head in ((rows, cols), (cols, rows)):
+        reached = np.zeros(P.n, dtype=bool)
+        reached[0] = True
+        count = 1
+        while True:
+            reached[head[reached[tail]]] = True
+            grown = int(np.count_nonzero(reached))
+            if grown == count:
+                break
+            count = grown
+        if count < P.n:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

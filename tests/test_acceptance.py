@@ -35,10 +35,16 @@ from treegibbs import (
     tv_distance,
 )
 from treegibbs.decomposition import blocks_at
-from treegibbs.exact import is_strongly_connected
 from treegibbs.law import empirical_distribution
 
-from conftest import PARAM_GRID, cached_model, dense_lambda1, sample_rows, scipy_csr
+from conftest import (
+    PARAM_GRID,
+    cached_model,
+    dense_lambda1,
+    is_strongly_connected,
+    sample_rows,
+    scipy_csr,
+)
 
 SAMPLER_SEED = 1
 SAMPLER_BURN_IN = 10_000

@@ -1,10 +1,10 @@
 """Sampler kernel versus its analytic transition law.
 
-The law (`transition_distribution`) is exercised against hand-derived
-probabilities and structural invariants; the stochastic stepper is then
-cross-checked against the law with a long single-step frequency count,
-and pinned to the draw-cell table (`draw_cells`) the law is read from by
-injecting every cell's draws into it.
+The law (`conftest.transition_distribution`) is exercised against
+hand-derived probabilities and structural invariants; the stochastic
+stepper is then cross-checked against the law with a long single-step
+frequency count, and pinned to the draw-cell table (`draw_cells`) the law
+is read from by injecting every cell's draws into it.
 """
 
 from fractions import Fraction
@@ -25,12 +25,12 @@ from treegibbs import (
 )
 from treegibbs import decode, degree_profile, resolve_params
 from treegibbs import chain as chain_module
-from treegibbs.chain import draw_cells, transition_distribution, word_fields
+from treegibbs.chain import draw_cells, word_fields
 from treegibbs.paths import D, H, I, U
 from treegibbs.trees import DegreeProfile
 from treegibbs.errors import ConfigInvalidError
 
-from conftest import sample_rows
+from conftest import sample_rows, transition_distribution
 
 ZERO = EnergyParams(0.0, 0.0)
 GRID = [EnergyParams(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
@@ -168,7 +168,7 @@ class TestChainConfig:
 
     def test_default_initial_is_all_h(self):
         cfg = ChainConfig(m=5, params=ZERO, seed=1)
-        assert cfg.resolved_initial().word == "HHHHH"
+        assert ChainState(cfg).path.word == "HHHHH"
 
 
 class TestSampler:
@@ -320,7 +320,8 @@ class _Reference:
 
     def __init__(self, cfg: ChainConfig):
         self.cfg = cfg
-        self.word = bytearray(cfg.resolved_initial().symbols)
+        start = cfg.initial_state
+        self.word = bytearray(b"H" * cfg.m if start is None else start.symbols)
         self.step_count = 0
         self._rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, cfg.chain_id]))

@@ -1,9 +1,13 @@
 """End-to-end CLI tests: flags, exit codes, file outputs, determinism."""
 
+import argparse
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from array import array
 
 import numpy as np
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 import treegibbs.errors as errors
 from treegibbs import EnergyParams, batch_means_stderr, enumerate_paths, resolve_params
-from treegibbs.cli import _row_statistics, _sample_chain, build_parser
+from treegibbs.cli import _parse_count, _row_statistics, _sample_chain, build_parser
 
 from conftest import cached_model, dense_lambda1
 
@@ -284,6 +288,49 @@ class TestSample:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize(
+        "text,count",
+        [("9007199254740993", 2**53 + 1), ("1e6", 10**6), ("2.0", 2), ("0", 0),
+         ("1_000", 1000), ("-0", 0)],
+    )
+    def test_count_is_read_exactly(self, text, count):
+        # An integer literal past 2**53 is not rounded through a float.  The
+        # parse alone: a run this long would never finish its burn-in.
+        argv = ["sample", "--n", "5", "--steps", text, "--burn-in", text]
+        args = build_parser().parse_args(argv)
+        assert (args.steps, args.burn_in) == (count, count)
+        assert type(args.steps) is int
+
+    @pytest.mark.parametrize("text", ["-1", "1.5", "-1e3", "abc", "nan"])
+    def test_bad_count_is_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_count(text)
+
+    def test_sigterm_leaves_no_output_or_manifest(self, tmp_path):
+        # SIGTERM ends the process with no cleanup, so its part file can stay
+        # behind; the data file, summary and manifest never appear.
+        out = tmp_path / "s.csv"
+        part = tmp_path / "s.csv.part"
+        proc = subprocess.Popen(
+            CLI + ["sample", "--n", "50", "--params", "turner04-cg", "--steps", "1e9",
+                   "--out", str(out)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not part.exists():
+                assert proc.poll() is None, "the run ended before it opened its part file"
+                assert time.monotonic() < deadline, "no part file after 60 s"
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.wait()
+        for name in ("s.csv", "s.csv.summary.json", "s.csv.manifest.json"):
+            assert not (tmp_path / name).exists(), name
+
     # Pinned SHA-256 of (data file, summary JSON) for fixed runs: a change to
     # the move loop, its RNG use or the row format that alters one byte fails
     # here.  The m > 8 runs take the emission-only path (at thin 1, one sample
@@ -491,6 +538,15 @@ class TestConvert:
     def test_tree_side_errors(self):
         res = cli("convert", "--to", "paths", input_text="(()\n")
         assert res.returncode == 3
+
+    def test_non_ascii_symbol_is_named(self, monkeypatch, capsys):
+        from treegibbs.cli import main
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("UD\nUé\n"))
+        assert main(["convert", "--to", "trees"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "(()())\n"
+        assert err == "-:2: symbol 'é' not in U/H/I/D (index 1)\n"
 
 
 class TestExact:
@@ -771,16 +827,16 @@ class TestReplayErrors:
 
 # The package's public names; the exact oracle's among them load lazily.
 PUBLIC_NAMES = [
-    "BUILTIN_NNTM", "Chain", "ChainConfig", "ChainState", "DegreeProfile", "DyckPath",
-    "EnergyParams", "NNTMParams", "PartitionLabel", "PlaneTree", "Sample",
+    "BUILTIN_NNTM", "Chain", "ChainConfig", "ChainState", "DegreeProfile",
+    "EnergyParams", "NNTMParams", "PlaneTree", "Sample",
     "SpectralReport", "StateIndex", "SymbolCounts",
     "TransitionModel", "TwoMotzkinPath", "batch_means_stderr", "build_transition_model",
     "builtin_params", "catalan", "check_decomposition_bound", "check_skeleton_projection",
-    "classify", "decode", "decomposition_report", "degree_profile", "derive_params",
+    "decode", "decomposition_report", "degree_profile", "derive_params",
     "encode", "enumerate_paths", "gibbs_distribution", "iter_paths",
     "move_constants", "path_energy", "projected_k_distribution",
     "projection_chain", "resolve_params", "restriction_chain", "run",
-    "spectral_gap", "text_to_tree", "tree_energy", "tree_to_text", "tv_decay_curve",
+    "spectral_gap", "text_to_tree", "tree_to_text", "tv_decay_curve",
     "tv_distance",
 ]
 

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from treegibbs import (
     catalan,
     check_decomposition_bound,
     check_skeleton_projection,
-    classify,
     decomposition_report,
     enumerate_paths,
     projected_k_distribution,
@@ -35,13 +35,29 @@ from treegibbs.errors import (
     InternalInvariantViolationError,
     NotAPartitionError,
 )
-from treegibbs.exact import Chain, Kernel
+from treegibbs.exact import Chain, Kernel, spectral_gap
 
 from conftest import dense_lambda1, kernel_from_dense, scipy_csr
 
 ZERO = EnergyParams(0.0, 0.0)
 GRID = [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
 GOLDEN_M6_KQS = Path(__file__).parent / "data" / "decompose_m6_kqs_a1_b-1.json"
+
+
+class Label(NamedTuple):
+    """Classification of a path: up-step count, color word, skeleton."""
+
+    k: int
+    q: str
+    s: str
+
+
+def classify(x: TwoMotzkinPath) -> Label:
+    """Split a path into its (k, q, s) coordinates, one word at a time: the
+    reference for ``StateIndex.label_blocks``."""
+    w = x.symbols
+    q, s = w.translate(None, b"UD"), w.translate(None, b"HI")
+    return Label(w.count(b"U"), q.decode(), s.decode())
 
 
 class TestClassify:
@@ -60,7 +76,7 @@ class TestClassify:
     def test_consistency(self):
         for x in enumerate_paths(6):
             label = classify(x)
-            assert label.s == x.skeleton().word
+            assert label.s == "".join(c for c in x.word if c in "UD")
             assert label.k == x.counts().u
             assert label.q == "".join(c for c in x.word if c in "HI")
 
@@ -440,14 +456,19 @@ class TestDecompositionBound:
         assert report.bound > 0.0
 
     def test_singleton_partition_degenerates_to_half_gap(self, model_for):
+        # The product bound's factors on the partition into single states:
+        # the projection is the chain itself, and every restriction is one
+        # state, which the bound counts as gap 1.
         model = model_for(3, 0.0, 0.0)
         blocks = [np.array([i]) for i in range(model.n)]
-        report = check_decomposition_bound(model, blocks=blocks)
-        # Projection equals the chain itself; every restriction gap is 1.
-        assert report.min_restriction_gap == 1.0
-        assert report.gap_projection == pytest.approx(report.gap_full, abs=1e-12)
-        assert report.bound == pytest.approx(report.gap_full / 2, abs=1e-12)
-        assert report.holds
+        gap_full = spectral_gap(model).gap
+        gap_projection = spectral_gap(projection_chain(model, blocks)).gap
+        restrictions = [restriction_chain(model, block) for block in blocks]
+        assert all(res.n == 1 and res.P.toarray()[0, 0] == 1.0 for res in restrictions)
+        assert gap_projection == pytest.approx(gap_full, abs=1e-12)
+        bound = 0.5 * gap_projection  # times the restrictions' gap, 1
+        assert bound == pytest.approx(gap_full / 2, abs=1e-12)
+        assert gap_full >= bound - 1e-13
 
     def test_bound_peak_memory_stays_sparse(self, model_for):
         # A dense copy of the 2 240-state k = 2 block alone would take 40 MB.

@@ -9,11 +9,11 @@ from treegibbs import (
     TwoMotzkinPath,
     builtin_params,
     decode,
+    degree_profile,
     derive_params,
     enumerate_paths,
     path_energy,
     resolve_params,
-    tree_energy,
 )
 from treegibbs.energy import parse_params_text
 from treegibbs.errors import ConfigInvalidError, UnknownParameterSetError
@@ -85,21 +85,30 @@ class TestBuiltinParams:
             builtin_params("turner23-au")
 
 
+def tree_energy(x: TwoMotzkinPath, e: EnergyParams) -> float:
+    """Branching energy of the tree ``x`` encodes, read off the tree itself:
+    the bijection-side witness for ``path_energy``."""
+    p = degree_profile(decode(x))
+    return e.branching(p.d0, p.d1)
+
+
 class TestTreeEnergy:
     def test_single_edge(self):
-        t = decode(TwoMotzkinPath(""))
         e = EnergyParams(alpha=2.5, beta=-1.0)
-        assert tree_energy(t, e) == 2.5  # d0 = 1, d1 = 0
+        assert tree_energy(TwoMotzkinPath(""), e) == 2.5  # d0 = 1, d1 = 0
 
     def test_turner89_cg_chain_with_root(self):
-        t = decode(TwoMotzkinPath("I"))  # d0 = 1, d1 = 1, r = 1
+        p = degree_profile(decode(TwoMotzkinPath("I")))
+        assert (p.d0, p.d1, p.r) == (1, 1, 1)
         e = derive_params(builtin_params("turner89-cg"))
-        assert tree_energy(t, e, include_root=True) == pytest.approx(-4.4, abs=1e-9)
+        # The exterior-loop term gamma * r is not part of any energy the
+        # package computes; it is added here.
+        assert e.branching(p.d0, p.d1) + e.gamma * p.r == pytest.approx(-4.4, abs=1e-9)
 
     def test_zero_params(self):
         e = EnergyParams(0.0, 0.0)
         for x in enumerate_paths(4):
-            assert tree_energy(decode(x), e) == 0.0
+            assert tree_energy(x, e) == 0.0
 
 
 class TestPathEnergy:
@@ -113,7 +122,7 @@ class TestPathEnergy:
         e = EnergyParams(alpha=-2.8, beta=-3.0)
         for m in range(0, 8):
             for x in enumerate_paths(m):
-                assert path_energy(x, e) == tree_energy(decode(x), e, include_root=False)
+                assert path_energy(x, e) == tree_energy(x, e)
 
     @pytest.mark.parametrize(
         "word,alpha,beta,expected",

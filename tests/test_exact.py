@@ -28,7 +28,6 @@ from treegibbs.exact import (
     Kernel,
     build_sector,
     detailed_balance_violation,
-    is_strongly_connected,
     reversal_gap,
     stationarity_residual,
     symmetrized,
@@ -44,7 +43,14 @@ from treegibbs.errors import (
 from treegibbs.law import empirical_distribution, logsumexp
 from treegibbs.paths import D, H, U, TwoMotzkinPath
 
-from conftest import dense_lambda1, kernel_from_dense, sample_rows, scipy_csr
+from conftest import (
+    dense_lambda1,
+    is_strongly_connected,
+    kernel_from_dense,
+    sample_rows,
+    scipy_csr,
+    transition_distribution,
+)
 
 ZERO = EnergyParams(0.0, 0.0)
 PINS = json.loads((Path(__file__).parent / "data" / "law_pins_m0-12.json").read_text())
@@ -191,8 +197,6 @@ class TestTransitionModel:
     def test_rows_match_transition_distribution(self, m, model_for):
         # The matrix looks each target up by its code; the one-row law reads
         # the same cells by word.
-        from treegibbs.chain import transition_distribution
-
         model = model_for(m, 1.0, -1.0)
         P = scipy_csr(model.P)
         for i, x in enumerate(model.index.paths):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegibbs import (
-    DyckPath,
+    StateIndex,
     TwoMotzkinPath,
     catalan,
     enumerate_paths,
@@ -130,6 +130,13 @@ class TestValidate:
             TwoMotzkinPath("UHXD")
         assert err.value.index == 2
 
+    @pytest.mark.parametrize("word", ["Ué", "U\u2191", "U\ud800"], ids=["latin", "arrow", "surrogate"])
+    def test_non_ascii_character_is_named(self, word):
+        # The message names the character given, not its ASCII replacement.
+        with pytest.raises(InvalidSymbolError) as err:
+            TwoMotzkinPath(word)
+        assert str(err.value) == f"symbol {word[1]!r} not in U/H/I/D (index 1)"
+
     def test_prefix_sums_example(self):
         x = TwoMotzkinPath("UHIDHH")
         heights = []
@@ -165,18 +172,26 @@ class TestSymbolCounts:
 
 
 class TestSkeleton:
+    """The skeleton, a path's U/D steps in order, is the s of its
+    ``StateIndex.label_blocks`` label."""
+
     @pytest.mark.parametrize(
         "word,expected", [("HIHI", ""), ("UHIDUD", "UDUD"), ("UUHDID", "UUDD")]
     )
     def test_examples(self, word, expected):
-        assert TwoMotzkinPath(word).skeleton().word == expected
+        index = StateIndex.build(len(word))
+        i = index.index_of(TwoMotzkinPath(word))
+        [(_, _, s)] = [label for label, idx in index.label_blocks.items() if i in idx]
+        assert s == expected
 
     def test_skeleton_is_dyck_path(self):
-        for x in enumerate_paths(6):
-            s = x.skeleton()
-            assert isinstance(s, DyckPath)
-            assert len(s) == 2 * x.counts().u
-            DyckPath(s.word)  # revalidates from scratch
+        index = StateIndex.build(6)
+        for (k, _, s), idx in index.label_blocks.items():
+            assert len(s) == 2 * k
+            assert set(s) <= {"U", "D"}
+            TwoMotzkinPath(s)  # validates from scratch
+            for x in map(index.paths.__getitem__, idx):
+                assert bytes(c for c in x.symbols if c in b"UD").decode() == s
 
 
 class TestEnumeration:
@@ -299,6 +314,6 @@ class TestRandomizedProperties:
     @given(random_path_words())
     @settings(max_examples=200)
     def test_skeleton_valid_and_even(self, word):
-        s = TwoMotzkinPath(word).skeleton()
-        DyckPath(s.word)
+        # Deleting the level steps of a path leaves a path.
+        s = TwoMotzkinPath(word.replace("H", "").replace("I", ""))
         assert len(s) % 2 == 0
