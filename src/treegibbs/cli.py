@@ -14,12 +14,15 @@ is complete, and ``_output`` creates ``--out``'s missing directories just
 before it opens the part file.  So a command rejected at validation
 leaves nothing behind, and one that raises while writing, SIGINT's
 ``KeyboardInterrupt`` included, leaves no data file, part file, manifest
-or directory.  SIGTERM and SIGKILL end the process with no cleanup: they
-can leave ``<out>.part``, but never a truncated ``<out>``, and no
-manifest, which is written last.
+or directory.  SIGTERM removes the part file and the directories made for
+it too, and then ends the process by SIGTERM as before; sent to the parent
+of a ``--chains`` run, it first ends the workers, which clean up the same
+way.  Only SIGKILL can leave ``<out>.part``; no signal leaves a truncated
+``<out>``, or a manifest for an unfinished run, since it is written last.
 
-Exit codes: 0 success, 2 usage, 3 input validation, 4 capacity (a size
-cap, or running out of memory), 5 internal-check failure.
+Exit codes: 0 success, 2 usage, 3 input validation or an i/o error (a
+closed stdout pipe, a full disk, an unwritable ``--out``), 4 capacity (a
+size cap, or running out of memory), 5 internal-check failure.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -116,6 +121,34 @@ def _add_energy_flags(parser: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
+def _on_sigterm(cleanup):
+    """Within the block, SIGTERM runs ``cleanup`` and then ends the process
+    by SIGTERM, as the signal's default action would have at once.
+
+    The handler is installed only over that default action, and only in the
+    main thread, the one where Python runs signal handlers; elsewhere the
+    block runs with SIGTERM as it is.
+    """
+
+    def handler(signum, frame):
+        cleanup()
+        signal.signal(signum, signal.SIG_DFL)
+        signal.raise_signal(signum)
+
+    installed = (
+        signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        and threading.current_thread() is threading.main_thread()
+    )
+    if installed:
+        signal.signal(signal.SIGTERM, handler)
+    try:
+        yield
+    finally:
+        if installed:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+@contextmanager
 def _output(out: Path | None):
     """A text sink for ``out``, or stdout when it is None.
 
@@ -123,25 +156,42 @@ def _output(out: Path | None):
     directory: the missing parents of ``out`` are made, and ``out`` is
     written as ``<out>.part`` beside it and renamed onto ``out`` when the
     block ends, so ``out`` is complete or absent.  On any exception,
-    ``KeyboardInterrupt`` included, the part file and the directories made
-    here, where empty, are removed.
+    ``KeyboardInterrupt`` included, and on SIGTERM, the part file and the
+    directories made here, where empty, are removed.
     """
     if out is None:
         yield sys.stdout
         return
     made = [d for d in out.parents if not d.exists()]  # nearest first
     part = out.with_name(out.name + ".part")
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(part, "w", newline="") as sink:
-            yield sink
-        os.replace(part, out)
-    except BaseException:
+
+    def remove() -> None:
         part.unlink(missing_ok=True)
         for d in made:
             with suppress(OSError):
                 d.rmdir()
-        raise
+
+    with _on_sigterm(remove):
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            with open(part, "w", newline="") as sink:
+                yield sink
+            os.replace(part, out)
+        except BaseException:
+            remove()
+            raise
+
+
+def _end_workers() -> None:
+    """End this process's worker processes by SIGTERM, and wait for them:
+    each removes its part file as ``_output`` does, then ends."""
+    import multiprocessing
+
+    workers = multiprocessing.active_children()
+    for worker in workers:
+        worker.terminate()
+    for worker in workers:
+        worker.join()
 
 
 def _write_json(payload: dict, out: Path | None) -> None:
@@ -299,7 +349,12 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
                 pool.submit(_sample_chain, params, args, k, files[k])
                 for k in range(args.chains)
             ]
-            summaries = [f.result() for f in futures]
+            # Installed once the workers are started: one that inherited it
+            # would keep ``_output`` from installing its own.  A SIGTERM that
+            # raised here instead would leave the pool's exit waiting for the
+            # workers' full runs.
+            with _on_sigterm(_end_workers):
+                summaries = [f.result() for f in futures]
 
     summary = {
         "n": args.n,
@@ -544,7 +599,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from array import array
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treegibbs.errors as errors
-from treegibbs import EnergyParams, batch_means_stderr, enumerate_paths, resolve_params
+from treegibbs import (
+    EnergyParams,
+    __version__,
+    batch_means_stderr,
+    enumerate_paths,
+    resolve_params,
+)
 from treegibbs.cli import _parse_count, _row_statistics, _sample_chain, build_parser
 
 from conftest import cached_model, dense_lambda1
@@ -69,6 +76,31 @@ def cli(*args, input_text=None):
         text=True,
         timeout=300,
     )
+
+
+def terminate_once_writing(tmp_path, *flags):
+    """Start ``sample`` with ``flags``, send SIGTERM to that process alone
+    once a part file exists under ``tmp_path``, and return its exit status."""
+    proc = subprocess.Popen(
+        CLI + ["sample", *map(str, flags)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not any(tmp_path.rglob("*.part")):
+            assert proc.poll() is None, "the run ended before it opened a part file"
+            assert time.monotonic() < deadline, "no part file after 60 s"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        return proc.wait(timeout=60)
+    finally:
+        # A failed run must not leave its workers running: they share the
+        # new session's process group.
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def assert_numbers_agree(a, b, key=None):
@@ -307,29 +339,23 @@ class TestSample:
             _parse_count(text)
 
     def test_sigterm_leaves_no_output_or_manifest(self, tmp_path):
-        # SIGTERM ends the process with no cleanup, so its part file can stay
-        # behind; the data file, summary and manifest never appear.
-        out = tmp_path / "s.csv"
-        part = tmp_path / "s.csv.part"
-        proc = subprocess.Popen(
-            CLI + ["sample", "--n", "50", "--params", "turner04-cg", "--steps", "1e9",
-                   "--out", str(out)],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            while not part.exists():
-                assert proc.poll() is None, "the run ended before it opened its part file"
-                assert time.monotonic() < deadline, "no part file after 60 s"
-                time.sleep(0.05)
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=60) == -signal.SIGTERM
-        finally:
-            proc.kill()
-            proc.wait()
-        for name in ("s.csv", "s.csv.summary.json", "s.csv.manifest.json"):
-            assert not (tmp_path / name).exists(), name
+        # SIGTERM removes the part file and the directory made for it, then
+        # ends the process by SIGTERM; the data file, summary and manifest
+        # never appear.
+        status = terminate_once_writing(
+            tmp_path, "--n", 50, "--params", "turner04-cg", "--steps", "1e9",
+            "--out", tmp_path / "run" / "s.csv")
+        assert status == -signal.SIGTERM
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sigterm_to_the_parent_ends_every_chain(self, tmp_path):
+        # Sent to the parent alone, SIGTERM ends the workers, which clean up
+        # as one chain does, and then the parent.
+        status = terminate_once_writing(
+            tmp_path, "--n", 50, "--params", "turner04-cg", "--steps", "1e9",
+            "--thin", 1000, "--chains", 2, "--out", tmp_path / "run" / "s.csv")
+        assert status == -signal.SIGTERM
+        assert list(tmp_path.iterdir()) == []
 
     # Pinned SHA-256 of (data file, summary JSON) for fixed runs: a change to
     # the move loop, its RNG use or the row format that alters one byte fails
@@ -950,3 +976,94 @@ print(json.dumps(rc))
         if rc == "eager":
             pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy")
         assert rc == [0, 0, 0], res.stderr
+
+
+# The environment of a process whose stdout is block-buffered, as it is
+# without PYTHONUNBUFFERED, and of one whose stdout is not; argparse wraps
+# its text to COLUMNS.
+BUFFERED = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "COLUMNS": "80"}
+UNBUFFERED = {**BUFFERED, "PYTHONUNBUFFERED": "1"}
+
+
+class TestProcess:
+    """The process ``python -m treegibbs`` runs: its output to a pipe, exit
+    statuses and stderr lines, a closed pipe, and a profiler."""
+
+    def test_stdout_equals_the_out_file(self, tmp_path):
+        args = ["exact", "gap", "--m", "6", "--params", "turner04-cg"]
+        piped = subprocess.run(CLI + args, capture_output=True, env=BUFFERED, timeout=300)
+        assert piped.returncode == 0, piped.stderr
+        out = tmp_path / "gap.json"
+        assert subprocess.run(CLI + args + ["--out", str(out)], env=BUFFERED,
+                              timeout=300).returncode == 0
+        assert piped.stdout == out.read_bytes()
+
+    def test_sample_to_stdout_hashes_to_its_golden(self):
+        import hashlib
+
+        flags, fmt, data_sha, _ = TestSample.GOLDEN[4]  # 3.5 MB of rows
+        res = subprocess.run(CLI + ["sample", *map(str, flags), "--format", fmt],
+                             capture_output=True, env=BUFFERED, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout).hexdigest() == data_sha
+
+    @pytest.mark.parametrize(
+        "args,code,stdout,stderr",
+        [
+            (["--version"], 0, f"treegibbs {__version__}\n", ""),
+            (["--help"], 0, lambda parser: parser.format_help(), ""),
+            (["exact", "gap", "--m", "3", "--bogus"], 2, "",
+             lambda parser: parser.format_usage()
+             + "treegibbs: error: unrecognized arguments: --bogus\n"),
+            (["sample", "--n", "1", "--params", "turner04-cg"], 3, "",
+             "validation error: --n must be at least 2, got 1\n"),
+            (["exact", "gap", "--m", "13", "--params", "turner04-cg"], 4, "",
+             "capacity error: enumeration length m=13 exceeds cap 12; "
+             "lower --m/--n or raise the cap in code\n"),
+        ],
+        ids=["version", "help", "unknown-flag", "validation", "capacity"],
+    )
+    def test_exit_status_and_stderr(self, args, code, stdout, stderr, monkeypatch):
+        monkeypatch.setenv("COLUMNS", BUFFERED["COLUMNS"])
+        # --help's text and the usage line come from the parser.
+        parser = build_parser()
+        stdout, stderr = (x(parser) if callable(x) else x for x in (stdout, stderr))
+        res = subprocess.run(CLI + args, capture_output=True, text=True, env=BUFFERED,
+                             timeout=300)
+        assert (res.returncode, res.stdout, res.stderr) == (code, stdout, stderr)
+
+    @pytest.mark.parametrize("env", [BUFFERED, UNBUFFERED], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args,lines_read",
+        [
+            (["sample", "--n", "50", "--params", "turner04-cg", "--steps", "1e9"], 1),
+            (["exact", "gap", "--m", "6", "--params", "turner04-cg"], 0),
+        ],
+        ids=["sample-after-one-line", "gap-before-any"],
+    )
+    def test_closed_pipe_is_one_io_error(self, args, lines_read, env):
+        proc = subprocess.Popen(CLI + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        try:
+            for _ in range(lines_read):
+                proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 3, stderr
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert stderr == "i/o error: [Errno 32] Broken pipe\n"
+
+    def test_profiler_prints_its_stats(self):
+        # A profiler reports as the interpreter ends, so the entry lets it.
+        res = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "treegibbs",
+             "exact", "gap", "--m", "4", "--params", "turner04-cg"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
+        report, stats = res.stdout.split("\n}\n", 1)
+        assert json.loads(report + "}")["m"] == 4
+        assert "function calls" in stats and "Ordered by" in stats
