@@ -21,7 +21,6 @@ from .energy import (
     BUILTIN_NNTM,
     EnergyParams,
     NNTMParams,
-    builtin_params,
     derive_params,
     path_energy,
     resolve_params,
@@ -101,7 +100,6 @@ __all__ = [
     "TwoMotzkinPath",
     "batch_means_stderr",
     "build_transition_model",
-    "builtin_params",
     "catalan",
     "check_decomposition_bound",
     "check_skeleton_projection",

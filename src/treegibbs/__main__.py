@@ -3,7 +3,7 @@
 import os
 import sys
 
-from .cli import EXIT_OK, EXIT_VALIDATION, main
+from .cli import EXIT_OK, EXIT_VALIDATION, _say, main
 
 
 def _observed() -> bool:
@@ -50,7 +50,7 @@ def entry() -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     if error is not None:
         if code == EXIT_OK:
-            sys.stderr.write(f"i/o error: {error}\n")
+            _say(f"i/o error: {error}\n")
             code = EXIT_VALIDATION
         return code
     if _observed():

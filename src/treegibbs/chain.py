@@ -36,7 +36,9 @@ the oracle builds the transition matrix.  The one rule that looks past
 its two symbols, a transposition moving a U right past a D, keeps its
 height condition in a scalar form in the loop and a vectorized one in
 ``draw_cells``; a test injects every cell's draws into ``advance`` and
-requires the cell's target word, which ties the two together.
+requires the cell's target word, which ties the two together.  Both
+matrix readers read words through :mod:`treegibbs.paths`: ``DIGIT`` keys
+the cells' rule lookups, and ``heights`` gives heights to both.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, InternalInvariantViolationError
-from .paths import D, H, I, REVERSED_SYMBOL, U, TwoMotzkinPath
+from .paths import D, DIGIT, H, I, REVERSED_SYMBOL, U, TwoMotzkinPath, heights
 from .trees import DegreeProfile
 
 _RNG_BLOCK = 4096
@@ -362,17 +364,6 @@ class DrawCell(NamedTuple):
     weight: float
 
 
-# Height change of each symbol: +1 for U, -1 for D, 0 for the level steps.
-_STEP = np.zeros(256, dtype=np.int8)
-_STEP[U] = 1
-_STEP[D] = -1
-
-
-# Each symbol's number in the keys of ``draw_cells``' lookups.
-_SYMBOL_NUMBER = np.zeros(256, dtype=np.uint8)
-_SYMBOL_NUMBER[[U, D, H, I]] = range(4)
-
-
 def draw_cells(
     words: np.ndarray, params: EnergyParams
 ) -> Iterator[tuple[DrawCell, np.ndarray, np.ndarray, np.ndarray]]:
@@ -398,19 +389,19 @@ def draw_cells(
     if m < 1:
         raise ConfigInvalidError("transition law requires m >= 1")
     # Per class: whether a rule applies, the symbols it writes at i and j,
-    # and its acceptance, indexed by 4 * (number at i) + (number at j).
+    # and its acceptance, indexed by 4 * (digit at i) + (digit at j).
     lookups = []
     for table in _move_rules(params):
         applies = np.zeros(16, dtype=bool)
         writes = np.zeros((2, 16), dtype=np.uint8)
         accepts = np.zeros(16)
         for (a, b), (new, q) in table.items():
-            key = 4 * _SYMBOL_NUMBER[a] + _SYMBOL_NUMBER[b]
+            key = 4 * DIGIT[a] + DIGIT[b]
             applies[key], writes[:, key], accepts[key] = True, new, q
         lookups.append((applies, *writes, accepts))
-    lowering = 4 * _SYMBOL_NUMBER[_LOWERING[0]] + _SYMBOL_NUMBER[_LOWERING[1]]
-    numbers = _SYMBOL_NUMBER[words].T.copy()  # one row per position
-    heights = np.cumsum(_STEP[words], axis=1, dtype=np.int32)  # after each step
+    lowering = 4 * DIGIT[_LOWERING[0]] + DIGIT[_LOWERING[1]]
+    digits = DIGIT[words].T.copy()  # one row per position
+    climbed = heights(words)
     pairs = m - 1  # zero at m = 1, where the pair moves never apply
     cells = [
         *(DrawCell(0, p, p + 1, 0.25 / pairs) for p in range(pairs)),
@@ -421,11 +412,11 @@ def draw_cells(
     for cell in cells:
         applies, at_i, at_j, accepts = lookups[cell.move]
         i, j = cell.i, cell.j
-        keys = (4 * numbers[i] + numbers[j]).astype(np.intp)
+        keys = (4 * digits[i] + digits[j]).astype(np.intp)
         valid = applies[keys]
         if cell.move == _TRANSPOSE:
             lowered = np.flatnonzero(keys == lowering)
-            valid[lowered[heights[lowered, i:j].min(axis=1) < 2]] = False
+            valid[lowered[climbed[lowered, i:j].min(axis=1) < 2]] = False
         rows = np.flatnonzero(valid)
         keys = keys[rows]
         targets = words[rows]
@@ -457,8 +448,7 @@ def word_fields(words: np.ndarray, params: EnergyParams, root_degree: bool = Tru
     d1 = np.count_nonzero(words == I, axis=1)
     r = None
     if root_degree:
-        grounded = np.cumsum(_STEP[words], axis=1, dtype=np.int32) == 0
-        r = np.count_nonzero(grounded & (words == H), axis=1) + 1
+        r = np.count_nonzero((heights(words) == 0) & (words == H), axis=1) + 1
     # Past the float64 range an energy is inf, or NaN for inf - inf, as in
     # Python float arithmetic, and as quietly.
     with np.errstate(over="ignore", invalid="ignore"):

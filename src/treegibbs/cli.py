@@ -1,8 +1,9 @@
 """Command-line surface: sampling, conversion, exact analysis, decomposition.
 
 Every command runs in one frame, ``main``: it parses the flags, takes the
-start time, takes ``--out`` as a path (which creates nothing), runs the
-command, and, when the command returns with an ``--out``, writes
+start time, takes ``--out`` as a path (which creates nothing; one that
+names no file, like ``sub/``, is a validation error), runs the command,
+and, when the command returns with an ``--out``, writes
 ``<out>.manifest.json`` recording the exact argv, resolved parameters,
 seed, version and timestamps; ``treegibbs replay <manifest>`` re-runs it.
 Data files never embed timestamps.  ``sample`` and ``convert`` reproduce
@@ -17,17 +18,20 @@ leaves nothing behind, and one that raises while writing, SIGINT's
 or directory.  SIGTERM removes the part file and the directories made for
 it too, and then ends the process by SIGTERM as before; sent to the parent
 of a ``--chains`` run, it first ends the workers, which clean up the same
-way.  Only SIGKILL can leave ``<out>.part``; no signal leaves a truncated
-``<out>``, or a manifest for an unfinished run, since it is written last.
+way, and then removes the directories made for them.  Only SIGKILL can
+leave ``<out>.part``; no signal leaves a truncated ``<out>``, or a
+manifest for an unfinished run, since it is written last.
 
 Exit codes: 0 success, 2 usage, 3 input validation or an i/o error (a
-closed stdout pipe, a full disk, an unwritable ``--out``), 4 capacity (a
-size cap, or running out of memory), 5 internal-check failure.
+closed stdout pipe, a full disk, an unwritable ``--out``, a stream the
+command needs closed at start), 4 capacity (a size cap, or running out of
+memory), 5 internal-check failure; messages for a closed stderr are dropped.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -120,6 +124,29 @@ def _add_energy_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _stream(name: str):
+    """``sys.<name>`` for a command's data; ``OSError`` (an i/o error) when
+    Python set it to None, its descriptor being closed at start."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, f"{name} was closed at start")
+    return stream
+
+
+def _say(message: str) -> None:
+    """Write a message to stderr, or drop it where stderr is closed or fails."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.write(message)
+
+
+def _remove_empty(dirs: list[Path]) -> None:
+    """Remove each of ``dirs`` that is empty, in order."""
+    for d in dirs:
+        with suppress(OSError):
+            d.rmdir()
+
+
 @contextmanager
 def _on_sigterm(cleanup):
     """Within the block, SIGTERM runs ``cleanup`` and then ends the process
@@ -160,16 +187,14 @@ def _output(out: Path | None):
     directories made here, where empty, are removed.
     """
     if out is None:
-        yield sys.stdout
+        yield _stream("stdout")
         return
     made = [d for d in out.parents if not d.exists()]  # nearest first
     part = out.with_name(out.name + ".part")
 
     def remove() -> None:
         part.unlink(missing_ok=True)
-        for d in made:
-            with suppress(OSError):
-                d.rmdir()
+        _remove_empty(made)
 
     with _on_sigterm(remove):
         try:
@@ -182,9 +207,10 @@ def _output(out: Path | None):
             raise
 
 
-def _end_workers() -> None:
+def _end_workers(made: list[Path]) -> None:
     """End this process's worker processes by SIGTERM, and wait for them:
-    each removes its part file as ``_output`` does, then ends."""
+    each removes its part file as ``_output`` does, then ends.  Then remove
+    the directories ``made``, where empty."""
     import multiprocessing
 
     workers = multiprocessing.active_children()
@@ -192,6 +218,7 @@ def _end_workers() -> None:
         worker.terminate()
     for worker in workers:
         worker.join()
+    _remove_empty(made)
 
 
 def _write_json(payload: dict, out: Path | None) -> None:
@@ -317,7 +344,7 @@ def _sample_chain(
 
         index = StateIndex.build(m)
         emp = empirical_distribution(result.occupancy, index)
-        pi, _ = gibbs_distribution(m, params, index=index)
+        pi, _ = gibbs_distribution(index, params)
         summary["tv_vs_exact"] = tv_distance(emp, pi)
         if params.alpha == 0.0 and params.beta == 0.0:
             summary["tv_vs_uniform"] = tv_distance(emp, np.full(len(index), 1.0 / len(index)))
@@ -344,17 +371,25 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
 
         ext = "csv" if args.format == "csv" else "jsonl"
         files = [out.with_name(f"{out.stem}.chain{k}.{ext}") for k in range(args.chains)]
-        with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
-            futures = [
-                pool.submit(_sample_chain, params, args, k, files[k])
-                for k in range(args.chains)
-            ]
-            # Installed once the workers are started: one that inherited it
-            # would keep ``_output`` from installing its own.  A SIGTERM that
-            # raised here instead would leave the pool's exit waiting for the
-            # workers' full runs.
-            with _on_sigterm(_end_workers):
-                summaries = [f.result() for f in futures]
+        # A chain removes only the directories it made, and the first to clean
+        # up can find another's part file there: the parent removes the ones
+        # missing at the start, where empty, once every worker has ended.
+        made = [d for d in out.parents if not d.exists()]
+        try:
+            with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
+                futures = [
+                    pool.submit(_sample_chain, params, args, k, files[k])
+                    for k in range(args.chains)
+                ]
+                # Installed once the workers are started: one that inherited
+                # it would keep ``_output`` from installing its own.  A SIGTERM
+                # that raised here instead would leave the pool's exit waiting
+                # for the workers' full runs.
+                with _on_sigterm(lambda: _end_workers(made)):
+                    summaries = [f.result() for f in futures]
+        except BaseException:
+            _remove_empty(made)  # the pool's exit has joined the workers
+            raise
 
     summary = {
         "n": args.n,
@@ -371,7 +406,7 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
         "per_chain": summaries,
     }
     if out is None:
-        sys.stderr.write(json.dumps(summary, indent=2) + "\n")
+        _stream("stderr").write(json.dumps(summary, indent=2) + "\n")
         return EXIT_OK, {}
     _write_json(summary, out.with_name(out.name + ".summary.json"))
     return EXIT_OK, {"seed": args.seed, "params": asdict(params), "outputs": [str(f) for f in files]}
@@ -384,7 +419,7 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
 def cmd_convert(args, out: Path | None) -> tuple[int, dict]:
     failures = 0
     with ExitStack() as stack:
-        source = sys.stdin if args.infile == "-" else stack.enter_context(open(args.infile))
+        source = _stream("stdin") if args.infile == "-" else stack.enter_context(open(args.infile))
         sink = stack.enter_context(_output(out))
         for lineno, raw in enumerate(source, start=1):
             line = raw.rstrip("\n")
@@ -407,7 +442,7 @@ def cmd_convert(args, out: Path | None) -> tuple[int, dict]:
                 sink.write(rendered + "\n")
             except (PathValidationError, UnbalancedParensError, EmptyTreeError) as exc:
                 failures += 1
-                sys.stderr.write(f"{args.infile}:{lineno}: {exc}\n")
+                _say(f"{args.infile}:{lineno}: {exc}\n")
     return EXIT_VALIDATION if failures else EXIT_OK, {"failures": failures}
 
 
@@ -438,7 +473,7 @@ def cmd_exact(args, out: Path | None) -> tuple[int, dict]:
         index, log_z = model.index, model.log_z
     else:
         index = StateIndex.build(args.m)
-        pi, log_z = gibbs_distribution(args.m, params, index=index)
+        pi, log_z = gibbs_distribution(index, params)
     payload: dict = {
         "m": args.m,
         "alpha": params.alpha,
@@ -563,9 +598,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
-    out = getattr(args, "out", None)  # replay takes no --out
-    out = None if out is None else Path(out)
     try:
+        out = getattr(args, "out", None)  # replay takes no --out
+        if out is not None and os.path.basename(out) in ("", ".", ".."):  # '', '/', 'sub/'
+            raise ConfigInvalidError(f"--out {out!r} names no file")
+        out = None if out is None else Path(out)
         code, extra = args.func(args, out)
         if out is not None:
             manifest = {
@@ -579,11 +616,11 @@ def main(argv: list[str] | None = None) -> int:
             _write_json(manifest, out.with_name(out.name + ".manifest.json"))
         return code
     except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
+        _say(f"usage error: {exc}\n")
         return EXIT_USAGE
     except (CapExceededError, MemoryError) as exc:  # a cap is also a ValueError
         reason = str(exc) or "out of memory"
-        sys.stderr.write(f"capacity error: {reason}; lower --m/--n or raise the cap in code\n")
+        _say(f"capacity error: {reason}; lower --m/--n or raise the cap in code\n")
         return EXIT_CAPACITY
     except TreeGibbsError as exc:
         # The error's builtin base says whose fault it is: bad input, or a
@@ -594,8 +631,8 @@ def main(argv: list[str] | None = None) -> int:
             prefix, code = "internal check failed", EXIT_INTERNAL
         else:
             prefix, code = "error", EXIT_INTERNAL
-        sys.stderr.write(f"{prefix}: {exc}\n")
+        _say(f"{prefix}: {exc}\n")
         return code
     except OSError as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
+        _say(f"i/o error: {exc}\n")
         return EXIT_VALIDATION

@@ -85,15 +85,6 @@ BUILTIN_NNTM: dict[str, NNTMParams] = {
 }
 
 
-def builtin_params(name: str) -> NNTMParams:
-    """Look up a builtin parameter set by name (e.g. ``turner04-cg``)."""
-    try:
-        return BUILTIN_NNTM[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_NNTM))
-        raise UnknownParameterSetError(f"unknown parameter set {name!r}; known: {known}") from None
-
-
 def path_energy(x: TwoMotzkinPath, e: EnergyParams) -> float:
     """Branching energy read directly off path symbol counts."""
     counts = x.counts()

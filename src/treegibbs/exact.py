@@ -69,7 +69,7 @@ from .errors import (
     NoConvergenceError,
 )
 from .law import StateIndex, _codes, gibbs_distribution, tv_distance
-from .paths import D, U, TwoMotzkinPath
+from .paths import TwoMotzkinPath, heights
 
 # Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors (ARPACK's
 # default is 20) and a restart keeps the LANCZOS_KEEP largest Ritz vectors.  A
@@ -95,7 +95,7 @@ class Kernel:
     ``indices[indptr[i]:indptr[i + 1]]``, which ascend with no repeats.
     ``Kernel(indptr, indices, data)`` takes ``intp`` arrays in that form as
     they are and checks nothing; every maker hands over canonical rows.
-    ``P @ x`` and ``x @ P`` are the matrix products with a vector.
+    ``x @ P`` is the product of a row vector with the matrix.
 
     A kernel keeps these three arrays and nothing else per entry: ``rows``
     and ``mirrors`` are computed on each access, so a caller binds them once
@@ -147,10 +147,6 @@ class Kernel:
         return len(self.indptr) - 1
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.n, self.n
-
-    @property
     def nnz(self) -> int:
         return len(self.data)
 
@@ -186,14 +182,6 @@ class Kernel:
 
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.rows, weights=self.data, minlength=self.n)
-
-    def toarray(self) -> np.ndarray:
-        a = np.zeros(self.shape)
-        a[self.rows, self.indices] = self.data
-        return a
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=self.n)
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
         weights = self.of_rows(x) * self.data
@@ -252,7 +240,7 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     detailed balance fail their 1e-12-scale checks.
     """
     index = StateIndex.build(m)
-    pi, log_z = gibbs_distribution(m, params, index=index)
+    pi, log_z = gibbs_distribution(index, params)
     P = _assemble(index, index.words, 2 * np.arange(len(index)), params)
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
     verify_model(model)
@@ -528,10 +516,10 @@ def _slow_mode(words: np.ndarray, odd: bool) -> np.ndarray:
     matrix: the area under the path in the even sector, and in the odd one
     the heights' first moment about the midpoint, which reversal negates."""
     m = words.shape[1]
-    heights = np.cumsum((words == U).astype(np.int64) - (words == D), axis=1)
+    climbed = heights(words)
     if odd:
-        return heights @ (np.arange(1, m + 1) - 0.5 * m)
-    return heights.sum(axis=1).astype(float)
+        return climbed @ (np.arange(1, m + 1) - 0.5 * m)
+    return climbed.sum(axis=1).astype(float)
 
 
 _BLOCK_ROWS = 1 << 14  # rows per block of SymmetricOperator: a product's temporaries stay small

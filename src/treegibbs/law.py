@@ -4,9 +4,10 @@ This is the half of the exact oracle that sample summaries need: all
 paths of length m as one word matrix, their Gibbs weights and log
 partition value, the empirical law of a run's visit counts, and the
 total-variation distance between two laws.  Every per-state quantity is
-computed on the matrix; path objects are made only on access.  Sample
-summaries at small m import this module alone; :mod:`treegibbs.exact`
-builds kernels and spectra on top of these names.
+computed on the matrix, read through the byte tables of :mod:`treegibbs.paths`;
+path objects are made only on access.  Sample summaries at small m import
+this module alone; :mod:`treegibbs.exact` builds kernels and spectra on top
+of these names.
 """
 
 from __future__ import annotations
@@ -20,22 +21,7 @@ import numpy as np
 from .chain import word_fields
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, LengthMismatchError
-from .paths import (
-    D,
-    REVERSED_SYMBOL,
-    SYMBOL_ORDER,
-    U,
-    PathSequence,
-    TwoMotzkinPath,
-    enumerate_paths,
-)
-
-# Base-4 digit of each symbol in enumeration order (U < H < I < D), so the
-# codes of a StateIndex's words ascend and fit in int64 for m <= 31.
-_DIGIT = np.zeros(256, dtype=np.int64)
-_DIGIT[list(SYMBOL_ORDER)] = np.arange(4)
-_REVERSED = np.arange(256, dtype=np.uint8)  # REVERSED_SYMBOL as a lookup table
-_REVERSED[list(REVERSED_SYMBOL)] = list(REVERSED_SYMBOL.values())
+from .paths import D, DIGIT, REVERSED, U, PathSequence, TwoMotzkinPath, enumerate_paths
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +75,7 @@ class StateIndex:
     def reversals(self) -> np.ndarray:
         """Index of each state's reversal: its word read backwards with U and D
         swapped, which is a path of the same length.  Read-only: it is shared."""
-        found = np.searchsorted(self.codes, _codes(_REVERSED[self.words[:, ::-1]]))
+        found = np.searchsorted(self.codes, _codes(REVERSED[self.words[:, ::-1]]))
         found.flags.writeable = False
         return found
 
@@ -121,8 +107,9 @@ class StateIndex:
 
 
 def _codes(words: np.ndarray) -> np.ndarray:
-    """Base-4 code of each row of a word matrix; ascending in enumeration order."""
-    return _DIGIT[words] @ (4 ** np.arange(words.shape[1] - 1, -1, -1, dtype=np.int64))
+    """Base-4 code of each row of a word matrix, its ``paths.DIGIT`` digits
+    read as int64: ascending in enumeration order, exact for m <= 31."""
+    return DIGIT[words] @ (4 ** np.arange(words.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def logsumexp(a) -> float:
@@ -145,12 +132,8 @@ def logsumexp(a) -> float:
         return float(np.log1p(rest.sum() / ties) + np.log(ties) + top)
 
 
-def gibbs_distribution(
-    m: int, params: EnergyParams, index: StateIndex | None = None
-) -> tuple[np.ndarray, float]:
-    """Exact Gibbs law over all paths of length m and its log partition value."""
-    if index is None:
-        index = StateIndex.build(m)
+def gibbs_distribution(index: StateIndex, params: EnergyParams) -> tuple[np.ndarray, float]:
+    """Exact Gibbs law over the states of ``index`` and its log partition value."""
     log_w = -index.energies(params)
     log_z = logsumexp(log_w)
     return np.exp(log_w - log_z), log_z

@@ -6,6 +6,8 @@ up/down steps; H and I are two distinguishable colors of level step.
 There are catalan(m + 1) such words.  Symbols are stored as ASCII bytes
 so file round-trips are bit-exact and inner-loop comparisons stay cheap;
 all words of one length form one uint8 matrix (:func:`enumerate_paths`).
+Every pass over a word matrix, the sampler's and the oracle's, reads the
+encoding defined here: ``DIGIT``, ``RISE``, ``REVERSED`` and :func:`heights`.
 """
 
 from __future__ import annotations
@@ -30,13 +32,28 @@ ALPHABET = frozenset((U, H, I, D))
 
 # Canonical symbol order for enumeration and lexicographic comparisons.
 SYMBOL_ORDER = bytes((U, H, I, D))
-_SYMBOLS = np.frombuffer(SYMBOL_ORDER, np.uint8)
-_RISE = np.array([1, 0, 0, -1], np.int8)  # height change of each, in that order
 # Path reversal reads a word backwards and swaps U and D, which maps the
 # paths of each length onto themselves.
 REVERSED_SYMBOL = {U: D, H: H, I: I, D: U}
 
+# Read-only tables indexed by a word's bytes: each symbol's digit in
+# SYMBOL_ORDER, height change and image under reversal.  Any other byte has
+# digit 0 and height change 0, and reversal keeps it.
+DIGIT = np.zeros(256, np.uint8)
+DIGIT[list(SYMBOL_ORDER)] = range(4)
+RISE = np.zeros(256, np.int8)
+RISE[[U, D]] = 1, -1
+REVERSED = np.arange(256, dtype=np.uint8)
+REVERSED[list(REVERSED_SYMBOL)] = list(REVERSED_SYMBOL.values())
+DIGIT.flags.writeable = RISE.flags.writeable = REVERSED.flags.writeable = False
+
 ENUMERATION_CAP = 12  # also the exact oracle's: catalan(13) = 742 900 states
+
+
+def heights(words: np.ndarray) -> np.ndarray:
+    """The height after each step of a uint8 word, or of each row of a word
+    matrix, as int32."""
+    return np.cumsum(RISE[words], axis=-1, dtype=np.int32)
 
 
 def _first_unmatched_up(symbols: bytes) -> int:
@@ -44,9 +61,9 @@ def _first_unmatched_up(symbols: bytes) -> int:
     # A U is unmatched iff the path never comes back down below the height
     # it climbs to, so that height is the lowest from there to the end.
     steps = np.frombuffer(symbols, np.uint8)
-    heights = np.cumsum((steps == U).astype(np.int64) - (steps == D))
-    lowest_ahead = np.minimum.accumulate(heights[::-1])[::-1]
-    return int(np.flatnonzero((steps == U) & (heights == lowest_ahead))[0])
+    climbed = heights(steps)
+    lowest_ahead = np.minimum.accumulate(climbed[::-1])[::-1]
+    return int(np.flatnonzero((steps == U) & (climbed == lowest_ahead))[0])
 
 
 def _check_word(word: str | bytes | bytearray) -> bytes:
@@ -89,12 +106,6 @@ class TwoMotzkinPath:
 
     def __reduce__(self):
         return (type(self), (self.symbols,))
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     @classmethod
     def _trusted(cls, symbols: bytes) -> "TwoMotzkinPath":
@@ -168,15 +179,16 @@ def enumerate_paths(m: int) -> PathSequence:
         raise ConfigInvalidError(f"path length must be nonnegative, got m={m}")
     if m > ENUMERATION_CAP:
         raise CapExceededError("enumeration length m", m, ENUMERATION_CAP)
+    symbols = np.frombuffer(SYMBOL_ORDER, np.uint8)
     words = np.zeros((1, m), np.uint8)
-    heights = np.zeros(1, np.int8)
+    height = np.zeros(1, np.int8)
     for pos in range(m):
-        grown = heights[:, None] + _RISE
+        grown = height[:, None] + RISE[symbols]
         # Row-major order: by prefix, then by symbol, so rows stay sorted.
         prefix, symbol = np.nonzero((grown >= 0) & (grown <= m - pos - 1))
         words = words[prefix]
-        words[:, pos] = _SYMBOLS[symbol]
-        heights = grown[prefix, symbol]
+        words[:, pos] = symbols[symbol]
+        height = grown[prefix, symbol]
     words.flags.writeable = False
     return PathSequence(words)
 

@@ -51,21 +51,11 @@ class PlaneTree:
     def __reduce__(self):
         return (type(self), (self.children,))
 
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
     @classmethod
     def _trusted(cls, arena: tuple[tuple[int, ...], ...]) -> "PlaneTree":
         self = object.__new__(cls)
         object.__setattr__(self, "children", arena)
         return self
-
-    @property
-    def node_count(self) -> int:
-        return len(self.children)
 
     @property
     def edge_count(self) -> int:

@@ -15,11 +15,19 @@ def sample_rows(samples) -> list:
     return [(t, s) for s in samples for t in s.steps]
 
 
+def to_dense(P) -> np.ndarray:
+    """The kernel ``P`` as a dense ``(n, n)`` array: the reference its sparse
+    products and the package's solves are checked against."""
+    a = np.zeros((P.n, P.n))
+    a[P.rows, P.indices] = P.data
+    return a
+
+
 def scipy_csr(P):
     """The kernel ``P`` viewed as a scipy CSR matrix; scipy is a test-only reference."""
     import scipy.sparse as sp
 
-    return sp.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
+    return sp.csr_matrix((P.data, P.indices, P.indptr), shape=(P.n, P.n))
 
 
 def dense_lambda1(P, pi) -> float:
@@ -27,7 +35,7 @@ def dense_lambda1(P, pi) -> float:
     ``eigvalsh`` of diag(sqrt(pi)) P diag(sqrt(pi))^-1, the dense reference
     the package's Lanczos solves are checked against."""
     root = np.sqrt(pi)
-    A = P.toarray()
+    A = to_dense(P)
     A *= root[:, None]
     A /= root
     return float(np.linalg.eigvalsh(A)[-2])

@@ -16,10 +16,10 @@ from collections import Counter
 import numpy as np
 
 from treegibbs import (
+    BUILTIN_NNTM,
     ChainConfig,
     EnergyParams,
     batch_means_stderr,
-    builtin_params,
     catalan,
     check_decomposition_bound,
     check_skeleton_projection,
@@ -76,7 +76,7 @@ def test_01_nntm_table_reproduction():
     start = time.time()
     worst = 0.0
     for name, (alpha, beta, gamma) in published.items():
-        got = derive_params(builtin_params(name))
+        got = derive_params(BUILTIN_NNTM[name])
         worst = max(
             worst,
             abs(got.alpha - alpha),
@@ -181,7 +181,7 @@ def test_05_sampler_uniform_case():
 
 def test_06_sampler_weighted_case():
     start = time.time()
-    params = derive_params(builtin_params("turner04-cg"))
+    params = derive_params(BUILTIN_NNTM["turner04-cg"])
     model = cached_model(6, params.alpha, params.beta)
     cfg = ChainConfig(m=6, params=params, seed=SAMPLER_SEED)
     result = run(cfg, total_steps=SAMPLER_TOTAL, burn_in=SAMPLER_BURN_IN, thin=SAMPLER_THIN)

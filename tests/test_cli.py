@@ -26,7 +26,7 @@ from treegibbs import (
 )
 from treegibbs.cli import _parse_count, _row_statistics, _sample_chain, build_parser
 
-from conftest import cached_model, dense_lambda1
+from conftest import cached_model, dense_lambda1, to_dense
 
 CLI = [sys.executable, "-m", "treegibbs"]
 
@@ -264,6 +264,26 @@ class TestSample:
             command = (*command, "--in", tmp_path / "missing.txt")
         res = cli(*command, "--out", tmp_path / "a" / "b" / "x.out")
         assert res.returncode == code, res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["", ".", "/", "sub/"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("sample", "--n", 5, "--params", "turner04-cg", "--steps", 10),
+            ("sample", "--n", 5, "--params", "turner04-cg", "--steps", 10, "--chains", 2),
+            ("exact", "gap", "--m", 3, "--params", "turner04-cg"),
+        ],
+        ids=["sample", "sample-chains", "exact-gap"],
+    )
+    def test_out_that_names_no_file_is_rejected(self, tmp_path, monkeypatch, capsys, command, out):
+        # Rejected before any work, as one validation error; nothing is
+        # written, not even a file named after the directory.
+        from treegibbs.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main([*map(str, command), "--out", out]) == 3
+        assert capsys.readouterr() == ("", f"validation error: --out {out!r} names no file\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_run_removes_the_directories_it_made(self, tmp_path, monkeypatch):
@@ -607,9 +627,9 @@ class TestExact:
         out = tmp_path / "gap.json"
         assert main(["exact", "gap", "--m", "1", *flags, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        P = build_transition_model(1, params).P
+        P = to_dense(build_transition_model(1, params).P)
         assert P.shape == (2, 2)
-        assert abs(report["lambda1"] - (np.trace(P.toarray()) - 1.0)) <= 1e-14
+        assert abs(report["lambda1"] - (np.trace(P) - 1.0)) <= 1e-14
         assert report["method"] == "lanczos" and report["residual"] <= 1e-14
 
     def test_lanczos_no_convergence_exits_5(self, monkeypatch, capsys):
@@ -857,7 +877,7 @@ PUBLIC_NAMES = [
     "EnergyParams", "NNTMParams", "PlaneTree", "Sample",
     "SpectralReport", "StateIndex", "SymbolCounts",
     "TransitionModel", "TwoMotzkinPath", "batch_means_stderr", "build_transition_model",
-    "builtin_params", "catalan", "check_decomposition_bound", "check_skeleton_projection",
+    "catalan", "check_decomposition_bound", "check_skeleton_projection",
     "decode", "decomposition_report", "degree_profile", "derive_params",
     "encode", "enumerate_paths", "gibbs_distribution", "iter_paths",
     "move_constants", "path_energy", "projected_k_distribution",
@@ -1055,6 +1075,29 @@ class TestProcess:
             proc.wait()
             proc.stderr.close()
         assert stderr == "i/o error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize(
+        "closed,args,code,stdout,stderr",
+        [
+            ("1>&-", ["exact", "gap", "--m", "3", "--params", "turner04-cg"], 3, "",
+             "i/o error: [Errno 9] stdout was closed at start\n"),
+            ("0<&-", ["convert", "--to", "trees"], 3, "",
+             "i/o error: [Errno 9] stdin was closed at start\n"),
+            ("2>&-", ["exact", "gap", "--m", "0", "--params", "turner04-cg"], 3, "", ""),
+            ("2>&-", ["exact", "gap", "--m", "1", "--params", "turner04-cg"], 0, '{\n  "m": 1,', ""),
+            ("2>&-", ["sample", "--n", "3", "--alpha", "0", "--beta", "0", "--steps", "3"], 3,
+             "step,path,energy,d0,d1,r\n0,HH,", ""),
+        ],
+        ids=["stdout-data", "stdin-data", "stderr-message", "stderr-unused", "stderr-summary"],
+    )
+    def test_stream_closed_at_start(self, closed, args, code, stdout, stderr):
+        # A command that needs a stream closed at start is an i/o error, exit
+        # 3; a message for a closed stderr is dropped and the exit code kept.
+        res = subprocess.run(["sh", "-c", f'exec "$@" {closed}', "sh", *CLI, *args],
+                             capture_output=True, text=True, env=BUFFERED, timeout=300)
+        assert res.returncode == code, res.stderr
+        assert res.stdout.startswith(stdout) and bool(res.stdout) == bool(stdout)
+        assert res.stderr == stderr
 
     def test_profiler_prints_its_stats(self):
         # A profiler reports as the interpreter ends, so the entry lets it.

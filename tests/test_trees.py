@@ -16,7 +16,7 @@ from treegibbs import (
 )
 from treegibbs.errors import EmptyTreeError, UnbalancedParensError
 
-from test_paths import random_path_words
+from test_paths import CLONES, random_path_words
 
 SINGLE_EDGE = PlaneTree([[1], []])
 ROOT_TWO_LEAVES = PlaneTree([[1, 2], [], []])
@@ -27,7 +27,7 @@ CHERRY = PlaneTree([[1], [2, 3], [], []])  # root -> a, a -> {b, c}
 class TestPlaneTree:
     def test_counts(self):
         assert SINGLE_EDGE.edge_count == 1
-        assert CHERRY.node_count == 4
+        assert len(CHERRY.children) == 4
 
     def test_rejects_double_parent(self):
         with pytest.raises(ValueError):
@@ -48,6 +48,13 @@ class TestPlaneTree:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             SINGLE_EDGE.children = ()
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+    def test_copies_are_equal(self, clone):
+        tree = clone(CHERRY)
+        assert type(tree) is PlaneTree and tree == CHERRY and hash(tree) == hash(CHERRY)
+        with pytest.raises(AttributeError):
+            tree.children = ()
 
 
 class TestDegreeProfile:
@@ -135,7 +142,7 @@ class TestTextFormat:
 
     def test_root_only(self):
         assert tree_to_text(PlaneTree([[]])) == ""
-        assert text_to_tree("").node_count == 1
+        assert len(text_to_tree("").children) == 1
 
     @pytest.mark.parametrize(
         "text,index",
