@@ -2,8 +2,8 @@
 
 Every command runs in one frame, ``main``: it parses the flags, takes the
 start time, takes ``--out`` as a path (which creates nothing; one that
-names no file, like ``sub/``, is a validation error), runs the command,
-and, when the command returns with an ``--out``, writes
+names no file, like ``sub/``, or names a directory is a validation error),
+runs the command, and, when the command returns with an ``--out``, writes
 ``<out>.manifest.json`` recording the exact argv, resolved parameters,
 seed, version and timestamps; ``treegibbs replay <manifest>`` re-runs it.
 Data files never embed timestamps.  ``sample`` and ``convert`` reproduce
@@ -600,8 +600,8 @@ def main(argv: list[str] | None = None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         out = getattr(args, "out", None)  # replay takes no --out
-        if out is not None and os.path.basename(out) in ("", ".", ".."):  # '', '/', 'sub/'
-            raise ConfigInvalidError(f"--out {out!r} names no file")
+        if out is not None and (os.path.basename(out) in ("", ".", "..") or os.path.isdir(out)):
+            raise ConfigInvalidError(f"--out {out!r} names no file")  # '', '/', 'sub/', a directory
         out = None if out is None else Path(out)
         code, extra = args.func(args, out)
         if out is not None:

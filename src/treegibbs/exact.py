@@ -18,7 +18,7 @@ its size.
 
 Every kernel comes out of one assembly (``_assemble``): the sampler's
 draw-cell table (``chain.draw_cells``) applied to a word matrix of row
-states, and a map from each target word to a column and a sign.  The
+states, and a map from each target's rank to a column and a sign.  The
 identity map on all words gives the full chain, bit for bit as it was
 built before the map; ``exact pi``, ``tv-curve`` and ``decompose`` use
 it.  The chain commutes with path reversal R (a word read backwards, U
@@ -68,8 +68,8 @@ from .errors import (
     MassUnderflowError,
     NoConvergenceError,
 )
-from .law import StateIndex, _codes, gibbs_distribution, tv_distance
-from .paths import TwoMotzkinPath, heights
+from .law import StateIndex, gibbs_distribution, tv_distance
+from .paths import TwoMotzkinPath, heights, rank
 
 # Thick-restart Lanczos: the basis holds at most LANCZOS_BASIS vectors (ARPACK's
 # default is 20) and a restart keeps the LANCZOS_KEEP largest Ritz vectors.  A
@@ -241,7 +241,7 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     """
     index = StateIndex.build(m)
     pi, log_z = gibbs_distribution(index, params)
-    P = _assemble(index, index.words, 2 * np.arange(len(index)), params)
+    P = _assemble(index.words, 2 * np.arange(len(index)), params)
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
     verify_model(model)
     return model
@@ -265,10 +265,10 @@ def build_sector(
     """
     reps, place = _orbit_columns(index, odd)
     words = index.words[reps]
-    P = _assemble(index, words, place, params, turned_sign=-1.0 if odd else 1.0)
+    P = _assemble(words, place, params, turned_sign=-1.0 if odd else 1.0)
     del place
     sector = TransitionModel(
-        index=StateIndex(m=index.m, words=words, codes=index.codes[reps]),
+        index=StateIndex(m=index.m, words=words),
         params=params,
         P=P,
         pi=pi[reps] * (2.0 - (index.reversals[reps] == reps)),
@@ -299,25 +299,25 @@ def _orbit_columns(index: StateIndex, odd: bool) -> tuple[np.ndarray, np.ndarray
 
 
 def _assemble(
-    index: StateIndex,
     words: np.ndarray,
     place: np.ndarray,
     params: EnergyParams,
     turned_sign: float = 1.0,
 ) -> Kernel:
     """The kernel of the chain's moves from the states whose words are the
-    rows of ``words``, one row each, over the states of ``index``.
+    rows of ``words``, one row each, over all paths of their length.
 
-    The mass a move sends to state t goes to column ``place[t] >> 1``, as a
-    turned word when ``place[t]`` is odd (its value then times
-    ``turned_sign``), and is dropped when ``place[t]`` is negative.  Row i's
+    The mass a move sends to the path of ``paths.rank`` t goes to column
+    ``place[t] >> 1``, as a turned word when ``place[t]`` is odd (its value
+    then times ``turned_sign``), and is dropped when ``place[t]`` is
+    negative; a target that is not a path is an internal fault.  Row i's
     own state must be placed at column i, unturned: what no move takes from
     it stays there.  A row that places one target word twice is an internal
     fault, raised rather than summed, since a sum would hide a draw cell
     listed twice behind rows that still sum to 1; distinct words placed in
     one column, a word and its reversal, are summed (:meth:`Kernel._from_keys`).
     """
-    n, codes = len(words), index.codes
+    n = len(words)
     # Each cell's entries as (row * n + column) << 1 | turned keys, with
     # their values.
     cells = []
@@ -326,9 +326,8 @@ def _assemble(
     for cell, rows, targets, accept in draw_cells(words, params):
         vals = cell.weight * accept
         moved[rows] += vals
-        target_codes = _codes(targets)
-        states = np.searchsorted(codes, target_codes)
-        if not np.array_equal(codes[np.minimum(states, len(codes) - 1)], target_codes):
+        states = rank(targets)
+        if (states < 0).any():
             raise InternalInvariantViolationError("a move left the enumerated state space")
         cols = place[states]
         kept = cols >= 0

@@ -4,10 +4,10 @@ This is the half of the exact oracle that sample summaries need: all
 paths of length m as one word matrix, their Gibbs weights and log
 partition value, the empirical law of a run's visit counts, and the
 total-variation distance between two laws.  Every per-state quantity is
-computed on the matrix, read through the byte tables of :mod:`treegibbs.paths`;
-path objects are made only on access.  Sample summaries at small m import
-this module alone; :mod:`treegibbs.exact` builds kernels and spectra on top
-of these names.
+computed on the matrix, read through the byte tables of :mod:`treegibbs.paths`,
+and words are looked up by their ``paths.rank``; path objects are made only
+on access.  Sample summaries at small m import this module alone;
+:mod:`treegibbs.exact` builds kernels and spectra on top of these names.
 """
 
 from __future__ import annotations
@@ -21,23 +21,22 @@ import numpy as np
 from .chain import word_fields
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, LengthMismatchError
-from .paths import D, DIGIT, REVERSED, U, PathSequence, TwoMotzkinPath, enumerate_paths
+from .paths import D, REVERSED, U, PathSequence, TwoMotzkinPath, enumerate_paths, rank
 
 
 @dataclass(frozen=True, eq=False)
 class StateIndex:
-    """Row i of the read-only uint8 matrix ``words`` is state i; ``codes``
-    are the rows' base-4 codes, ascending, for ``searchsorted`` lookups."""
+    """Row i of the read-only uint8 matrix ``words`` is state i, found by its
+    word's ``paths.rank``.  A reversal sector's index holds only the orbit
+    representatives: a lookup there finds a word's own row or ``KeyError``."""
 
     m: int
     words: np.ndarray
-    codes: np.ndarray
 
     @classmethod
     def build(cls, m: int) -> "StateIndex":
         """All paths of length m; ``CapExceededError`` past ``paths.ENUMERATION_CAP``."""
-        words = enumerate_paths(m).words
-        return cls(m=m, words=words, codes=_codes(words))
+        return cls(m=m, words=enumerate_paths(m).words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -55,8 +54,8 @@ class StateIndex:
         if any(len(word) != self.m for word in words):
             raise KeyError(next(word for word in words if len(word) != self.m))
         matrix = np.frombuffer(b"".join(words), np.uint8).reshape(len(words), self.m)
-        rows = np.searchsorted(self.codes, _codes(matrix)).clip(max=len(self) - 1)
-        # Codes read any byte outside U/H/I/D as a U, so compare the words.
+        # Non-paths rank -1 and a sector's rows are not ranks: compare the words.
+        rows = rank(matrix).clip(max=len(self) - 1)
         missing = (self.words[rows] != matrix).any(axis=1)
         if missing.any():
             raise KeyError(words[int(missing.argmax())])
@@ -75,7 +74,7 @@ class StateIndex:
     def reversals(self) -> np.ndarray:
         """Index of each state's reversal: its word read backwards with U and D
         swapped, which is a path of the same length.  Read-only: it is shared."""
-        found = np.searchsorted(self.codes, _codes(REVERSED[self.words[:, ::-1]]))
+        found = rank(REVERSED[self.words[:, ::-1]])
         found.flags.writeable = False
         return found
 
@@ -104,12 +103,6 @@ class StateIndex:
             idx.flags.writeable = False
             blocks[kk, row[: self.m - 2 * kk], row[self.m - 2 * kk :]] = idx
         return blocks
-
-
-def _codes(words: np.ndarray) -> np.ndarray:
-    """Base-4 code of each row of a word matrix, its ``paths.DIGIT`` digits
-    read as int64: ascending in enumeration order, exact for m <= 31."""
-    return DIGIT[words] @ (4 ** np.arange(words.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def logsumexp(a) -> float:

@@ -7,11 +7,12 @@ There are catalan(m + 1) such words.  Symbols are stored as ASCII bytes
 so file round-trips are bit-exact and inner-loop comparisons stay cheap;
 all words of one length form one uint8 matrix (:func:`enumerate_paths`).
 Every pass over a word matrix, the sampler's and the oracle's, reads the
-encoding defined here: ``DIGIT``, ``RISE``, ``REVERSED`` and :func:`heights`.
+encoding defined here: ``DIGIT``, ``RISE``, ``REVERSED``, :func:`heights` and :func:`rank`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -48,12 +49,49 @@ REVERSED[list(REVERSED_SYMBOL)] = list(REVERSED_SYMBOL.values())
 DIGIT.flags.writeable = RISE.flags.writeable = REVERSED.flags.writeable = False
 
 ENUMERATION_CAP = 12  # also the exact oracle's: catalan(13) = 742 900 states
+RANK_CAP = 34  # rank counts in int64: catalan(35) < 2**63 <= catalan(36)
 
 
 def heights(words: np.ndarray) -> np.ndarray:
     """The height after each step of a uint8 word, or of each row of a word
     matrix, as int32."""
     return np.cumsum(RISE[words], axis=-1, dtype=np.int32)
+
+
+def rank(words: np.ndarray) -> np.ndarray:
+    """The int64 index of each row of a uint8 word matrix in :func:`enumerate_paths`
+    order, or -1 for a row that is not a path (a byte outside U/H/I/D, a dip below 0,
+    an end above 0): the order is lexicographic, so it counts the paths that agree with
+    the row up to some position and hold a smaller symbol there (Nijenhuis & Wilf 1978)."""
+    below, step = _rank_tables(words.shape[1])
+    state, ranks = 0, np.zeros(len(words), np.int64)  # state 0: height 0
+    for p, column in enumerate(words.T):
+        at = state + column
+        ranks += below[p].take(at)
+        state = step.take(at)
+    ranks[state != 0] = -1
+    return ranks
+
+
+@functools.cache
+def _rank_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A word walks the states s = 256 h at height h, and s = 256 (m + 1) for good from
+    a byte outside U/H/I/D or a dip below 0: ``step[s + byte]`` is the next state, and
+    ``below[p, s + byte]`` counts the paths equal to the word before p and smaller at p."""
+    if m > RANK_CAP:
+        raise CapExceededError("rank length m", m, RANK_CAP)
+    symbols = list(SYMBOL_ORDER)
+    step = np.arange(m + 2)[:, None] + RISE
+    step[(step < 0) | (step > m) | ~np.isin(np.arange(256), symbols)] = m + 1
+    step[m + 1] = m + 1
+    below = np.zeros((m, m + 2, 256), np.int64)
+    ahead = np.zeros(m + 2, np.int64)  # the ways to end a path from each state
+    ahead[0] = 1
+    for p in range(m - 1, -1, -1):
+        ways = ahead[step[:, symbols]]  # by state, then symbol at p
+        below[p][:, symbols] = np.cumsum(ways, axis=1) - ways
+        ahead = ways.sum(axis=1) * (np.arange(m + 2) <= p)  # the heights p steps reach
+    return below.reshape(m, (m + 2) * 256), step.ravel() * 256
 
 
 def _first_unmatched_up(symbols: bytes) -> int:

@@ -286,6 +286,33 @@ class TestSample:
         assert capsys.readouterr() == ("", f"validation error: --out {out!r} names no file\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("sample", "--n", 5, "--params", "turner04-cg", "--steps", 10),
+            ("sample", "--n", 5, "--params", "turner04-cg", "--steps", 10, "--chains", 2),
+            ("exact", "gap", "--m", 3, "--params", "turner04-cg"),
+        ],
+        ids=["sample", "sample-chains", "exact-gap"],
+    )
+    def test_out_that_names_a_directory_is_rejected_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        import treegibbs.cli as cli_module
+        import treegibbs.exact as exact_module
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the command's work started")
+
+        monkeypatch.setattr(cli_module, "run", reached)
+        monkeypatch.setattr(exact_module, "reversal_gap", reached)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert cli_module.main([*map(str, command), "--out", "adir"]) == 3
+        assert capsys.readouterr() == ("", "validation error: --out 'adir' names no file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
     def test_interrupted_run_removes_the_directories_it_made(self, tmp_path, monkeypatch):
         import treegibbs.cli as cli_module
 

@@ -87,7 +87,7 @@ class TestStateIndex:
         "word",
         [
             b"UHD",  # another length
-            b"XD",  # a byte outside U/H/I/D, which the codes read as a U
+            b"XD",  # a byte outside U/H/I/D
             b"DU",  # the right length, but not a path
         ],
     )
@@ -259,6 +259,31 @@ class TestTransitionModel:
         assert main(["exact", "gap", "--m", "4", "--params", "turner04-cg"]) == 5
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old,new", [(H, D), (U, ord("X"))], ids=["not-a-path", "byte-outside-the-alphabet"]
+    )
+    def test_move_out_of_the_state_space_is_an_internal_fault(self, monkeypatch, capsys, old, new):
+        # One cell writes one target with a symbol replaced: an H by a D
+        # leaves a word that ends below 0, a U by an X a word that is not over
+        # U/H/I/D at all.
+        real = exact.draw_cells
+
+        def one_target_spoiled(words, params):
+            spoiled = False
+            for cell, rows, targets, accept in real(words, params):
+                at = np.argwhere(targets == old)
+                if not spoiled and len(at):
+                    targets = targets.copy()
+                    targets[tuple(at[0])] = new
+                    spoiled = True
+                yield cell, rows, targets, accept
+
+        monkeypatch.setattr(exact, "draw_cells", one_target_spoiled)
+        with pytest.raises(InternalInvariantViolationError):
+            build_transition_model(4, resolve_params("turner04-cg"))
+        assert main(["exact", "gap", "--m", "4", "--params", "turner04-cg"]) == 5
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_cells_need_not_share_arrays(self, m, monkeypatch):
         # The build places each cell's entries as they are, so fresh copies
@@ -303,15 +328,16 @@ class TestKernel:
         import scipy.sparse as sp
 
         from treegibbs.chain import draw_cells
-        from treegibbs.law import _codes
 
         params = PIN_PARAMS[name]
         model = build_transition_model(m, params)
         index = model.index
+        # Targets are found by their bytes, not by the package's lookup.
+        row_of = {word.tobytes(): row for row, word in enumerate(index.words)}
         rows, cols, vals = [], [], []
         for cell, r, targets, accept in draw_cells(index.words, params):
             rows.append(r)
-            cols.append(np.searchsorted(index.codes, _codes(targets)))
+            cols.append([row_of[target.tobytes()] for target in targets])
             vals.append(cell.weight * accept)
         rows, cols, vals = map(np.concatenate, (rows, cols, vals))
         n = len(index)

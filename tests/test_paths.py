@@ -20,7 +20,9 @@ from treegibbs import (
     TwoMotzkinPath,
     catalan,
     enumerate_paths,
+    gibbs_distribution,
     iter_paths,
+    resolve_params,
 )
 from treegibbs.errors import (
     CapExceededError,
@@ -38,6 +40,7 @@ from treegibbs.paths import (
     I,
     U,
     heights,
+    rank,
 )
 
 CLONES = {
@@ -155,15 +158,6 @@ class TestValidate:
         with pytest.raises(InvalidSymbolError) as err:
             TwoMotzkinPath(word)
         assert str(err.value) == f"symbol {word[1]!r} not in U/H/I/D (index 1)"
-
-    def test_prefix_sums_example(self):
-        x = TwoMotzkinPath("UHIDHH")
-        heights = []
-        h = 0
-        for ch in x.word:
-            h += {"U": 1, "D": -1}.get(ch, 0)
-            heights.append(h)
-        assert heights == [1, 1, 1, 0, 0, 0]
 
     def test_bytes_and_str_agree(self):
         assert TwoMotzkinPath(b"UHID") == TwoMotzkinPath("UHID")
@@ -313,6 +307,62 @@ class TestEnumeration:
     def test_negative_length(self):
         with pytest.raises(ValueError):
             enumerate_paths(-1)
+
+
+class TestRank:
+    """``rank`` inverts the state order, and finds no place for a non-path."""
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_ranks_every_path_at_its_index(self, m):
+        ranks = rank(enumerate_paths(m).words)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == list(range(catalan(m + 1)))
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_every_word_over_the_alphabet(self, m):
+        # product() over U, H, I, D yields words in the state order, so the
+        # paths among them rank 0, 1, 2, ... and every other word ranks -1.
+        valid = set(brute_force_words(m))
+        words = ["".join(w) for w in product("UHID", repeat=m)]
+        matrix = np.frombuffer("".join(words).encode(), np.uint8).reshape(len(words), m)
+        expected = np.full(len(words), -1)
+        expected[[w in valid for w in words]] = np.arange(len(valid))
+        assert rank(matrix).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("byte", [0, ord("X"), ord("u"), ord("?"), 0xD5, 255])
+    def test_a_byte_outside_the_alphabet_ranks_minus_one(self, byte):
+        # Put at each position of every path of length 5, in place of each
+        # of U, H, I and D.
+        words = enumerate_paths(5).words
+        spoiled = np.repeat(words, 5, axis=0)
+        spoiled[np.arange(len(spoiled)), np.tile(np.arange(5), len(words))] = byte
+        assert (rank(spoiled) == -1).all()
+
+    def test_cap(self):
+        # 34 is the largest length whose path count fits in int64.
+        words = np.frombuffer(b"U" * 17 + b"D" * 17 + b"I" * 34, np.uint8).reshape(2, 34)
+        assert rank(words).tolist() == [0, catalan(35) - 1]
+        with pytest.raises(CapExceededError):
+            rank(np.zeros((1, 35), np.uint8))
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_sector_lookup_finds_the_word_or_nothing(self, m, odd):
+        from treegibbs.exact import build_sector
+
+        index = StateIndex.build(m)
+        params = resolve_params("turner04-cg")
+        sector = build_sector(index, *gibbs_distribution(index, params), params, odd).index
+        own = {word.tobytes(): row for row, word in enumerate(sector.words)}
+        found = 0
+        for path in index.paths:
+            try:
+                row = sector.index_of(path)
+            except KeyError:
+                continue
+            assert row == own[path.symbols]
+            found += 1
+        assert found >= 1
 
 
 class TestCounting:
