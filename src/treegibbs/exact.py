@@ -268,7 +268,7 @@ def build_sector(
     P = _assemble(words, place, params, turned_sign=-1.0 if odd else 1.0)
     del place
     sector = TransitionModel(
-        index=StateIndex(m=index.m, words=words),
+        index=StateIndex(m=index.m, words=words, ranks=reps),
         params=params,
         P=P,
         pi=pi[reps] * (2.0 - (index.reversals[reps] == reps)),

@@ -8,11 +8,12 @@ computed on the matrix, read through the byte tables of :mod:`treegibbs.paths`,
 and words are looked up by their ``paths.rank``; path objects are made only
 on access.  Sample summaries at small m import this module alone;
 :mod:`treegibbs.exact` builds kernels and spectra on top of these names.
+It loads numpy and the interpreter's built-in SHA-256, not :mod:`hashlib`,
+so the oracle's commands never map OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,15 +24,27 @@ from .energy import EnergyParams
 from .errors import ConfigInvalidError, LengthMismatchError
 from .paths import D, REVERSED, U, PathSequence, TwoMotzkinPath, enumerate_paths, rank
 
+# hashlib maps OpenSSL's libcrypto for one digest: take the interpreter's own
+# SHA-256 where it has one, as the standard library's random takes SHA-512.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 @dataclass(frozen=True, eq=False)
 class StateIndex:
     """Row i of the read-only uint8 matrix ``words`` is state i, found by its
     word's ``paths.rank``.  A reversal sector's index holds only the orbit
-    representatives: a lookup there finds a word's own row or ``KeyError``."""
+    representatives, with ``ranks``, their ascending rows in the full index:
+    a lookup there finds a word's own row or ``KeyError``."""
 
     m: int
     words: np.ndarray
+    ranks: np.ndarray | None = None
 
     @classmethod
     def build(cls, m: int) -> "StateIndex":
@@ -54,8 +67,14 @@ class StateIndex:
         if any(len(word) != self.m for word in words):
             raise KeyError(next(word for word in words if len(word) != self.m))
         matrix = np.frombuffer(b"".join(words), np.uint8).reshape(len(words), self.m)
-        # Non-paths rank -1 and a sector's rows are not ranks: compare the words.
-        rows = rank(matrix).clip(max=len(self) - 1)
+        if words and not len(self):
+            raise KeyError(words[0])  # an empty sector
+        rows = rank(matrix)
+        if self.ranks is not None:
+            rows = np.searchsorted(self.ranks, rows)
+        # A non-path ranks -1 and a word outside a sector lands on a neighbour
+        # or past the end: compare the words.
+        rows = rows.clip(max=len(self) - 1)
         missing = (self.words[rows] != matrix).any(axis=1)
         if missing.any():
             raise KeyError(words[int(missing.argmax())])
@@ -64,7 +83,7 @@ class StateIndex:
     def order_hash(self) -> str:
         """SHA-256 of the newline-joined state order; identifies the indexing."""
         lines = np.pad(self.words, ((0, 0), (0, 1)), constant_values=ord("\n"))
-        return hashlib.sha256(lines.tobytes()[:-1]).hexdigest()
+        return sha256(lines.tobytes()[:-1]).hexdigest()
 
     def energies(self, params: EnergyParams) -> np.ndarray:
         """``path_energy`` of every state, read off the word matrix by ``chain.word_fields``."""
@@ -73,7 +92,8 @@ class StateIndex:
     @cached_property
     def reversals(self) -> np.ndarray:
         """Index of each state's reversal: its word read backwards with U and D
-        swapped, which is a path of the same length.  Read-only: it is shared."""
+        swapped, which is a path of the same length.  On a sector's index it is
+        the reversal's row in the full index.  Read-only: it is shared."""
         found = rank(REVERSED[self.words[:, ::-1]])
         found.flags.writeable = False
         return found

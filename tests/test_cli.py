@@ -10,6 +10,7 @@ import sys
 import time
 from array import array
 from contextlib import suppress
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -995,9 +996,12 @@ print(json.dumps(loaded))
 
     def test_oracle_runs_without_numpy_random(self, tmp_path):
         # With sys.modules["numpy.random"] = None importing it raises, so the
-        # oracle's commands, Lanczos start included, must not need it.  Older
-        # numpy versions import numpy.random within ``import numpy``; there
-        # it cannot be blocked, and the test is skipped.
+        # oracle's commands, Lanczos start included, must not need it.  Nor
+        # may they load hashlib's _hashlib, which maps OpenSSL's libcrypto:
+        # the state order is hashed with the interpreter's own SHA-256.
+        # Older numpy versions import numpy.random, and through its secrets
+        # import _hashlib, within ``import numpy``; there neither can be
+        # checked, and the test is skipped.
         script = f"""
 import json, sys
 import numpy
@@ -1014,15 +1018,34 @@ rc = [
     cli.main(["decompose", "report", "--m", "6", "--level", "kqs", "--params", "turner04-cg",
               "--out", {str(tmp_path / "kqs.json")!r}]),
 ]
-print(json.dumps(rc))
+print(json.dumps([rc, "_hashlib" in sys.modules]))
 """
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, timeout=300)
         assert res.returncode == 0, res.stderr
-        rc = json.loads(res.stdout.splitlines()[-1])
-        if rc == "eager":
+        out = json.loads(res.stdout.splitlines()[-1])
+        if out == "eager":
             pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy")
-        assert rc == [0, 0, 0], res.stderr
+        assert out == [[0, 0, 0], False], res.stderr
+
+    def test_order_hash_falls_back_to_hashlib(self):
+        # Without the interpreter's own SHA-256 modules the law module takes
+        # hashlib's, and the pinned state orders hash the same.
+        script = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from treegibbs import law
+hashlib = sys.modules.get("hashlib")
+print(json.dumps([hashlib is not None and law.sha256 is hashlib.sha256,
+                  {str(m): law.StateIndex.build(m).order_hash() for m in range(13)}]))
+"""
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        from_hashlib, hashes = json.loads(res.stdout.splitlines()[-1])
+        assert from_hashlib
+        pins = json.loads((Path(__file__).parent / "data" / "law_pins_m0-12.json").read_text())
+        assert hashes == pins["order_hash"]
 
 
 # The environment of a process whose stdout is block-buffered, as it is
