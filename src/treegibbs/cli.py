@@ -230,11 +230,6 @@ def _write_json(payload: dict, out: Path | None) -> None:
 # sample
 
 
-def _json_float(x: float) -> str:
-    """``json.dumps(x)`` without the call: a finite float's repr, else NaN or Infinity."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
 def _row_statistics(energy, d0, d1, rows) -> dict:
     """The sample summary's statistics of a run's rows, from its held words.
 
@@ -304,13 +299,12 @@ def _sample_chain(
     energy, d0, d1, rows = array("d"), array("q"), array("q"), array("q")
     jsonl = args.format == "jsonl"
     # A row is ``head``, its step, and ``tail``, its sample's fields filled
-    # into ``template``; words need no quoting or escaping.
+    # into ``template``; words need no quoting or escaping, and energies are
+    # finite (``_check_energy_range``), so their repr is their JSON text.
     if jsonl:
-        head, template = '{"step":', ',"path":"%s","energy":%s,"d0":%d,"d1":%d,"r":%d}\n'
-        number = _json_float
+        head, template = '{"step":', ',"path":"%s","energy":%r,"d0":%d,"d1":%d,"r":%d}\n'
     else:
-        head, template = "", ",%s,%s,%d,%d,%d\n"
-        number = repr
+        head, template = "", ",%s,%r,%d,%d,%d\n"
 
     def emit(s: Sample) -> None:
         p = s.degrees
@@ -318,7 +312,7 @@ def _sample_chain(
         d0.append(p.d0)
         d1.append(p.d1)
         rows.append(len(s.steps))
-        tail = template % (s.path.word, number(s.energy), p.d0, p.d1, p.r)
+        tail = template % (s.path.word, s.energy, p.d0, p.d1, p.r)
         # ``run`` never emits a sample with no steps.
         write(head + (tail + head).join(map(str, s.steps)) + tail)
 
@@ -484,7 +478,7 @@ def cmd_exact(args, out: Path | None) -> tuple[int, dict]:
     if args.what == "pi":
         payload["pi"] = pi.tolist()
     elif args.what == "gap":
-        report = reversal_gap(index, pi, log_z, params)
+        report = reversal_gap(index, pi, params)
         payload.update(
             lambda1=report.lambda1,
             gap=report.gap,

@@ -1,20 +1,20 @@
 """Exhaustive small-instance ground truth for the path chain.
 
 Builds transition matrices over the catalan(m + 1) states and their
-spectral diagnostics, on the state index (one word matrix) and exact
-Gibbs law of :mod:`treegibbs.law`.  Everything here is a verification
-instrument: state spaces are enumerated, matrices are sparse but
-complete, and every model is checked for stochasticity, stationarity,
-and detailed balance before it is handed out.  Like the rest of the
-package it needs numpy alone.
+spectral diagnostics, on the state index of all paths (one word matrix)
+and exact Gibbs law of :mod:`treegibbs.law`.  Everything here is a
+verification instrument: state spaces are enumerated, matrices are
+sparse but complete, and every model is checked for stochasticity,
+stationarity, and detailed balance before it is handed out.  Like the
+rest of the package it needs numpy alone.
 
 A :class:`Chain` is a kernel with its stationary law.  The full chain is
 a :class:`TransitionModel`, a chain that also keeps its state index and
-parameters; the restrictions and projections of
-:mod:`treegibbs.decomposition` are plain chains.  :func:`spectral_gap`
-takes any of them: it is the one place a kernel becomes a second
-eigenvalue, by thick-restart Lanczos on the symmetrized kernel, whatever
-its size.
+parameters; the reversal sectors below and the restrictions and
+projections of :mod:`treegibbs.decomposition` are plain chains.
+:func:`spectral_gap` takes any stochastic one: it is the one place a
+kernel becomes a second eigenvalue, by thick-restart Lanczos on the
+symmetrized kernel, whatever its size.
 
 Every kernel comes out of one assembly (``_assemble``): the sampler's
 draw-cell table (``chain.draw_cells``) applied to a word matrix of row
@@ -25,16 +25,17 @@ it.  The chain commutes with path reversal R (a word read backwards, U
 and D swapped; ``chain.check_reversal_symmetry`` certifies it from the
 rule table for every m), so its spectrum splits into the functions even
 and odd under R.  :func:`build_sector` maps each target to its orbit's
-representative, x <= Rx: the even sector is the lumped chain on the
-orbits, and the odd sector, on the non-palindromic orbits, takes the
-mass sent to a reversed word with sign -1; it is symmetric under the
-orbit masses but not stochastic.  ``exact gap`` (:func:`reversal_gap`)
-builds, verifies, symmetrizes and solves one sector, lets it go and
-does the other, each solve started from a closed-form guess at its
-sector's slowest mode.  It never builds the full kernel; its
-``iterations`` are the two solves' products summed, and its ``residual``
-the larger of the two.  No mirror of the draw cells is kept, so the
-checks certify the moves the sampler makes.
+representative, x <= Rx, and returns the sector as a plain chain with
+the representatives' rows in the full index: the even sector is the
+lumped chain on the orbits, and the odd sector, on the non-palindromic
+orbits, takes the mass sent to a reversed word with sign -1; it is
+symmetric under the orbit masses but not stochastic.  ``exact gap``
+(:func:`reversal_gap`) builds, verifies, symmetrizes and solves one
+sector, lets it go and does the other, each solve started from a
+closed-form guess at its sector's slowest mode.  It never builds the
+full kernel; its ``iterations`` are the two solves' products summed, and
+its ``residual`` the larger of the two.  No mirror of the draw cells is
+kept, so the checks certify the moves the sampler makes.
 
 Memory per kernel entry sets the largest m the oracle reaches, so a
 kernel keeps its column and value arrays and nothing else per entry.  The
@@ -192,9 +193,9 @@ class Kernel:
 class Chain:
     """A kernel ``P`` with its stationary law ``pi``, on ``n`` states.
 
-    An odd reversal sector (:func:`build_sector`) is held as a chain too:
-    there ``P`` is an operator symmetric under ``pi`` but not ``stochastic``,
-    and ``pi`` is not a law.
+    A reversal sector (:func:`build_sector`) is a chain too, whose states
+    are orbit representatives.  In the odd one ``P`` is an operator
+    symmetric under ``pi`` but not ``stochastic``, and ``pi`` is not a law.
     """
 
     P: Kernel
@@ -208,9 +209,9 @@ class Chain:
 
 @dataclass
 class TransitionModel(Chain):
-    """The verified full chain over the enumerated space ``index``, under
-    ``params``, with its log partition value; or one reversal sector of it,
-    whose ``index`` holds the orbit representatives."""
+    """The verified full chain over all paths of ``index``, under
+    ``params``, with its log partition value.  A reversal sector
+    (:func:`build_sector`) is a plain :class:`Chain`."""
 
     index: StateIndex
     params: EnergyParams
@@ -227,10 +228,16 @@ class SpectralReport:
     """Second eigenvalue diagnostics of a chain."""
 
     lambda1: float
-    gap: float
-    relaxation_time: float
     residual: float
     iterations: int
+
+    @property
+    def gap(self) -> float:
+        return 1.0 - self.lambda1
+
+    @property
+    def relaxation_time(self) -> float:
+        return 1.0 / self.gap
 
 
 def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
@@ -243,15 +250,15 @@ def build_transition_model(m: int, params: EnergyParams) -> TransitionModel:
     pi, log_z = gibbs_distribution(index, params)
     P = _assemble(index.words, 2 * np.arange(len(index)), params)
     model = TransitionModel(index=index, params=params, P=P, pi=pi, log_z=log_z)
-    verify_model(model)
+    verify_model(model, index.words)
     return model
 
 
 def build_sector(
-    index: StateIndex, pi: np.ndarray, log_z: float, params: EnergyParams, odd: bool
-) -> TransitionModel:
+    index: StateIndex, pi: np.ndarray, params: EnergyParams, odd: bool
+) -> tuple[Chain, np.ndarray]:
     """The even or the odd reversal sector of the full chain on ``index``,
-    whose law is ``pi``, verified.
+    whose law is ``pi``, verified, and the rows of its states in ``index``.
 
     The chain commutes with path reversal R (``chain.check_reversal_symmetry``
     certifies it from the rule table), so its spectrum is that of the even
@@ -260,23 +267,17 @@ def build_sector(
     odd ones excluding the palindromes x = Rx, where odd functions vanish.
     The even sector is the lumped chain on the orbits, P(x, y) + P(x, Ry),
     reversible under the orbit masses pi(x) (2 - [x = Rx]).  The odd sector
-    is P(x, y) - P(x, Ry), symmetric under those masses but not stochastic.
-    Empty for the odd sector when every state is a palindrome (m <= 1).
+    is P(x, y) - P(x, Ry), symmetric under those masses but not stochastic,
+    so the sector is a :class:`Chain` with ``stochastic`` false.  Empty for
+    the odd sector when every state is a palindrome (m <= 1).
     """
     reps, place = _orbit_columns(index, odd)
     words = index.words[reps]
     P = _assemble(words, place, params, turned_sign=-1.0 if odd else 1.0)
     del place
-    sector = TransitionModel(
-        index=StateIndex(m=index.m, words=words, ranks=reps),
-        params=params,
-        P=P,
-        pi=pi[reps] * (2.0 - (index.reversals[reps] == reps)),
-        log_z=log_z,
-        stochastic=not odd,
-    )
-    verify_model(sector)
-    return sector
+    sector = Chain(P, pi[reps] * (2.0 - (index.reversals[reps] == reps)), stochastic=not odd)
+    verify_model(sector, words)
+    return sector, reps
 
 
 def _orbit_columns(index: StateIndex, odd: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -364,41 +365,42 @@ def _assemble(
     return Kernel._from_keys(indptr, keys, data, shift)
 
 
-def verify_model(model: TransitionModel) -> None:
+def verify_model(chain: Chain, words: np.ndarray) -> None:
     """Stochasticity, stationarity, and detailed balance, or raise; detailed
-    balance alone for an operator that is not ``stochastic``.
+    balance alone for an operator that is not ``stochastic``.  Row i of the
+    word matrix ``words`` is state i, which names the worst pair.
 
     Each check computes the per-entry arrays it reads (rows, mirrors,
     flows) and lets them go."""
-    if model.stochastic:
-        row_err = float(np.abs(model.P.row_sums() - 1.0).max())
+    if chain.stochastic:
+        row_err = float(np.abs(chain.P.row_sums() - 1.0).max())
         if row_err > VERIFY_TOL:
             raise BalanceViolationError(f"row sums off by {row_err:.3e}", magnitude=row_err)
-        stat_err = stationarity_residual(model)
+        stat_err = stationarity_residual(chain)
         if stat_err > VERIFY_TOL:
             raise BalanceViolationError(f"pi P != pi, residual {stat_err:.3e}", magnitude=stat_err)
-    worst, pair = detailed_balance_violation(model)
-    flow_scale = float(np.abs(model.P.of_rows(model.pi) * model.P.data).max(initial=0.0))
+    worst, pair = detailed_balance_violation(chain)
+    flow_scale = float(np.abs(chain.P.of_rows(chain.pi) * chain.P.data).max(initial=0.0))
     if worst > VERIFY_TOL * flow_scale:
         x, y = pair
         raise BalanceViolationError(
             f"detailed balance violated by {worst:.3e} at pair "
-            f"({model.index.paths[x].word!r}, {model.index.paths[y].word!r})",
+            f"({words[x].tobytes().decode()!r}, {words[y].tobytes().decode()!r})",
             worst_pair=pair,
             magnitude=worst,
         )
 
 
-def stationarity_residual(model: TransitionModel) -> float:
+def stationarity_residual(chain: Chain) -> float:
     """Max-norm of pi^T P - pi^T."""
-    return float(np.abs(model.pi @ model.P - model.pi).max())
+    return float(np.abs(chain.pi @ chain.P - chain.pi).max())
 
 
-def detailed_balance_violation(model: TransitionModel) -> tuple[float, tuple[int, int]]:
+def detailed_balance_violation(chain: Chain) -> tuple[float, tuple[int, int]]:
     """Largest |pi(x)P(x,y) - pi(y)P(y,x)| and the offending index pair."""
-    P = model.P
+    P = chain.P
     mirrors = P.mirrors
-    flow = P.of_rows(model.pi)
+    flow = P.of_rows(chain.pi)
     flow *= P.data
     asym = flow[mirrors]
     asym[mirrors < 0] = 0.0
@@ -420,11 +422,16 @@ def spectral_gap(chain: Chain) -> SpectralReport:
     A = diag(pi)^{1/2} P diag(pi)^{-1/2}, with its known top eigenvector
     sqrt(pi) deflated.  ``residual`` is max ||A v - lambda v|| over both
     eigenpairs, ``iterations`` the count of products with A.
-    ``ConfigInvalidError`` for fewer than two states;
-    ``MassUnderflowError`` when some state has mass 0, which A cannot be
-    scaled by; ``NoConvergenceError`` when the residual exceeds
+    ``ConfigInvalidError`` for a chain that is not ``stochastic`` (an odd
+    reversal sector, which :func:`reversal_gap` solves) and for fewer than
+    two states; ``MassUnderflowError`` when some state has mass 0, which A
+    cannot be scaled by; ``NoConvergenceError`` when the residual exceeds
     ``LANCZOS_REJECT``, which no pair the solver should accept comes near.
     """
+    if not chain.stochastic:
+        raise ConfigInvalidError(
+            "spectral_gap needs a stochastic chain; reversal_gap solves an odd reversal sector"
+        )
     if chain.n < 2:
         raise ConfigInvalidError("spectral gap needs at least two states")
     root = _root_masses(chain.pi)
@@ -458,19 +465,10 @@ def _solve(
         residual = max(residual, float(np.linalg.norm(A @ u - u)))
     if not residual <= LANCZOS_REJECT:
         raise NoConvergenceError(products, residual)
-    gap = 1.0 - lambda1
-    return SpectralReport(
-        lambda1=lambda1,
-        gap=gap,
-        relaxation_time=1.0 / gap,
-        residual=residual,
-        iterations=products,
-    )
+    return SpectralReport(lambda1=lambda1, residual=residual, iterations=products)
 
 
-def reversal_gap(
-    index: StateIndex, pi: np.ndarray, log_z: float, params: EnergyParams
-) -> SpectralReport:
+def reversal_gap(index: StateIndex, pi: np.ndarray, params: EnergyParams) -> SpectralReport:
     """The spectral gap of the full chain on ``index``, whose law is ``pi``,
     solved one reversal sector at a time (:func:`build_sector`).
 
@@ -490,21 +488,17 @@ def reversal_gap(
     check_reversal_symmetry(params)
     reports = []
     for odd in (False, True):
-        sector = build_sector(index, pi, log_z, params, odd)
+        sector, reps = build_sector(index, pi, params, odd)
         if not sector.n:
             break
         root = _root_masses(sector.pi)
         A = symmetrized(sector.P, root)
-        guess = _slow_mode(sector.index.words, odd)
-        del sector  # A holds all the solve reads
+        guess = _slow_mode(index.words[reps], odd)
+        del sector, reps  # A holds all the solve reads
         reports.append(_solve(A, root, not odd, guess))
         del A
-    lambda1 = max(report.lambda1 for report in reports)
-    gap = 1.0 - lambda1
     return SpectralReport(
-        lambda1=lambda1,
-        gap=gap,
-        relaxation_time=1.0 / gap,
+        lambda1=max(report.lambda1 for report in reports),
         residual=max(report.residual for report in reports),
         iterations=sum(report.iterations for report in reports),
     )

@@ -3,13 +3,16 @@
 This is the half of the exact oracle that sample summaries need: all
 paths of length m as one word matrix, their Gibbs weights and log
 partition value, the empirical law of a run's visit counts, and the
-total-variation distance between two laws.  Every per-state quantity is
-computed on the matrix, read through the byte tables of :mod:`treegibbs.paths`,
-and words are looked up by their ``paths.rank``; path objects are made only
-on access.  Sample summaries at small m import this module alone;
-:mod:`treegibbs.exact` builds kernels and spectra on top of these names.
-It loads numpy and the interpreter's built-in SHA-256, not :mod:`hashlib`,
-so the oracle's commands never map OpenSSL's libcrypto.
+total-variation distance between two laws.  A :class:`StateIndex`
+always holds every path of its length; a reversal sector of
+:mod:`treegibbs.exact` is a plain chain that keeps its states' rows in
+one.  Every per-state quantity is computed on the matrix, read through
+the byte tables of :mod:`treegibbs.paths`, and words are looked up by
+their ``paths.rank``; path objects are made only on access.  Sample
+summaries at small m import this module alone; :mod:`treegibbs.exact`
+builds kernels and spectra on top of these names.  It loads numpy and
+the interpreter's built-in SHA-256, not :mod:`hashlib`, so the oracle's
+commands never map OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -37,14 +40,11 @@ except ImportError:
 
 @dataclass(frozen=True, eq=False)
 class StateIndex:
-    """Row i of the read-only uint8 matrix ``words`` is state i, found by its
-    word's ``paths.rank``.  A reversal sector's index holds only the orbit
-    representatives, with ``ranks``, their ascending rows in the full index:
-    a lookup there finds a word's own row or ``KeyError``."""
+    """All paths of length m: row i of the read-only uint8 matrix ``words``
+    is state i, found by its word's ``paths.rank``."""
 
     m: int
     words: np.ndarray
-    ranks: np.ndarray | None = None
 
     @classmethod
     def build(cls, m: int) -> "StateIndex":
@@ -67,14 +67,8 @@ class StateIndex:
         if any(len(word) != self.m for word in words):
             raise KeyError(next(word for word in words if len(word) != self.m))
         matrix = np.frombuffer(b"".join(words), np.uint8).reshape(len(words), self.m)
-        if words and not len(self):
-            raise KeyError(words[0])  # an empty sector
         rows = rank(matrix)
-        if self.ranks is not None:
-            rows = np.searchsorted(self.ranks, rows)
-        # A non-path ranks -1 and a word outside a sector lands on a neighbour
-        # or past the end: compare the words.
-        rows = rows.clip(max=len(self) - 1)
+        # A non-path ranks -1: compare the words.
         missing = (self.words[rows] != matrix).any(axis=1)
         if missing.any():
             raise KeyError(words[int(missing.argmax())])
@@ -92,8 +86,7 @@ class StateIndex:
     @cached_property
     def reversals(self) -> np.ndarray:
         """Index of each state's reversal: its word read backwards with U and D
-        swapped, which is a path of the same length.  On a sector's index it is
-        the reversal's row in the full index.  Read-only: it is shared."""
+        swapped, which is a path of the same length.  Read-only: it is shared."""
         found = rank(REVERSED[self.words[:, ::-1]])
         found.flags.writeable = False
         return found

@@ -213,6 +213,21 @@ class TestSample:
         assert len(records) == 51
         assert set(records[0]) == {"step", "path", "energy", "d0", "d1", "r"}
 
+    def test_jsonl_energy_text_is_the_csv_column(self, tmp_path):
+        # At a large finite alpha the energies print in exponent form; each
+        # JSONL energy is the same text as the CSV energy of its step.
+        flags = ("--n", 10, "--alpha", "1e300", "--beta", 0, "--steps", 200, "--seed", 4)
+        for name, fmt in (("s.csv", "csv"), ("s.jsonl", "jsonl")):
+            assert cli("sample", *flags, "--format", fmt, "--out", tmp_path / name).returncode == 0
+        rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        records = (tmp_path / "s.jsonl").read_text().splitlines()
+        assert len(records) == len(rows) == 201
+        csv_energies = [row.split(",")[2] for row in rows]
+        jsonl_energies = [line.split('"energy":')[1].split(",")[0] for line in records]
+        assert jsonl_energies == csv_energies
+        assert all("e+30" in e for e in csv_energies)
+        assert [json.loads(line)["energy"] for line in records] == list(map(float, csv_energies))
+
     def test_multiple_chains(self, tmp_path):
         out = tmp_path / "mc.csv"
         res = cli("sample", "--n", 4, "--alpha", 0, "--beta", 0, "--steps", 200,

@@ -240,7 +240,7 @@ class TestTransitionModel:
         P = P.tocsr()  # canonical: columns ascend in each row, with no repeats
         model.P = Kernel(P.indptr.astype(np.intp), P.indices.astype(np.intp), P.data)
         with pytest.raises(BalanceViolationError):
-            verify_model(model)
+            verify_model(model, model.index.words)
 
     def test_draw_cell_listed_twice_is_an_internal_fault(self, monkeypatch, capsys):
         # Summing the repeated entries would keep every row stochastic and
@@ -533,7 +533,7 @@ class TestReversalSectors:
         params = FOUR_PARAMS[name]
         model = build_transition_model(m, params)
         full = spectral_gap(model)
-        sectors = reversal_gap(model.index, model.pi, model.log_z, params)
+        sectors = reversal_gap(model.index, model.pi, params)
         assert abs(sectors.lambda1 - full.lambda1) <= 1e-12
         assert abs(sectors.gap - full.gap) <= 1e-12
         assert sectors.residual <= 1e-13
@@ -549,7 +549,7 @@ class TestReversalSectors:
             root = np.sqrt(chain.pi)
             return np.linalg.eigvalsh(root[:, None] * to_dense(chain.P) / root)
 
-        even, odd = (build_sector(model.index, model.pi, model.log_z, model.params, odd)
+        even, odd = (build_sector(model.index, model.pi, model.params, odd)[0]
                      for odd in (False, True))
         assert even.stochastic and not odd.stochastic
         assert even.n + odd.n == model.n
@@ -576,9 +576,39 @@ class TestReversalSectors:
             report = json.loads(capsys.readouterr().out)
             assert abs(report["lambda1"] - expected) <= 1e-12
             index = StateIndex.build(m)
-            pi, log_z = gibbs_distribution(index, params)
-            odd = build_sector(index, pi, log_z, params, odd=True)
-            assert [x.word for x in odd.index.paths] == ([] if m == 1 else ["HI"])
+            _, reps = build_sector(index, gibbs_distribution(index, params)[0], params, odd=True)
+            assert [index.paths[x].word for x in reps] == ([] if m == 1 else ["HI"])
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_sector_states_and_masses(self, m, odd):
+        # The representatives x <= Rx (x < Rx in the odd sector), in state
+        # order, each weighing pi(x) + pi(Rx); Rx is found here by its word.
+        params = resolve_params("turner04-cg")
+        index = StateIndex.build(m)
+        pi, _ = gibbs_distribution(index, params)
+        swap = str.maketrans("UD", "DU")
+        mirror = [index.index_of(TwoMotzkinPath(x.word[::-1].translate(swap)))
+                  for x in index.paths]
+        expected = [x for x, rx in enumerate(mirror) if (x < rx if odd else x <= rx)]
+        sector, reps = build_sector(index, pi, params, odd)
+        assert reps.tolist() == expected
+        assert sector.n == len(expected) and sector.stochastic is not odd
+        assert sector.pi.tolist() == [pi[x] * (1.0 if mirror[x] == x else 2.0) for x in expected]
+
+    def test_spectral_gap_rejects_an_odd_sector(self, monkeypatch):
+        # The odd sector is not stochastic and has no known top eigenvector:
+        # spectral_gap refuses it before any product.
+        params = resolve_params("turner04-cg")
+        index = StateIndex.build(4)
+        odd, _ = build_sector(index, gibbs_distribution(index, params)[0], params, odd=True)
+
+        def never(*args, **kwargs):
+            raise AssertionError("lanczos_top was called")
+
+        monkeypatch.setattr(exact, "lanczos_top", never)
+        with pytest.raises(ConfigInvalidError, match="reversal_gap"):
+            spectral_gap(odd)
 
     def test_rule_without_its_mirror_fails_the_construction_check(self, monkeypatch, capsys):
         # U H -> H U at 0.4 while its mirror H D -> D H keeps 0.5.

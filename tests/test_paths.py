@@ -20,9 +20,7 @@ from treegibbs import (
     TwoMotzkinPath,
     catalan,
     enumerate_paths,
-    gibbs_distribution,
     iter_paths,
-    resolve_params,
 )
 from treegibbs.errors import (
     CapExceededError,
@@ -344,26 +342,6 @@ class TestRank:
         assert rank(words).tolist() == [0, catalan(35) - 1]
         with pytest.raises(CapExceededError):
             rank(np.zeros((1, 35), np.uint8))
-
-    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
-    @pytest.mark.parametrize("m", [1, 4, 5, 6])
-    def test_sector_lookup_finds_the_word_or_nothing(self, m, odd):
-        # m = 1 has only palindromes, so its odd sector is empty.
-        from treegibbs.exact import build_sector
-
-        index = StateIndex.build(m)
-        params = resolve_params("turner04-cg")
-        sector = build_sector(index, *gibbs_distribution(index, params), params, odd).index
-        own = {word.tobytes(): row for row, word in enumerate(sector.words)}
-        for path in index.paths:
-            if path.symbols in own:
-                assert sector.index_of(path) == own[path.symbols]
-            else:
-                with pytest.raises(KeyError):
-                    sector.index_of(path)
-        assert sector._rows(list(own)).tolist() == list(range(len(own)))
-        # A sector's reversals are rows of the full index.
-        assert sector.reversals.tolist() == index.reversals[sector.ranks].tolist()
 
 
 class TestCounting:
