@@ -5,75 +5,58 @@ exp(-(alpha * d0 + beta * d1)) over plane trees with a fixed number of
 edges, by walking on the equivalent space of 2-Motzkin paths.  Exhaustive
 small-instance oracles (exact stationary law, transition matrix, spectral
 gap, block decompositions) back every moving part with checkable numbers.
+
+Each public name is declared once, in ``_MODULE_OF``, and loads its module
+on first use: ``import treegibbs`` loads neither numpy nor any submodule.
+The commands import what they run through :mod:`treegibbs.cli`.
 """
 
 import importlib
 
-from .chain import (
-    ChainConfig,
-    ChainState,
-    Sample,
-    batch_means_stderr,
-    move_constants,
-    run,
-)
-from .energy import (
-    BUILTIN_NNTM,
-    EnergyParams,
-    NNTMParams,
-    derive_params,
-    path_energy,
-    resolve_params,
-)
-from .paths import (
-    SymbolCounts,
-    TwoMotzkinPath,
-    catalan,
-    enumerate_paths,
-    iter_paths,
-)
-from .trees import (
-    DegreeProfile,
-    PlaneTree,
-    decode,
-    degree_profile,
-    encode,
-    text_to_tree,
-    tree_to_text,
-)
-
-# The oracle's names load on first use, so ``sample``, ``convert`` and
-# ``--version`` do not pay the start-up cost of importing ``exact`` and
-# ``decomposition``.
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "check_decomposition_bound",
-            "check_skeleton_projection",
-            "decomposition_report",
-            "projected_k_distribution",
-            "projection_chain",
-            "restriction_chain",
-        ),
-        "decomposition",
-    ),
-    **dict.fromkeys(
-        (
-            "Chain",
-            "SpectralReport",
-            "TransitionModel",
-            "build_transition_model",
-            "spectral_gap",
-            "tv_decay_curve",
-        ),
-        "exact",
-    ),
-    **dict.fromkeys(("StateIndex", "gibbs_distribution", "tv_distance"), "law"),
+_MODULE_OF = {
+    "batch_means_stderr": "chain",
+    "ChainConfig": "chain",
+    "ChainState": "chain",
+    "move_constants": "chain",
+    "run": "chain",
+    "Sample": "chain",
+    "check_decomposition_bound": "decomposition",
+    "check_skeleton_projection": "decomposition",
+    "decomposition_report": "decomposition",
+    "projected_k_distribution": "decomposition",
+    "projection_chain": "decomposition",
+    "restriction_chain": "decomposition",
+    "BUILTIN_NNTM": "energy",
+    "derive_params": "energy",
+    "EnergyParams": "energy",
+    "NNTMParams": "energy",
+    "path_energy": "energy",
+    "resolve_params": "energy",
+    "build_transition_model": "exact",
+    "Chain": "exact",
+    "spectral_gap": "exact",
+    "SpectralReport": "exact",
+    "TransitionModel": "exact",
+    "tv_decay_curve": "exact",
+    "gibbs_distribution": "law",
+    "StateIndex": "law",
+    "tv_distance": "law",
+    "catalan": "paths",
+    "enumerate_paths": "paths",
+    "iter_paths": "paths",
+    "TwoMotzkinPath": "paths",
+    "decode": "trees",
+    "degree_profile": "trees",
+    "DegreeProfile": "trees",
+    "encode": "trees",
+    "PlaneTree": "trees",
+    "text_to_tree": "trees",
+    "tree_to_text": "trees",
 }
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
+    module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
@@ -83,44 +66,4 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_NNTM",
-    "Chain",
-    "ChainConfig",
-    "ChainState",
-    "DegreeProfile",
-    "EnergyParams",
-    "NNTMParams",
-    "PlaneTree",
-    "Sample",
-    "SpectralReport",
-    "StateIndex",
-    "SymbolCounts",
-    "TransitionModel",
-    "TwoMotzkinPath",
-    "batch_means_stderr",
-    "build_transition_model",
-    "catalan",
-    "check_decomposition_bound",
-    "check_skeleton_projection",
-    "decode",
-    "decomposition_report",
-    "degree_profile",
-    "derive_params",
-    "encode",
-    "enumerate_paths",
-    "gibbs_distribution",
-    "iter_paths",
-    "move_constants",
-    "path_energy",
-    "projected_k_distribution",
-    "projection_chain",
-    "resolve_params",
-    "restriction_chain",
-    "run",
-    "spectral_gap",
-    "text_to_tree",
-    "tree_to_text",
-    "tv_decay_curve",
-    "tv_distance",
-]
+__all__ = sorted(_MODULE_OF)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigInvalidError, UnknownParameterSetError
-from .paths import TwoMotzkinPath
+from .paths import H, I, U, TwoMotzkinPath
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ BUILTIN_NNTM: dict[str, NNTMParams] = {
 
 def path_energy(x: TwoMotzkinPath, e: EnergyParams) -> float:
     """Branching energy read directly off path symbol counts."""
-    counts = x.counts()
-    return e.branching(counts.u + counts.h + 1, counts.i)
+    s = x.symbols
+    return e.branching(s.count(U) + s.count(H) + 1, s.count(I))
 
 
 _NNTM_KEYS = ("a", "b", "c", "h", "f", "i", "g")

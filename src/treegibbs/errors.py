@@ -62,6 +62,8 @@ class InternalInvariantViolationError(TreeGibbsError, RuntimeError):
 class UnknownParameterSetError(TreeGibbsError, KeyError):
     """Requested builtin thermodynamic parameter set does not exist."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class ConfigInvalidError(TreeGibbsError, ValueError):
     """A run configuration violates its preconditions."""

@@ -109,40 +109,6 @@ class Kernel:
 
     __array_ufunc__ = None  # ``ndarray @ Kernel`` defers to ``Kernel.__rmatmul__``
 
-    @classmethod
-    def _from_keys(
-        cls, indptr: np.ndarray, keys: np.ndarray, data: np.ndarray, shift: int
-    ) -> Kernel:
-        """The kernel of row-grouped packed entries: ``keys[indptr[i]:indptr[i + 1]]``
-        holds ``((i * n + column) << 1 | turned) << shift | slot`` for each entry
-        of row i, whose value is ``data[indptr[i] + slot]``.  ``turned`` tells
-        apart two target words placed in one column (a word and its reversal,
-        in a reversal sector); their entries are summed, the unturned one
-        first.  Sorts ``keys`` in place and makes it the column array, and
-        reorders ``data`` in place.
-        ``InternalInvariantViolationError`` if two entries share a row, a
-        column and ``turned``: a row places each target word once."""
-        n = len(indptr) - 1
-        # One sort orders the columns of every row, and leaves each row's
-        # entries in its own range; the slot says where each value was.
-        keys.sort()
-        at = keys & ((1 << shift) - 1)
-        at += np.repeat(indptr[:-1], np.diff(indptr))
-        data[:] = data[at]
-        del at
-        keys >>= shift  # (row * n + column) << 1 | turned
-        if (keys[1:] == keys[:-1]).any():
-            raise InternalInvariantViolationError("a kernel row places one target word twice")
-        keys >>= 1  # row * n + column
-        # A column holds at most a word and its reversal, so a repeat is a pair.
-        second = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-        if len(second):
-            data[second - 1] += data[second]
-            data, keys = np.delete(data, second), np.delete(keys, second)
-            indptr = indptr - np.searchsorted(second, indptr)
-        keys %= n  # the columns
-        return cls(indptr, keys, data)
-
     @property
     def n(self) -> int:
         return len(self.indptr) - 1
@@ -316,7 +282,7 @@ def _assemble(
     it stays there.  A row that places one target word twice is an internal
     fault, raised rather than summed, since a sum would hide a draw cell
     listed twice behind rows that still sum to 1; distinct words placed in
-    one column, a word and its reversal, are summed (:meth:`Kernel._from_keys`).
+    one column, a word and its reversal, are summed, the unturned one first.
     """
     n = len(words)
     # Each cell's entries as (row * n + column) << 1 | turned keys, with
@@ -341,9 +307,8 @@ def _assemble(
         keys += cols
         cells.append((keys, vals))
     # Every entry goes to its row's next free slot as a packed (row, column,
-    # turned, slot) key; slot 0 of each row is the diagonal, which keeps what
-    # no cell moves.  One sort of the keys then orders the columns of every
-    # row.
+    # turned, slot) key, ((row * n + column) << 1 | turned) << shift | slot;
+    # slot 0 of each row is the diagonal, which keeps what no cell moves.
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
     shift = int(lengths.max(initial=1)).bit_length()
@@ -362,7 +327,25 @@ def _assemble(
         cell_keys <<= shift
         cell_keys |= at - indptr[rows]
         keys[at], data[at] = cell_keys, vals
-    return Kernel._from_keys(indptr, keys, data, shift)
+    # One sort orders the columns of every row, and leaves each row's entries
+    # in its own range; the slot says where each value was.
+    keys.sort()
+    at = keys & ((1 << shift) - 1)
+    at += np.repeat(indptr[:-1], np.diff(indptr))
+    data[:] = data[at]
+    del at
+    keys >>= shift  # (row * n + column) << 1 | turned
+    if (keys[1:] == keys[:-1]).any():
+        raise InternalInvariantViolationError("a kernel row places one target word twice")
+    keys >>= 1  # row * n + column
+    # A column holds at most a word and its reversal, so a repeat is a pair.
+    second = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    if len(second):
+        data[second - 1] += data[second]
+        data, keys = np.delete(data, second), np.delete(keys, second)
+        indptr = indptr - np.searchsorted(second, indptr)
+    keys %= n  # the columns
+    return Kernel(indptr, keys, data)
 
 
 def verify_model(chain: Chain, words: np.ndarray) -> None:

@@ -8,7 +8,7 @@ always holds every path of its length; a reversal sector of
 :mod:`treegibbs.exact` is a plain chain that keeps its states' rows in
 one.  Every per-state quantity is computed on the matrix, read through
 the byte tables of :mod:`treegibbs.paths`, and words are looked up by
-their ``paths.rank``; path objects are made only on access.  Sample
+their ``paths.rank``; no state is made into a path object.  Sample
 summaries at small m import this module alone; :mod:`treegibbs.exact`
 builds kernels and spectra on top of these names.  It loads numpy and
 the interpreter's built-in SHA-256, not :mod:`hashlib`, so the oracle's
@@ -25,7 +25,7 @@ import numpy as np
 from .chain import word_fields
 from .energy import EnergyParams
 from .errors import ConfigInvalidError, LengthMismatchError
-from .paths import D, REVERSED, U, PathSequence, TwoMotzkinPath, enumerate_paths, rank
+from .paths import D, REVERSED, U, TwoMotzkinPath, enumerate_paths, rank
 
 # hashlib maps OpenSSL's libcrypto for one digest: take the interpreter's own
 # SHA-256 where it has one, as the standard library's random takes SHA-512.
@@ -49,15 +49,10 @@ class StateIndex:
     @classmethod
     def build(cls, m: int) -> "StateIndex":
         """All paths of length m; ``CapExceededError`` past ``paths.ENUMERATION_CAP``."""
-        return cls(m=m, words=enumerate_paths(m).words)
+        return cls(m=m, words=enumerate_paths(m))
 
     def __len__(self) -> int:
         return len(self.words)
-
-    @property
-    def paths(self) -> PathSequence:
-        """The states as :class:`TwoMotzkinPath` objects, made on access."""
-        return PathSequence(self.words)
 
     def index_of(self, path: TwoMotzkinPath) -> int:
         return int(self._rows([path.symbols])[0])

@@ -5,18 +5,18 @@ prefix contains more D's than U's and the whole word balances.  U/D are
 up/down steps; H and I are two distinguishable colors of level step.
 There are catalan(m + 1) such words.  Symbols are stored as ASCII bytes
 so file round-trips are bit-exact and inner-loop comparisons stay cheap;
-all words of one length form one uint8 matrix (:func:`enumerate_paths`).
-Every pass over a word matrix, the sampler's and the oracle's, reads the
-encoding defined here: ``DIGIT``, ``RISE``, ``REVERSED``, :func:`heights` and :func:`rank`.
+all words of one length form one read-only uint8 matrix
+(:func:`enumerate_paths`), whose rows :func:`iter_paths` makes into
+:class:`TwoMotzkinPath` objects one at a time.  Every pass over a word
+matrix, the sampler's and the oracle's, reads the encoding defined here:
+``DIGIT``, ``RISE``, ``REVERSED``, :func:`heights` and :func:`rank`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-from collections.abc import Sequence
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -156,14 +156,6 @@ class TwoMotzkinPath:
     def word(self) -> str:
         return self.symbols.decode("ascii")
 
-    def counts(self) -> "SymbolCounts":
-        return SymbolCounts(
-            u=self.symbols.count(U),
-            h=self.symbols.count(H),
-            i=self.symbols.count(I),
-            d=self.symbols.count(D),
-        )
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -179,36 +171,9 @@ class TwoMotzkinPath:
         return f"{type(self).__name__}({self.word!r})"
 
 
-class SymbolCounts(NamedTuple):
-    """Occurrence counts of the four symbols; u == d and they sum to the length."""
-
-    u: int
-    h: int
-    i: int
-    d: int
-
-    @property
-    def length(self) -> int:
-        return self.u + self.h + self.i + self.d
-
-
-class PathSequence(Sequence[TwoMotzkinPath]):
-    """The rows of a read-only ``(n, m)`` uint8 matrix ``words`` as paths, made on access."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __getitem__(self, i: int) -> TwoMotzkinPath:
-        return TwoMotzkinPath._trusted(self.words[operator.index(i)].tobytes())
-
-
-def enumerate_paths(m: int) -> PathSequence:
-    """All catalan(m + 1) paths of length m in lexicographic order (U < H < I < D).
+def enumerate_paths(m: int) -> np.ndarray:
+    """All catalan(m + 1) paths of length m in lexicographic order (U < H < I < D),
+    as the rows of a read-only ``(catalan(m + 1), m)`` uint8 matrix.
 
     Each prefix grows by U, H, I and D in turn, and survives while its height
     stays in [0, steps remaining], so it can still return to 0.
@@ -228,12 +193,12 @@ def enumerate_paths(m: int) -> PathSequence:
         words[:, pos] = symbols[symbol]
         height = grown[prefix, symbol]
     words.flags.writeable = False
-    return PathSequence(words)
+    return words
 
 
 def iter_paths(m: int) -> Iterator[TwoMotzkinPath]:
-    """Iterate over :func:`enumerate_paths`; its errors raise on the call."""
-    return iter(enumerate_paths(m))
+    """The rows of :func:`enumerate_paths` as paths, in order; its errors raise on the call."""
+    return map(TwoMotzkinPath._trusted, map(np.ndarray.tobytes, enumerate_paths(m)))
 
 
 def catalan(n: int) -> int:

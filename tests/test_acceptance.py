@@ -27,7 +27,6 @@ from treegibbs import (
     degree_profile,
     derive_params,
     encode,
-    enumerate_paths,
     iter_paths,
     projected_k_distribution,
     run,
@@ -36,6 +35,7 @@ from treegibbs import (
 )
 from treegibbs.decomposition import blocks_at
 from treegibbs.law import empirical_distribution
+from treegibbs.paths import H, I, U
 
 from conftest import (
     PARAM_GRID,
@@ -96,8 +96,8 @@ def test_02_bijection_exhaustive_roundtrip():
         for x in iter_paths(m):
             t = decode(x)
             prof = degree_profile(t)
-            c = x.counts()
-            if encode(t) != x or prof.d1 != c.i or prof.d0 != c.u + c.h + 1:
+            s = x.symbols
+            if encode(t) != x or prof.d1 != s.count(I) or prof.d0 != s.count(U) + s.count(H) + 1:
                 ok = False
                 break
             checked += 1
@@ -115,11 +115,11 @@ def test_03_counting_identities():
         one_color: dict[int, int] = {}
         total = 0
         for x in iter_paths(m):
-            c = x.counts()
+            k = x.symbols.count(U)
             total += 1
-            strata[c.u] = strata.get(c.u, 0) + 1
-            if c.i == 0:
-                one_color[c.u] = one_color.get(c.u, 0) + 1
+            strata[k] = strata.get(k, 0) + 1
+            if x.symbols.count(I) == 0:
+                one_color[k] = one_color.get(k, 0) + 1
         if total != catalan(m + 1):
             ok = False
             details.append(f"m={m} count {total} != {catalan(m + 1)}")
@@ -189,14 +189,15 @@ def test_06_sampler_weighted_case():
     tv = tv_distance(emp, model.pi)
 
     d0_series = [
-        s.path.counts().u + s.path.counts().h + 1 for _, s in sample_rows(result.samples)
+        s.path.symbols.count(U) + s.path.symbols.count(H) + 1
+        for _, s in sample_rows(result.samples)
     ]
     mean_d0 = float(np.mean(d0_series))
     se = batch_means_stderr(d0_series, n_batches=100)
     exact_d0 = float(
         sum(
-            pi_x * (p.counts().u + p.counts().h + 1)
-            for pi_x, p in zip(model.pi, model.index.paths)
+            pi_x * (p.symbols.count(U) + p.symbols.count(H) + 1)
+            for pi_x, p in zip(model.pi, iter_paths(6))
         )
     )
     z = abs(mean_d0 - exact_d0) / se
@@ -301,7 +302,7 @@ def test_11_cli_determinism(tmp_path):
         run_cli(*flags, "--out", a)
         run_cli(*flags, "--out", b)
         pairs.append((tag, a.read_bytes() == b.read_bytes()))
-    words = "\n".join(p.word for p in enumerate_paths(4)) + "\n"
+    words = "\n".join(p.word for p in iter_paths(4)) + "\n"
     src = tmp_path / "in.txt"
     src.write_text(words)
     a = tmp_path / "conv.a.out"

@@ -22,7 +22,7 @@ from treegibbs import (
     EnergyParams,
     __version__,
     batch_means_stderr,
-    enumerate_paths,
+    iter_paths,
     resolve_params,
 )
 from treegibbs.cli import _parse_count, _row_statistics, _sample_chain, build_parser
@@ -600,7 +600,7 @@ class TestConvert:
         assert res.stdout.splitlines() == ["(()())", "()"]
 
     def test_roundtrip_all_m5(self, tmp_path):
-        words = "\n".join(p.word for p in enumerate_paths(5)) + "\n"
+        words = "\n".join(p.word for p in iter_paths(5)) + "\n"
         infile = tmp_path / "paths.txt"
         infile.write_text(words)
         trees = tmp_path / "trees.txt"
@@ -869,6 +869,16 @@ class TestDecompose:
         assert err.startswith(prefix), err
         assert str(exc) in err
 
+    def test_unknown_parameter_set_line_is_unquoted(self, capsys):
+        # A KeyError's str() is the repr of its argument; this one reads as given.
+        from treegibbs.cli import main
+
+        assert main(["exact", "pi", "--m", "2", "--params", "nope"]) == 3
+        assert capsys.readouterr().err == (
+            "validation error: 'nope' is neither a builtin parameter set (turner04-cg, "
+            "turner04-gc, turner89-cg, turner89-gc, turner99-cg, turner99-gc) nor a readable file\n"
+        )
+
 
 class TestReplayErrors:
     def test_missing_argv(self, tmp_path):
@@ -914,11 +924,11 @@ class TestReplayErrors:
         assert "--seed" in res.stderr
 
 
-# The package's public names; the exact oracle's among them load lazily.
+# The package's public names; each loads its module on first use.
 PUBLIC_NAMES = [
     "BUILTIN_NNTM", "Chain", "ChainConfig", "ChainState", "DegreeProfile",
     "EnergyParams", "NNTMParams", "PlaneTree", "Sample",
-    "SpectralReport", "StateIndex", "SymbolCounts",
+    "SpectralReport", "StateIndex",
     "TransitionModel", "TwoMotzkinPath", "batch_means_stderr", "build_transition_model",
     "catalan", "check_decomposition_bound", "check_skeleton_projection",
     "decode", "decomposition_report", "degree_profile", "derive_params",
@@ -1008,6 +1018,26 @@ print(json.dumps(loaded))
             ["sample", 0, ["treegibbs.law"]],
             ["exact", 0, ["treegibbs.law", "treegibbs.exact"]],
         ]
+
+    def test_import_loads_a_module_on_first_use_of_its_names(self):
+        # ``import treegibbs`` loads no submodule and no numpy; a name loads
+        # its own module and what that imports.
+        script = """
+import json, sys
+import treegibbs
+bare = sorted(name for name in sys.modules if name == "numpy" or name.startswith("treegibbs."))
+treegibbs.catalan
+loaded = sorted(name for name in sys.modules if name.startswith("treegibbs."))
+print(json.dumps([bare, loaded, treegibbs.__all__ == sorted(treegibbs.__all__)]))
+"""
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        bare, loaded, all_sorted = json.loads(res.stdout.splitlines()[-1])
+        assert bare == []
+        assert "treegibbs.paths" in loaded
+        assert not {"treegibbs.chain", "treegibbs.exact", "treegibbs.decomposition"} & set(loaded)
+        assert all_sorted
 
     def test_oracle_runs_without_numpy_random(self, tmp_path):
         # With sys.modules["numpy.random"] = None importing it raises, so the

@@ -21,7 +21,7 @@ from treegibbs import (
     check_decomposition_bound,
     check_skeleton_projection,
     decomposition_report,
-    enumerate_paths,
+    iter_paths,
     projected_k_distribution,
     projection_chain,
     resolve_params,
@@ -36,6 +36,7 @@ from treegibbs.errors import (
     NotAPartitionError,
 )
 from treegibbs.exact import Chain, Kernel, spectral_gap
+from treegibbs.paths import U
 
 from conftest import dense_lambda1, kernel_from_dense, scipy_csr, to_dense
 
@@ -74,10 +75,10 @@ class TestClassify:
         assert (got.k, got.q, got.s) == label
 
     def test_consistency(self):
-        for x in enumerate_paths(6):
+        for x in iter_paths(6):
             label = classify(x)
             assert label.s == "".join(c for c in x.word if c in "UD")
-            assert label.k == x.counts().u
+            assert label.k == x.symbols.count(U)
             assert label.q == "".join(c for c in x.word if c in "HI")
 
 
@@ -102,7 +103,7 @@ class TestPartitions:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_grouper_matches_classify_reference(self, m):
         index = StateIndex.build(m)
-        labels = [classify(p) for p in index.paths]
+        labels = [classify(p) for p in iter_paths(m)]
         keys = {
             1: lambda lab: lab.k,
             2: lambda lab: (lab.k, lab.q),

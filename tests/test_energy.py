@@ -10,7 +10,7 @@ from treegibbs import (
     decode,
     degree_profile,
     derive_params,
-    enumerate_paths,
+    iter_paths,
     path_energy,
     resolve_params,
 )
@@ -106,7 +106,7 @@ class TestTreeEnergy:
 
     def test_zero_params(self):
         e = EnergyParams(0.0, 0.0)
-        for x in enumerate_paths(4):
+        for x in iter_paths(4):
             assert tree_energy(x, e) == 0.0
 
 
@@ -120,7 +120,7 @@ class TestPathEnergy:
     def test_matches_tree_energy_exhaustively(self):
         e = EnergyParams(alpha=-2.8, beta=-3.0)
         for m in range(0, 8):
-            for x in enumerate_paths(m):
+            for x in iter_paths(m):
                 assert path_energy(x, e) == tree_energy(x, e)
 
     @pytest.mark.parametrize(

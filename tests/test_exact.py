@@ -17,6 +17,7 @@ from treegibbs import (
     build_transition_model,
     catalan,
     gibbs_distribution,
+    iter_paths,
     path_energy,
     resolve_params,
     spectral_gap,
@@ -68,7 +69,7 @@ class TestStateIndex:
     def test_order_and_lookup(self):
         idx = StateIndex.build(3)
         assert len(idx) == 14
-        for i, p in enumerate(idx.paths):
+        for i, p in enumerate(iter_paths(3)):
             assert idx.index_of(p) == i
 
     def test_order_hash_stable(self):
@@ -98,10 +99,10 @@ class TestStateIndex:
         with pytest.raises(KeyError):
             empirical_distribution({b"UD": 2, word: 1}, idx)
 
-    def test_paths_view_matches_words(self):
+    def test_words_match_iter_paths(self):
         idx = StateIndex.build(4)
-        assert [p.symbols for p in idx.paths] == [row.tobytes() for row in idx.words]
-        assert idx.paths[-1].word == "IIII"
+        assert [row.tobytes() for row in idx.words] == [p.symbols for p in iter_paths(4)]
+        assert idx.words[-1].tobytes() == b"IIII"
         assert not idx.words.flags.writeable
 
 
@@ -123,7 +124,7 @@ class TestGibbsDistribution:
         # a=0, b=log 2 the weights are 1 and 1/2.
         idx = StateIndex.build(1)
         pi, _ = gibbs_distribution(idx, EnergyParams(0.0, math.log(2.0)))
-        order = {p.word: i for i, p in enumerate(idx.paths)}
+        order = {p.word: i for i, p in enumerate(iter_paths(1))}
         assert pi[order["H"]] == pytest.approx(2 / 3, rel=1e-14)
         assert pi[order["I"]] == pytest.approx(1 / 3, rel=1e-14)
 
@@ -150,7 +151,7 @@ class TestLogSumExp:
         # projected_k_distribution normalize.
         from scipy.special import logsumexp as scipy_logsumexp
 
-        paths = StateIndex.build(m).paths
+        paths = list(iter_paths(m))
         for params in LSE_PARAMS:
             a, b = params.alpha, params.beta
             log_t = np.logaddexp(-a, -b)
@@ -184,7 +185,7 @@ class TestTransitionModel:
         params = PIN_PARAMS[name]
         model = build_transition_model(m, params)
         got = [repr(e) for e in model.energies.tolist()]
-        assert got == [repr(path_energy(x, params)) for x in model.index.paths]
+        assert got == [repr(path_energy(x, params)) for x in iter_paths(m)]
 
     def test_matches_pointwise_law(self, model_for):
         model = model_for(2, 0.0, 0.0)
@@ -200,10 +201,10 @@ class TestTransitionModel:
         # the same cells by word.
         model = model_for(m, 1.0, -1.0)
         P = scipy_csr(model.P)
-        for i, x in enumerate(model.index.paths):
+        for i, x in enumerate(iter_paths(m)):
             law = transition_distribution(x, model.params)
             row = P.getrow(i)
-            got = {model.index.paths[j].symbols: v for j, v in zip(row.indices, row.data)}
+            got = {model.index.words[j].tobytes(): v for j, v in zip(row.indices, row.data)}
             assert got.keys() == law.keys()
             for key, mass in law.items():
                 assert got[key] == pytest.approx(mass, abs=1e-15)
@@ -349,32 +350,6 @@ class TestKernel:
         assert to_dense(model.P).shape == reference.shape
         assert model.P.nnz == reference.nnz
         assert np.array_equal(to_dense(model.P), reference.toarray())
-
-    def test_from_keys_sorts_columns_and_rejects_repeats(self):
-        # Rows 0 and 2 of three states, each entry packed as
-        # ((row * 3 + column) << 1 | turned) << 2 | slot, its value at
-        # indptr[row] + slot.
-        def packed(entries):
-            return np.array([((r * 3 + c) << 1 | t) << 2 | slot for r, c, t, slot in entries])
-
-        indptr = np.array([0, 2, 2, 4])
-        data = np.array([1.0, 2.0, 3.0, 4.0])
-        entries = [(0, 2, 0, 0), (0, 0, 0, 1), (2, 1, 0, 0), (2, 0, 0, 1)]
-        P = Kernel._from_keys(indptr, packed(entries), data.copy(), 2)
-        assert P.indptr.tolist() == [0, 2, 2, 4]
-        assert P.indices.tolist() == [0, 2, 0, 1]
-        assert P.data.tolist() == [2.0, 1.0, 4.0, 3.0]
-        assert to_dense(P).shape == (3, 3) and P.nnz == 4
-        # A word and its reversal placed in one column are summed.
-        entries[2] = (2, 0, 1, 0)
-        P = Kernel._from_keys(indptr, packed(entries), data.copy(), 2)
-        assert P.indptr.tolist() == [0, 2, 2, 3]
-        assert P.indices.tolist() == [0, 2, 0]
-        assert P.data.tolist() == [2.0, 1.0, 4.0 + 3.0]
-        # The same target word twice is a fault.
-        entries = [(0, 2, 0, 0), (0, 2, 0, 1), (2, 1, 0, 0), (2, 0, 0, 1)]
-        with pytest.raises(InternalInvariantViolationError):
-            Kernel._from_keys(indptr, packed(entries), data.copy(), 2)
 
     @pytest.mark.parametrize(
         "dense",
@@ -577,7 +552,7 @@ class TestReversalSectors:
             assert abs(report["lambda1"] - expected) <= 1e-12
             index = StateIndex.build(m)
             _, reps = build_sector(index, gibbs_distribution(index, params)[0], params, odd=True)
-            assert [index.paths[x].word for x in reps] == ([] if m == 1 else ["HI"])
+            assert [index.words[x].tobytes() for x in reps] == ([] if m == 1 else [b"HI"])
 
     @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
     @pytest.mark.parametrize("m", range(1, 9))
@@ -589,7 +564,7 @@ class TestReversalSectors:
         pi, _ = gibbs_distribution(index, params)
         swap = str.maketrans("UD", "DU")
         mirror = [index.index_of(TwoMotzkinPath(x.word[::-1].translate(swap)))
-                  for x in index.paths]
+                  for x in iter_paths(m)]
         expected = [x for x, rx in enumerate(mirror) if (x < rx if odd else x <= rx)]
         sector, reps = build_sector(index, pi, params, odd)
         assert reps.tolist() == expected

@@ -24,6 +24,7 @@ from treegibbs import (
 )
 from treegibbs.errors import (
     CapExceededError,
+    ConfigInvalidError,
     InvalidSymbolError,
     NegativePrefixError,
     UnbalancedError,
@@ -35,6 +36,7 @@ from treegibbs.paths import (
     RISE,
     SYMBOL_ORDER,
     D,
+    H,
     I,
     U,
     heights,
@@ -212,7 +214,7 @@ class TestByteEncoding:
 
     @pytest.mark.parametrize("m", range(9))
     def test_heights_of_every_word(self, m):
-        words = enumerate_paths(m).words
+        words = enumerate_paths(m)
         got = heights(words)
         assert got.dtype == np.int32 and got.shape == words.shape
         assert got.tolist() == [walk_heights(row.tobytes().decode()) for row in words]
@@ -224,13 +226,14 @@ class TestSymbolCounts:
         [("", (0, 0, 0, 0)), ("UHID", (1, 1, 1, 1)), ("UUDD", (2, 0, 0, 2))],
     )
     def test_examples(self, word, expected):
-        assert TwoMotzkinPath(word).counts() == expected
+        s = TwoMotzkinPath(word).symbols
+        assert (s.count(U), s.count(H), s.count(I), s.count(D)) == expected
 
     def test_counts_balance(self):
-        for x in enumerate_paths(6):
-            c = x.counts()
-            assert c.u == c.d
-            assert c.length == 6
+        for x in iter_paths(6):
+            s = x.symbols
+            assert s.count(U) == s.count(D)
+            assert s.count(U) + s.count(H) + s.count(I) + s.count(D) == 6
 
 
 class TestSkeleton:
@@ -252,40 +255,46 @@ class TestSkeleton:
             assert len(s) == 2 * k
             assert set(s) <= {"U", "D"}
             TwoMotzkinPath(s)  # validates from scratch
-            for x in map(index.paths.__getitem__, idx):
-                assert bytes(c for c in x.symbols if c in b"UD").decode() == s
+            for row in index.words[idx]:
+                assert bytes(c for c in row.tobytes() if c in b"UD").decode() == s
 
 
 class TestEnumeration:
     def test_m0_and_m1(self):
-        assert [p.word for p in enumerate_paths(0)] == [""]
-        assert [p.word for p in enumerate_paths(1)] == ["H", "I"]
+        assert [p.word for p in iter_paths(0)] == [""]
+        assert [p.word for p in iter_paths(1)] == ["H", "I"]
 
     def test_m2_matches_brute_force(self):
-        assert sorted(p.word for p in enumerate_paths(2)) == sorted(brute_force_words(2))
-        assert set(p.word for p in enumerate_paths(2)) == {"UD", "HH", "HI", "IH", "II"}
+        assert sorted(p.word for p in iter_paths(2)) == sorted(brute_force_words(2))
+        assert set(p.word for p in iter_paths(2)) == {"UD", "HH", "HI", "IH", "II"}
 
     def test_full_agreement_with_brute_force(self):
         for m in range(0, 8):
-            assert sorted(p.word for p in enumerate_paths(m)) == sorted(brute_force_words(m))
+            assert sorted(p.word for p in iter_paths(m)) == sorted(brute_force_words(m))
 
     @pytest.mark.parametrize("m", range(11))
     def test_matches_recursive_generator(self, m):
         # Same words in the same order, through every way of reading them.
         reference = recursive_words(m)
-        paths = enumerate_paths(m)
-        assert len(paths) == len(reference)
-        assert [p.symbols for p in paths] == reference
+        words = enumerate_paths(m)
+        assert [row.tobytes() for row in words] == reference
         assert [p.symbols for p in iter_paths(m)] == reference
-        assert [paths[i].symbols for i in range(-len(paths), len(paths))] == reference * 2
-        assert paths.words.shape == (len(reference), m)
-        assert paths.words.tobytes() == b"".join(reference)
-        assert not paths.words.flags.writeable
+        assert isinstance(words, np.ndarray) and words.dtype == np.uint8
+        assert words.shape == (catalan(m + 1), m) == (len(reference), m)
+        assert words.tobytes() == b"".join(reference)
+        assert not words.flags.writeable
+
+    def test_iter_paths_raises_on_the_call(self):
+        # Before any next(): a generator would defer the check to the first item.
+        with pytest.raises(CapExceededError):
+            iter_paths(13)
+        with pytest.raises(ConfigInvalidError):
+            iter_paths(-1)
 
     def test_lexicographic_order(self):
         rank = {"U": 0, "H": 1, "I": 2, "D": 3}
         for m in (3, 5):
-            words = [[rank[c] for c in p.word] for p in enumerate_paths(m)]
+            words = [[rank[c] for c in p.word] for p in iter_paths(m)]
             assert words == sorted(words)
 
     def test_counts_match_catalan_and_walk_dp(self):
@@ -295,7 +304,7 @@ class TestEnumeration:
             assert n == walk_count(m)
 
     def test_roundtrip_serialization(self):
-        for x in enumerate_paths(5):
+        for x in iter_paths(5):
             assert TwoMotzkinPath(x.word) == x
 
     def test_cap(self):
@@ -312,7 +321,7 @@ class TestRank:
 
     @pytest.mark.parametrize("m", range(13))
     def test_ranks_every_path_at_its_index(self, m):
-        ranks = rank(enumerate_paths(m).words)
+        ranks = rank(enumerate_paths(m))
         assert ranks.dtype == np.int64
         assert ranks.tolist() == list(range(catalan(m + 1)))
 
@@ -331,7 +340,7 @@ class TestRank:
     def test_a_byte_outside_the_alphabet_ranks_minus_one(self, byte):
         # Put at each position of every path of length 5, in place of each
         # of U, H, I and D.
-        words = enumerate_paths(5).words
+        words = enumerate_paths(5)
         spoiled = np.repeat(words, 5, axis=0)
         spoiled[np.arange(len(spoiled)), np.tile(np.arange(5), len(words))] = byte
         assert (rank(spoiled) == -1).all()
@@ -356,11 +365,11 @@ class TestCounting:
     @pytest.mark.parametrize("n,expected", [(0, 1), (3, 4), (5, 21)])
     def test_motzkin(self, n, expected):
         # The paths with one level colour are the Motzkin paths.
-        assert sum(I not in x.symbols for x in enumerate_paths(n)) == expected
+        assert sum(I not in x.symbols for x in iter_paths(n)) == expected
 
     def test_motzkin_matches_single_color_walks(self):
         for n in range(0, 11):
-            one_color = sum(I not in x.symbols for x in enumerate_paths(n))
+            one_color = sum(I not in x.symbols for x in iter_paths(n))
             assert one_color == walk_count(n, colors=1)
 
     def test_up_count_strata(self):
@@ -368,16 +377,16 @@ class TestCounting:
         for m in range(0, 9):
             by_k: dict[int, int] = {}
             for x in iter_paths(m):
-                k = x.counts().u
+                k = x.symbols.count(U)
                 by_k[k] = by_k.get(k, 0) + 1
             for k, cnt in by_k.items():
                 assert cnt == math.comb(m, 2 * k) * catalan(k) * 2 ** (m - 2 * k)
             # Restricting to one level color recovers the Motzkin stratum count.
             one_color: dict[int, int] = {}
             for x in iter_paths(m):
-                c = x.counts()
-                if c.i == 0:
-                    one_color[c.u] = one_color.get(c.u, 0) + 1
+                if x.symbols.count(I) == 0:
+                    k = x.symbols.count(U)
+                    one_color[k] = one_color.get(k, 0) + 1
             for k, cnt in one_color.items():
                 assert cnt == math.comb(m, 2 * k) * catalan(k)
 

@@ -10,11 +10,12 @@ from treegibbs import (
     decode,
     degree_profile,
     encode,
-    enumerate_paths,
+    iter_paths,
     text_to_tree,
     tree_to_text,
 )
 from treegibbs.errors import EmptyTreeError, UnbalancedParensError
+from treegibbs.paths import H, I, U
 
 from test_paths import CLONES, random_path_words
 
@@ -96,7 +97,7 @@ class TestBijection:
     def test_exhaustive_roundtrip(self):
         for m in range(0, 8):
             images = set()
-            for x in enumerate_paths(m):
+            for x in iter_paths(m):
                 t = decode(x)
                 assert t.edge_count == m + 1
                 assert encode(t) == x
@@ -106,11 +107,11 @@ class TestBijection:
 
     def test_degree_identities(self):
         for m in range(0, 8):
-            for x in enumerate_paths(m):
-                c = x.counts()
+            for x in iter_paths(m):
+                s = x.symbols
                 prof = degree_profile(decode(x))
-                assert prof.d1 == c.i
-                assert prof.d0 == c.u + c.h + 1
+                assert prof.d1 == s.count(I)
+                assert prof.d0 == s.count(U) + s.count(H) + 1
 
     @given(random_path_words(max_len=120))
     @settings(max_examples=150)
@@ -136,7 +137,7 @@ class TestTextFormat:
 
     def test_parse_inverse(self):
         for m in range(0, 7):
-            for x in enumerate_paths(m):
+            for x in iter_paths(m):
                 t = decode(x)
                 assert text_to_tree(tree_to_text(t)) == t
 
