@@ -20,9 +20,9 @@ acceptance factor 1/2, so the chain is lazy and its spectrum nonnegative.
 The four classes are written once, as one table of rules (``_move_rules``):
 per class, the symbols a proposal needs at its two positions, the symbols
 it writes there and its acceptance.  ``ChainState.advance`` is the one
-loop that applies moves; when asked, it reports how long it holds each
-word, and ``run`` reads its visit counts off those reports and emits each
-held word once, as one ``Sample`` over the emission times it covers.
+loop that applies moves; it reports the words it holds at the times
+asked for, and ``run`` reads its visit counts off those reports and emits
+each held word once, as one ``Sample`` over the emission times it covers.
 ``step`` is ``advance(1)``.  Since a proposal whose uniform is at or above
 its class's largest acceptance is rejected whatever the word, each block
 of draws is screened in numpy when it is drawn, and the loop visits only
@@ -58,11 +58,9 @@ from .trees import DegreeProfile
 _RNG_BLOCK = 4096
 
 # ``hold(word, since, now)``: ``word`` is the chain's state at times
-# ``since + 1`` to ``now``; see ``ChainState.advance``.
-Hold = Callable[[bytearray, int, int], None]
-# From this thin on, ``run`` without occupancy steps one ``advance(thin)``
-# per emission time instead of taking hold reports (see there).
-_PER_ROW_THIN = 128
+# ``since + 1`` to ``now``; it returns the first time after ``now`` at which
+# the caller next needs the held word.  See ``ChainState.advance``.
+Hold = Callable[[bytearray, int, int], int]
 # ``run`` reads the fields of its held words in batches of about this many
 # symbols, which bounds the memory they take at every m.  A queued sample
 # also holds about 140 bytes of Python objects, so a short word counts as
@@ -285,14 +283,19 @@ class ChainState:
         rule with a second, vectorized form there, and the test that injects
         every cell's draws into this loop ties the two together.
 
-        With ``hold``, every step of the call is reported as part of one
-        held segment: ``hold(word, since, now)`` says that ``word`` is the
-        state at times ``since + 1`` to ``now`` (time ``t`` is the state
-        after ``t`` steps of the chain, counted by ``step_count``).  The
-        segments are reported in order, are never empty and cover the call's
-        steps once: one ends before each move that changes the word and one
-        at the end of each block of draws, so a rejected step costs nothing.
-        ``hold`` must not change the word.
+        With ``hold``, the call reports the words it holds as segments:
+        ``hold(word, since, now)`` says that ``word`` is the state at times
+        ``since + 1`` to ``now`` (time ``t`` is the state after ``t`` steps
+        of the chain, counted by ``step_count``) and returns the first time
+        after ``now`` at which the caller next needs the word.  A segment
+        ends before each move that changes the word and at the end of each
+        block of draws, and is reported if it ends at or after the time last
+        asked for (the call's first one always is).  It starts at the latest
+        of the word's last change, the call's start and the last report's
+        end, so the reports come in order, are never empty and hold every
+        time asked for up to the call's end, and cover its steps once only
+        for a hook that always asks for ``now + 1``.  ``hold`` must not
+        change the word.
         """
         if steps <= 0:
             return
@@ -301,6 +304,7 @@ class ChainState:
         c = self._cursor
         t = self.step_count
         self.step_count += steps
+        since, need = t, t + 1  # need > since: no report is empty
         while steps:
             if c >= _RNG_BLOCK:
                 self._refill()
@@ -308,10 +312,8 @@ class ChainState:
             stop = min(c + steps, _RNG_BLOCK)
             steps -= stop - c
             # The draw at offset ``o`` of the block moves the chain from
-            # time ``base + o``; ``since`` is the time the word last changed
-            # (or the call or block began).
+            # time ``base + o``.
             base = t - c
-            since = t
             t += stop - c
             offsets = self._offsets
             a = bisect_left(offsets, c)
@@ -342,13 +344,14 @@ class ChainState:
                         continue
                 if hold is not None:
                     now = base + o
-                    if now != since:
-                        hold(w, since, now)
+                    if now >= need:
+                        need = hold(w, since, now)
                     since = now
                 w[i] = x
                 w[j] = y
-            if hold is not None and since != t:
-                hold(w, since, t)
+            if hold is not None and t >= need:
+                need = hold(w, since, t)
+                since = t
         self._cursor = c
 
 
@@ -507,14 +510,13 @@ def run(
     burn-in is recorded, independent of thinning; this is the estimator
     behind total-variation summaries and only makes sense at small m.
 
-    After burn-in one ``ChainState.advance`` call takes the whole run, and
-    both the samples and the visit counts are read off the segments it
-    holds each word for: a segment with emission times due is one sample,
-    and a segment adds its length to its word's count.  So the cost is a
-    hash per change of the word, not per step or per emission time.
-    Without occupancy and at a thin of at least ``_PER_ROW_THIN``,
-    ``advance(thin)`` is called once per emission time instead, and each
-    sample covers one.
+    After burn-in one ``ChainState.advance`` call takes the whole run, at
+    every thin, and both the samples and the visit counts are read off the
+    segments it holds each word for: a segment with emission times due is
+    one sample, and a segment adds its length to its word's count.  The
+    hook asks for the next emission time (with occupancy, the next time),
+    so a run makes at most one hook call per change of the word or block
+    of draws, and at a large thin about one per emission time.
 
     Collector calls are batched: samples are queued until their words
     hold about ``_FLUSH_SYMBOLS`` symbols (or the run ends), then one
@@ -554,10 +556,10 @@ def run(
         queued.clear()
         del words[:-1]
 
-    def emit(word: bytearray, since: int, now: int) -> None:
+    def emit(word: bytearray, since: int, now: int) -> int:
         nonlocal last, path, due
         if due > now:
-            return
+            return due
         # Most proposals are rejected, so a word is often held over several
         # emission times and samples: its path is made once.
         if word != last:
@@ -569,25 +571,17 @@ def run(
         due += len(steps) * thin
         if len(queued) >= batch:
             flush()
+        return due
 
-    def count(word: bytearray, since: int, now: int) -> None:
+    def count(word: bytearray, since: int, now: int) -> int:
         key = bytes(word)
         occupancy[key] = occupancy.get(key, 0) + now - since
         emit(word, since, now)
+        return now + 1
 
     state.advance(burn_in)
     emit(word, burn_in - 1, burn_in)
-    if track_occupancy or thin < _PER_ROW_THIN:
-        state.advance(total_steps - burn_in, count if track_occupancy else emit)
-    else:
-        # A hold is reported before every accepted move.  With no visits to
-        # count and rows this sparse, one call per row costs less than a hook
-        # call per change of the word: at m = 49 and m = 999 the two broke
-        # even between thin = 96 and 192 (2-core x86-64 host, Python 3.11).
-        while due <= total_steps:
-            state.advance(thin)
-            emit(word, due - 1, due)
-        state.advance(total_steps - state.step_count)
+    state.advance(total_steps - burn_in, count if track_occupancy else emit)
     if queued:
         flush()
     result.emitted = (total_steps - burn_in) // thin + 1

@@ -16,11 +16,13 @@ before it opens the part file.  So a command rejected at validation
 leaves nothing behind, and one that raises while writing, SIGINT's
 ``KeyboardInterrupt`` included, leaves no data file, part file, manifest
 or directory.  SIGTERM removes the part file and the directories made for
-it too, and then ends the process by SIGTERM as before; sent to the parent
-of a ``--chains`` run, it first ends the workers, which clean up the same
-way, and then removes the directories made for them.  Only SIGKILL can
-leave ``<out>.part``; no signal leaves a truncated ``<out>``, or a
-manifest for an unfinished run, since it is written last.
+it too, and then ends the process by SIGTERM as before.  A ``--chains``
+run is all or nothing: when a chain raises, or SIGTERM reaches the parent
+and it ends the workers, which clean up the same way, the parent removes
+the files of the chains that finished and the directories made for them
+once the workers have ended.  Only SIGKILL can leave ``<out>.part``; no
+signal leaves a truncated ``<out>``, or a manifest for an unfinished run,
+since it is written last.
 
 Exit codes: 0 success, 2 usage, 3 input validation or an i/o error (a
 closed stdout pipe, a full disk, an unwritable ``--out``, a stream the
@@ -207,10 +209,10 @@ def _output(out: Path | None):
             raise
 
 
-def _end_workers(made: list[Path]) -> None:
+def _end_workers(discard) -> None:
     """End this process's worker processes by SIGTERM, and wait for them:
-    each removes its part file as ``_output`` does, then ends.  Then remove
-    the directories ``made``, where empty."""
+    each removes its part file as ``_output`` does, then ends.  Then call
+    ``discard``."""
     import multiprocessing
 
     workers = multiprocessing.active_children()
@@ -218,7 +220,7 @@ def _end_workers(made: list[Path]) -> None:
         worker.terminate()
     for worker in workers:
         worker.join()
-    _remove_empty(made)
+    discard()
 
 
 def _write_json(payload: dict, out: Path | None) -> None:
@@ -369,9 +371,19 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
         # up can find another's part file there: the parent removes the ones
         # missing at the start, where empty, once every worker has ended.
         made = [d for d in out.parents if not d.exists()]
+        futures = []
+
+        def discard() -> None:
+            # A chain that did not finish has removed its part file, and a
+            # file an earlier run left in its place stays.
+            for f, file in zip(futures, files):
+                if f.done() and f.exception() is None:
+                    file.unlink(missing_ok=True)
+            _remove_empty(made)
+
         try:
             with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
-                futures = [
+                futures += [
                     pool.submit(_sample_chain, params, args, k, files[k])
                     for k in range(args.chains)
                 ]
@@ -379,10 +391,10 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
                 # it would keep ``_output`` from installing its own.  A SIGTERM
                 # that raised here instead would leave the pool's exit waiting
                 # for the workers' full runs.
-                with _on_sigterm(lambda: _end_workers(made)):
+                with _on_sigterm(lambda: _end_workers(discard)):
                     summaries = [f.result() for f in futures]
         except BaseException:
-            _remove_empty(made)  # the pool's exit has joined the workers
+            discard()  # the pool's exit has joined the workers
             raise
 
     summary = {

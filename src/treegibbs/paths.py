@@ -94,34 +94,24 @@ def _rank_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return below.reshape(m, (m + 2) * 256), step.ravel() * 256
 
 
-def _first_unmatched_up(symbols: bytes) -> int:
-    """Index of the first U whose matching D never arrives."""
-    # A U is unmatched iff the path never comes back down below the height
-    # it climbs to, so that height is the lowest from there to the end.
-    steps = np.frombuffer(symbols, np.uint8)
-    climbed = heights(steps)
-    lowest_ahead = np.minimum.accumulate(climbed[::-1])[::-1]
-    return int(np.flatnonzero((steps == U) & (climbed == lowest_ahead))[0])
-
-
 def _check_word(word: str | bytes | bytearray) -> bytes:
     """Validate a raw word and return its canonical bytes form."""
     # "replace" writes one "?" per character it cannot encode, so indices
     # into the bytes are indices into the str.
     symbols = word.encode("ascii", errors="replace") if isinstance(word, str) else bytes(word)
-    height = 0
+    opened = []  # the positions of the U steps not yet matched by a D
     for idx, s in enumerate(symbols):
         if s not in ALPHABET:
             given = word[idx] if isinstance(word, str) else chr(s)
             raise InvalidSymbolError(f"symbol {given!r} not in U/H/I/D", idx)
         if s == U:
-            height += 1
+            opened.append(idx)
         elif s == D:
-            height -= 1
-            if height < 0:
+            if not opened:
                 raise NegativePrefixError("path dips below the axis", idx)
-    if height != 0:
-        raise UnbalancedError("up steps exceed down steps", _first_unmatched_up(symbols))
+            opened.pop()
+    if opened:
+        raise UnbalancedError("up steps exceed down steps", opened[0])
     return symbols
 
 

@@ -439,6 +439,7 @@ def _counter(visits: dict[bytes, int]):
         assert since < now
         key = bytes(word)
         visits[key] = visits.get(key, 0) + now - since
+        return now + 1
 
     return hold
 
@@ -500,6 +501,21 @@ class TestOccupancy:
             assert res.final_path == reference.path
             assert _rng_position(states.pop()) == _rng_position(reference)
 
+    @pytest.mark.parametrize("track", [True, False])
+    @pytest.mark.parametrize("thin", [1, 128, 1000])
+    def test_run_takes_one_advance_after_burn_in(self, thin, track, monkeypatch):
+        calls = []
+
+        class Recorded(ChainState):
+            def advance(self, steps, hold=None):
+                calls.append((steps, hold is not None))
+                super().advance(steps, hold)
+
+        monkeypatch.setattr(chain_module, "ChainState", Recorded)
+        cfg = ChainConfig(m=6, params=resolve_params("turner04-cg"), seed=thin)
+        run(cfg, total_steps=9000, burn_in=17, thin=thin, track_occupancy=track)
+        assert calls == [(17, False), (9000 - 17, True)]
+
     @pytest.mark.parametrize("batch", ["default", "one sample"])
     def test_fields_read_in_batches_at_m999(self, batch, monkeypatch):
         # At m = 999 and thin 1 the default batch is 65 samples, so 9 000
@@ -550,6 +566,50 @@ class TestOccupancy:
         assert sum(whole_visits.values()) == 12_345
         assert _rng_position(split) == _rng_position(whole)
         assert _rng_position(plain) == _rng_position(whole)
+
+    @pytest.mark.parametrize("calls", [(12_345,), (0, 4096, 1, 4095, 4152, 1)],
+                             ids=["one-call", "split"])
+    @pytest.mark.parametrize("ask", ["every-97th", "block-starts"])
+    @pytest.mark.parametrize("m", [6, 49])
+    def test_sparse_hook_sees_each_time_it_asks_for(self, m, ask, calls):
+        # A hook that asks for a sparse set of times: every 97th after each
+        # report, or the first step of the next block of draws.  Every time
+        # it asks for within the call lies in a reported segment, and each
+        # segment is its word's hold since the word last changed, unless it
+        # starts where the call began or where the previous report ended a
+        # block.
+        block = chain_module._RNG_BLOCK
+        after = {"every-97th": lambda now: now + 97,
+                 "block-starts": lambda now: (now // block + 1) * block + 1}[ask]
+        cfg = ChainConfig(m=m, params=resolve_params("turner04-cg"), seed=m)
+        rows, _, reference = _reference_run(cfg, sum(calls), 0, 1)
+        words = [key for _, key, *_ in rows]  # the word at each time
+        state, plain = ChainState(cfg), ChainState(cfg)
+        start = 0
+        for n in calls:
+            reports = []
+
+            def hold(word, since, now):
+                reports.append((bytes(word), since, now))
+                return after(now)
+
+            state.advance(n, hold)
+            plain.advance(n)
+            end = start + n
+            if n:
+                assert reports[0][1] == start
+            for (_, _, before), (word, since, now) in zip([(b"", start, start)] + reports, reports):
+                assert before <= since < now <= end
+                assert all(words[t] == word for t in range(since + 1, now + 1))
+                if words[since] == word and since != start:
+                    assert since == before and since % block == 0
+            for (_, _, now), (_, _, later) in zip(reports, reports[1:]):
+                assert later >= after(now)
+            for _, _, now in reports:
+                if after(now) <= end:
+                    assert any(since < after(now) <= later for _, since, later in reports)
+            start = end
+        assert _rng_position(state) == _rng_position(plain) == _rng_position(reference)
 
 
 def _inject(state: ChainState, word: bytes, move: int, u1: float, u2: float, u3: float) -> bytes:

@@ -242,6 +242,44 @@ class TestSample:
                   "--seed", 5, "--chains", 2, "--out", tmp_path / "mc2.csv")
         assert (tmp_path / "mc2.chain0.csv").read_bytes() == f0.read_bytes()
 
+    # Python 3.12 warns on a fork while numpy's BLAS threads run.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier-file"])
+    def test_failed_chain_leaves_nothing_the_run_made(self, tmp_path, monkeypatch, capsys, earlier):
+        # Chain 1 raises and chains 0 and 2 finish: the run is all or
+        # nothing, so their files go too, then the directory made for them.
+        # A file an earlier run left for the failed chain stays.
+        import concurrent.futures
+        import multiprocessing
+        from functools import partial
+
+        import treegibbs.cli as cli_module
+
+        real_run = cli_module.run
+
+        def run(cfg, *args, **kwargs):
+            if cfg.chain_id == 1:
+                raise OSError("chain 1 fails")
+            return real_run(cfg, *args, **kwargs)
+
+        # Forked workers inherit the patched ``run``.
+        monkeypatch.setattr(cli_module, "run", run)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        out = tmp_path / "runs" / "s.csv"
+        if earlier:
+            out.parent.mkdir()
+            (out.parent / "s.chain1.csv").write_text("an earlier run\n")
+        argv = ["sample", "--n", "8", "--params", "turner04-cg", "--steps", "2000",
+                "--seed", "3", "--chains", "3", "--out", str(out)]
+        assert cli_module.main(argv) == 3
+        assert "chain 1 fails" in capsys.readouterr().err
+        if earlier:
+            assert [p.name for p in out.parent.iterdir()] == ["s.chain1.csv"]
+            assert (out.parent / "s.chain1.csv").read_text() == "an earlier run\n"
+        else:
+            assert list(tmp_path.iterdir()) == []
+
     def test_flag_validation(self, tmp_path):
         assert cli("sample", "--n", 5, "--steps", 10).returncode == 2  # no energy
         assert cli("sample", "--n", 5, "--alpha", 1, "--beta", 0,
@@ -422,9 +460,10 @@ class TestSample:
 
     # Pinned SHA-256 of (data file, summary JSON) for fixed runs: a change to
     # the move loop, its RNG use or the row format that alters one byte fails
-    # here.  The m > 8 runs take the emission-only path (at thin 1, one sample
-    # covers many rows; at thin 200, one ``advance(thin)`` per row), the
-    # m <= 8 runs the occupancy-tracking one (the last at thin 1).
+    # here.  Every run takes one ``advance`` call after burn-in; the m > 8
+    # runs ask it for emission times only (one sample covers the rows of a
+    # held word, at thin 1 and at thin 200 alike), the m <= 8 runs for every
+    # time, to count visits (the last at thin 1).
     GOLDEN = [
         (["--n", 12, "--params", "turner04-cg", "--steps", "2e4", "--burn-in", 100,
           "--thin", 3, "--seed", 7], "csv",
