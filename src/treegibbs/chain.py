@@ -152,7 +152,8 @@ def _lookup(rules: dict) -> list[list[tuple | None]]:
 @dataclass(frozen=True)
 class ChainConfig:
     """Immutable description of one chain run; the chain starts from
-    ``initial_state``, or from the all-H word when it is None."""
+    ``initial_state``, or from the all-H word when it is None.  ``seed`` is
+    in [0, 2**64): each seed there is its own stream."""
 
     m: int
     params: EnergyParams
@@ -163,6 +164,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ConfigInvalidError(f"chain requires m >= 1, got m={self.m}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigInvalidError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.initial_state is not None and len(self.initial_state) != self.m:
             raise ConfigInvalidError(
                 f"initial state has length {len(self.initial_state)}, expected {self.m}"
@@ -181,7 +184,7 @@ class ChainState:
         start = cfg.initial_state
         self.word = bytearray(b"H" * cfg.m if start is None else start.symbols)
         self.step_count = 0
-        seq = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, cfg.chain_id])
+        seq = np.random.SeedSequence([cfg.seed, cfg.chain_id])
         self._rng = np.random.Generator(np.random.PCG64(seq))
         self._cursor = _RNG_BLOCK  # forces a refill on first use
         # Per move class: the number of positions u1 picks i from, the bound

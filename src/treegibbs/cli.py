@@ -24,23 +24,33 @@ once the workers have ended.  Only SIGKILL can leave ``<out>.part``; no
 signal leaves a truncated ``<out>``, or a manifest for an unfinished run,
 since it is written last.
 
-Exit codes: 0 success, 2 usage, 3 input validation or an i/o error (a
-closed stdout pipe, a full disk, an unwritable ``--out``, a stream the
-command needs closed at start), 4 capacity (a size cap, or running out of
-memory), 5 internal-check failure; messages for a closed stderr are dropped.
+Every text the CLI takes from outside (``convert``'s stdin or ``--in``, a
+``--params`` file, a manifest) is read one way, whatever the host's
+locale: as UTF-8, with LF, CRLF and a lone CR each a line end,
+and a byte that is not UTF-8 kept as a lone surrogate, as Python reads
+argv, so that it fails validation like any other foreign symbol.
+
+Exit codes: 0 success, 2 usage, 3 input validation (a ``--seed`` outside
+[0, 2**64), and a byte that is not UTF-8 in ``convert``'s input or a
+``--params`` file, or where a manifest's JSON expects none, among them) or
+an i/o error (a closed stdout pipe, a full disk, an unwritable ``--out``,
+a stream the command needs closed at start), 4 capacity (a size cap, or
+running out of memory), 5 internal-check failure; messages for a closed
+stderr are dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import math
 import os
 import signal
 import sys
 import threading
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -354,8 +364,10 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
     _check_energy_range(params, args.n - 1)
     if args.chains < 1:
         raise ConfigInvalidError("--chains must be positive")
-    # Before any output is opened: a rejected run leaves no file behind.
+    # Before any output is opened or worker started: a rejected run leaves
+    # no file behind.  Each chain's own config checks the seed again.
     check_schedule(args.steps, args.burn_in, args.thin)
+    ChainConfig(m=args.n - 1, params=params, seed=args.seed)
     if out is None and args.chains > 1:
         raise _UsageError("--chains > 1 requires --out")
 
@@ -422,33 +434,48 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
 # convert
 
 
+def _converted(line: str, args) -> str:
+    """``line`` converted as ``convert``'s flags ask."""
+    if args.to == "trees":
+        tree = decode(TwoMotzkinPath(line))
+        if args.adjacency:
+            rendered = json.dumps(
+                {str(i): list(kids) for i, kids in enumerate(tree.children)},
+                separators=(",", ":"),
+            )
+        else:
+            rendered = tree_to_text(tree)
+    else:
+        tree = text_to_tree(line)
+        rendered = encode(tree).word
+    if args.degrees:
+        prof = degree_profile(tree)
+        rendered = f"{rendered}\t{prof.d0}\t{prof.d1}\t{prof.r}"
+    return rendered
+
+
 def cmd_convert(args, out: Path | None) -> tuple[int, dict]:
     failures = 0
-    with ExitStack() as stack:
-        source = _stream("stdin") if args.infile == "-" else stack.enter_context(open(args.infile))
-        sink = stack.enter_context(_output(out))
-        for lineno, raw in enumerate(source, start=1):
-            line = raw.rstrip("\n")
-            try:
-                if args.to == "trees":
-                    tree = decode(TwoMotzkinPath(line))
-                    if args.adjacency:
-                        rendered = json.dumps(
-                            {str(i): list(kids) for i, kids in enumerate(tree.children)},
-                            separators=(",", ":"),
-                        )
-                    else:
-                        rendered = tree_to_text(tree)
-                else:
-                    tree = text_to_tree(line)
-                    rendered = encode(tree).word
-                if args.degrees:
-                    prof = degree_profile(tree)
-                    rendered = f"{rendered}\t{prof.d0}\t{prof.d1}\t{prof.r}"
-                sink.write(rendered + "\n")
-            except (PathValidationError, UnbalancedParensError, EmptyTreeError) as exc:
-                failures += 1
-                _say(f"{args.infile}:{lineno}: {exc}\n")
+    stdin = args.infile == "-"
+    # stdin's bytes or the file's, decoded as the module docstring says.
+    source = io.TextIOWrapper(
+        _stream("stdin").buffer if stdin else open(args.infile, "rb"),
+        encoding="utf-8",
+        errors="surrogateescape",
+    )
+    try:
+        with _output(out) as sink:
+            for lineno, raw in enumerate(source, start=1):
+                try:
+                    sink.write(_converted(raw.rstrip("\n"), args) + "\n")
+                except (PathValidationError, UnbalancedParensError, EmptyTreeError) as exc:
+                    failures += 1
+                    _say(f"{args.infile}:{lineno}: {exc}\n")
+    finally:
+        if stdin:
+            source.detach()  # which leaves stdin open
+        else:
+            source.close()
     return EXIT_VALIDATION if failures else EXIT_OK, {"failures": failures}
 
 
@@ -527,9 +554,10 @@ def cmd_decompose(args, out: Path | None) -> tuple[int, dict]:
 
 
 def cmd_replay(args, out: Path | None) -> tuple[int, dict]:
+    text = Path(args.manifest).read_text(encoding="utf-8", errors="surrogateescape")
     try:
-        manifest = json.loads(Path(args.manifest).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ConfigInvalidError(f"{args.manifest} is not JSON: {exc}") from None
     recorded = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(recorded, list) and recorded and all(isinstance(a, str) for a in recorded)):

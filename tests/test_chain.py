@@ -171,6 +171,13 @@ class TestChainConfig:
         cfg = ChainConfig(m=5, params=ZERO, seed=1)
         assert ChainState(cfg).path.word == "HHHHH"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        # Masked to 64 bits, 2**64 would replay seed 0's stream and -1 that
+        # of 2**64 - 1.
+        with pytest.raises(ConfigInvalidError, match="seed must be in"):
+            ChainConfig(m=3, params=ZERO, seed=seed)
+
 
 class TestSampler:
     def test_step_mutates_and_counts(self):

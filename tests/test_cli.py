@@ -290,6 +290,28 @@ class TestSample:
         assert cli("sample", "--n", 5, "--params", "nope").returncode == 3
 
     @pytest.mark.parametrize("chains", [1, 2])
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_outside_64_bits_leaves_nothing(self, tmp_path, seed, chains):
+        # Masked to 64 bits, 2**64 replayed seed 0's stream and -1 that of
+        # 2**64 - 1; now each is rejected before any file or worker.
+        res = cli("sample", "--n", 6, "--alpha", 0, "--beta", 0, "--steps", 20,
+                  "--seed", seed, "--chains", chains, "--out", tmp_path / "d" / "s.csv")
+        assert res.returncode == 3, res.stderr
+        assert res.stderr == f"validation error: seed must be in [0, 2**64), got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_top_seed_keeps_its_stream(self):
+        import hashlib
+
+        res = subprocess.run(CLI + ["sample", "--n", "6", "--alpha", "0", "--beta", "0",
+                                    "--steps", "20", "--seed", str(2**64 - 1)],
+                             capture_output=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout).hexdigest() == (
+            "998d3519506309a8f3ee12b93b0b3ce2b8fb2c7f30a1005c8bc6cf5347e34ec9"
+        )
+
+    @pytest.mark.parametrize("chains", [1, 2])
     @pytest.mark.parametrize(
         "schedule",
         [("--steps", 100, "--thin", 0), ("--steps", 100, "--burn-in", 200)],
@@ -517,6 +539,15 @@ class TestSample:
                   "--out", tmp_path / "s.csv")
         assert res.returncode == 0, res.stderr
 
+    def test_undecodable_params_file_is_one_validation_error(self, tmp_path):
+        pf = tmp_path / "p.txt"
+        pf.write_bytes(b"alpha=0.0\r\nbeta=0.0\xff\r\n")
+        res = cli("sample", "--n", 3, "--params", pf, "--steps", 10,
+                  "--out", tmp_path / "d" / "s.csv")
+        assert res.returncode == 3
+        assert res.stderr == f"validation error: {pf}:2: '0.0\\udcff' is not a number\n"
+        assert list(tmp_path.iterdir()) == [pf]
+
     @pytest.mark.parametrize(
         "coefficients",
         [("--alpha", "nan", "--beta", 0), ("--alpha", "inf", "--beta", 0),
@@ -670,11 +701,43 @@ class TestConvert:
     def test_non_ascii_symbol_is_named(self, monkeypatch, capsys):
         from treegibbs.cli import main
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO("UD\nUé\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO("UD\nUé\n".encode())))
         assert main(["convert", "--to", "trees"]) == 3
         out, err = capsys.readouterr()
         assert out == "(()())\n"
         assert err == "-:2: symbol 'é' not in U/H/I/D (index 1)\n"
+
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"UD\nHH\n", b"UD\r\nHH\r\n", b"UD\rHH\r", b"UD\nU\xffD\nHH\n",
+         "UD\nU\u00e9\nHH\n".encode()],
+        ids=["lf", "crlf", "lone-cr", "byte-ff", "utf8-e-acute"],
+    )
+    def test_stdin_and_in_read_alike(self, tmp_path, data):
+        # Every newline convention is a line end, and a byte that is not
+        # UTF-8 is a foreign symbol on its line, through either route.
+        infile = tmp_path / "in.txt"
+        infile.write_bytes(data)
+        runs = [
+            subprocess.run(CLI + ["convert", "--to", "trees", *route], input=data,
+                           capture_output=True, timeout=300)
+            for route in ([], ["--in", str(infile)])
+        ]
+        piped, named = runs
+        assert piped.stdout == named.stdout == b"(()())\n()()()\n"
+        assert piped.returncode == named.returncode == (0 if b"\nU" not in data else 3)
+        assert piped.stderr.replace(b"-:", str(infile).encode() + b":", 1) == named.stderr
+        assert b"Traceback" not in piped.stderr + named.stderr
+
+    def test_stdin_stays_open(self, monkeypatch, capsys):
+        from treegibbs.cli import main
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"UD\n"))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["convert", "--to", "trees"]) == 0
+        assert capsys.readouterr().out == "(()())\n"
+        assert not stdin.closed and not stdin.buffer.closed
 
 
 class TestExact:
@@ -952,6 +1015,16 @@ class TestReplayErrors:
         res = cli("replay", old)
         assert res.returncode == 2
         assert "--method" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_undecodable_argv_is_a_validation_error(self, tmp_path):
+        # A byte that is not UTF-8 is read as Python reads argv, so the
+        # recorded command rejects it as it would on the command line.
+        bad = tmp_path / "m.json"
+        bad.write_bytes(b'{"argv": ["exact", "pi", "--m", "2", "--params", "\xff"]}')
+        res = cli("replay", bad)
+        assert res.returncode == 3
+        assert res.stderr.startswith("validation error: '\\udcff' is neither")
         assert "Traceback" not in res.stderr
 
     def test_seed_flag_manifest_is_a_usage_error(self, tmp_path):
