@@ -707,7 +707,6 @@ class TestConvert:
         assert out == "(()())\n"
         assert err == "-:2: symbol 'é' not in U/H/I/D (index 1)\n"
 
-
     @pytest.mark.parametrize(
         "data",
         [b"UD\nHH\n", b"UD\r\nHH\r\n", b"UD\rHH\r", b"UD\nU\xffD\nHH\n",
@@ -719,12 +718,11 @@ class TestConvert:
         # UTF-8 is a foreign symbol on its line, through either route.
         infile = tmp_path / "in.txt"
         infile.write_bytes(data)
-        runs = [
+        piped, named = (
             subprocess.run(CLI + ["convert", "--to", "trees", *route], input=data,
                            capture_output=True, timeout=300)
             for route in ([], ["--in", str(infile)])
-        ]
-        piped, named = runs
+        )
         assert piped.stdout == named.stdout == b"(()())\n()()()\n"
         assert piped.returncode == named.returncode == (0 if b"\nU" not in data else 3)
         assert piped.stderr.replace(b"-:", str(infile).encode() + b":", 1) == named.stderr
