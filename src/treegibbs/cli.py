@@ -16,19 +16,21 @@ before it opens the part file.  So a command rejected at validation
 leaves nothing behind, and one that raises while writing, SIGINT's
 ``KeyboardInterrupt`` included, leaves no data file, part file, manifest
 or directory.  SIGTERM removes the part file and the directories made for
-it too, and then ends the process by SIGTERM as before.  A ``--chains``
-run is all or nothing: when a chain raises, or SIGTERM reaches the parent
-and it ends the workers, which clean up the same way, the parent removes
-the files of the chains that finished and the directories made for them
-once the workers have ended.  Only SIGKILL can leave ``<out>.part``; no
+it too, and then ends the process by SIGTERM, as its default action would.
+A ``--chains`` run is all or nothing, and the first chain to raise ends it
+at once, as SIGTERM to the parent does: the parent ends the other workers
+by SIGTERM, which clean up the same way, removes the files of the chains
+that finished and the directories made for them, and then exits with that
+chain's error, or by SIGTERM.  Only SIGKILL can leave ``<out>.part``; no
 signal leaves a truncated ``<out>``, or a manifest for an unfinished run,
 since it is written last.
 
 Every text the CLI takes from outside (``convert``'s stdin or ``--in``, a
 ``--params`` file, a manifest) is read one way, whatever the host's
-locale: as UTF-8, with LF, CRLF and a lone CR each a line end,
-and a byte that is not UTF-8 kept as a lone surrogate, as Python reads
-argv, so that it fails validation like any other foreign symbol.
+locale: as UTF-8 past a leading byte-order mark, with LF, CRLF and a lone
+CR each a line end, and a byte that is not UTF-8 kept as a lone surrogate,
+as Python reads argv, so that it fails validation like any other foreign
+symbol.
 
 Exit codes: 0 success, 2 usage, 3 input validation (a ``--seed`` outside
 [0, 2**64), and a byte that is not UTF-8 in ``convert``'s input or a
@@ -160,13 +162,15 @@ def _remove_empty(dirs: list[Path]) -> None:
 
 
 @contextmanager
-def _on_sigterm(cleanup):
-    """Within the block, SIGTERM runs ``cleanup`` and then ends the process
-    by SIGTERM, as the signal's default action would have at once.
+def _unfinished(cleanup):
+    """Run ``cleanup`` when the block does not finish: on any exception,
+    ``KeyboardInterrupt`` included, before it propagates, and on SIGTERM,
+    before the process ends by SIGTERM, as the signal's default action
+    would have ended it at once.
 
-    The handler is installed only over that default action, and only in the
-    main thread, the one where Python runs signal handlers; elsewhere the
-    block runs with SIGTERM as it is.
+    The SIGTERM handler is installed only over that default action, and
+    only in the main thread, the one where Python runs signal handlers;
+    elsewhere the block runs with SIGTERM as it is.
     """
 
     def handler(signum, frame):
@@ -182,6 +186,9 @@ def _on_sigterm(cleanup):
         signal.signal(signal.SIGTERM, handler)
     try:
         yield
+    except BaseException:
+        cleanup()
+        raise
     finally:
         if installed:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -208,29 +215,11 @@ def _output(out: Path | None):
         part.unlink(missing_ok=True)
         _remove_empty(made)
 
-    with _on_sigterm(remove):
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with open(part, "w", newline="") as sink:
-                yield sink
-            os.replace(part, out)
-        except BaseException:
-            remove()
-            raise
-
-
-def _end_workers(discard) -> None:
-    """End this process's worker processes by SIGTERM, and wait for them:
-    each removes its part file as ``_output`` does, then ends.  Then call
-    ``discard``."""
-    import multiprocessing
-
-    workers = multiprocessing.active_children()
-    for worker in workers:
-        worker.terminate()
-    for worker in workers:
-        worker.join()
-    discard()
+    with _unfinished(remove):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with open(part, "w", newline="") as sink:
+            yield sink
+        os.replace(part, out)
 
 
 def _write_json(payload: dict, out: Path | None) -> None:
@@ -375,7 +364,8 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
         files = [out]
         summaries = [_sample_chain(params, args, 0, out)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
         ext = "csv" if args.format == "csv" else "jsonl"
         files = [out.with_name(f"{out.stem}.chain{k}.{ext}") for k in range(args.chains)]
@@ -383,31 +373,36 @@ def cmd_sample(args, out: Path | None) -> tuple[int, dict]:
         # up can find another's part file there: the parent removes the ones
         # missing at the start, where empty, once every worker has ended.
         made = [d for d in out.parents if not d.exists()]
-        futures = []
+        # A chain that finishes renames a new file onto its place; one that
+        # does not leaves there what it found, an earlier run's file or none.
+        found = [f.stat().st_ino if f.exists() else None for f in files]
 
-        def discard() -> None:
-            # A chain that did not finish has removed its part file, and a
-            # file an earlier run left in its place stays.
-            for f, file in zip(futures, files):
-                if f.done() and f.exception() is None:
-                    file.unlink(missing_ok=True)
+        def end() -> None:
+            # Each worker ends by SIGTERM, removing its part file as
+            # ``_output`` does.
+            workers = multiprocessing.active_children()
+            for worker in workers:
+                worker.terminate()
+            for worker in workers:
+                worker.join()
+            for file, inode in zip(files, found):
+                with suppress(FileNotFoundError):
+                    if file.stat().st_ino != inode:
+                        file.unlink()
             _remove_empty(made)
 
-        try:
-            with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
-                futures += [
-                    pool.submit(_sample_chain, params, args, k, files[k])
-                    for k in range(args.chains)
-                ]
-                # Installed once the workers are started: one that inherited
-                # it would keep ``_output`` from installing its own.  A SIGTERM
-                # that raised here instead would leave the pool's exit waiting
-                # for the workers' full runs.
-                with _on_sigterm(lambda: _end_workers(discard)):
-                    summaries = [f.result() for f in futures]
-        except BaseException:
-            discard()  # the pool's exit has joined the workers
-            raise
+        with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(_sample_chain, params, args, k, files[k])
+                       for k in range(args.chains)]
+            # Entered once the workers are started: one that inherited the
+            # SIGTERM handler would keep ``_output`` from installing its own.
+            # Inside the pool, so that the other workers end before its exit
+            # would wait for their full runs.
+            with _unfinished(end):
+                done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+                # Unless every chain is done, one in ``done`` raised: the
+                # first in chain order raises here.
+                summaries = [f.result() for f in futures if f in done]
 
     summary = {
         "n": args.n,
@@ -455,12 +450,14 @@ def _converted(line: str, args) -> str:
 
 
 def cmd_convert(args, out: Path | None) -> tuple[int, dict]:
+    if args.adjacency and args.to == "paths":
+        raise _UsageError("--adjacency applies to --to trees only")
     failures = 0
     stdin = args.infile == "-"
     # stdin's bytes or the file's, decoded as the module docstring says.
     source = io.TextIOWrapper(
         _stream("stdin").buffer if stdin else open(args.infile, "rb"),
-        encoding="utf-8",
+        encoding="utf-8-sig",
         errors="surrogateescape",
     )
     try:
@@ -554,7 +551,7 @@ def cmd_decompose(args, out: Path | None) -> tuple[int, dict]:
 
 
 def cmd_replay(args, out: Path | None) -> tuple[int, dict]:
-    text = Path(args.manifest).read_text(encoding="utf-8", errors="surrogateescape")
+    text = Path(args.manifest).read_text(encoding="utf-8-sig", errors="surrogateescape")
     try:
         manifest = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -599,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--adjacency",
         action="store_true",
-        help="emit trees as JSON adjacency (node id -> ordered child ids)",
+        help="with --to trees, emit trees as JSON adjacency (node id -> ordered child ids)",
     )
     p.set_defaults(func=cmd_convert)
 

@@ -139,15 +139,16 @@ def parse_params_text(text: str, source: str = "<params>") -> EnergyParams:
 def resolve_params(name_or_path: str) -> EnergyParams:
     """Resolve a ``--params`` value: a builtin set name or a file path.
 
-    A file is read as UTF-8 with any newline convention, a byte that is not
-    UTF-8 kept as a lone surrogate, so that its line fails to parse.
+    A file is read as UTF-8 with any newline convention, past a leading
+    byte-order mark, a byte that is not UTF-8 kept as a lone surrogate, so
+    that its line fails to parse.
     """
     if name_or_path in BUILTIN_NNTM:
         return derive_params(BUILTIN_NNTM[name_or_path])
     path = Path(name_or_path)
     if path.is_file():
         return parse_params_text(
-            path.read_text(encoding="utf-8", errors="surrogateescape"), source=str(path)
+            path.read_text(encoding="utf-8-sig", errors="surrogateescape"), source=str(path)
         )
     known = ", ".join(sorted(BUILTIN_NNTM))
     raise UnknownParameterSetError(

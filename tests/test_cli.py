@@ -480,6 +480,34 @@ class TestSample:
         assert status == -signal.SIGTERM
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_chain_ends_the_run_at_once(self, tmp_path, failing):
+        # A directory in the place of one chain's part file fails that chain
+        # at once; the parent ends the other chain long before its run would
+        # end, leaves only that directory, and no worker outlives it.
+        blocker = tmp_path / "d" / f"s.chain{failing}.csv.part"
+        blocker.mkdir(parents=True)
+        proc = subprocess.Popen(
+            CLI + ["sample", "--n", "50", "--params", "turner04-cg", "--steps", "1e9",
+                   "--thin", "1000", "--chains", "2", "--out", str(tmp_path / "d" / "s.csv")],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=20)
+            assert proc.returncode == 3, err
+            assert err.startswith("i/o error: ") and err.endswith(f": '{blocker}'\n"), err
+            assert err.count("\n") == 1, err
+            assert sorted(tmp_path.rglob("*")) == [blocker.parent, blocker]
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
     # Pinned SHA-256 of (data file, summary JSON) for fixed runs: a change to
     # the move loop, its RNG use or the row format that alters one byte fails
     # here.  Every run takes one ``advance`` call after burn-in; the m > 8
@@ -538,6 +566,15 @@ class TestSample:
         res = cli("sample", "--n", 3, "--params", pf, "--steps", 10,
                   "--out", tmp_path / "s.csv")
         assert res.returncode == 0, res.stderr
+
+    def test_params_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        pf = tmp_path / "p.txt"
+        pf.write_bytes(b"\xef\xbb\xbfalpha=0.5\r\nbeta=-0.5\r\n")
+        res = cli("sample", "--n", 3, "--params", pf, "--steps", 10,
+                  "--out", tmp_path / "s.csv")
+        assert res.returncode == 0, res.stderr
+        summary = json.loads((tmp_path / "s.csv.summary.json").read_text())
+        assert (summary["alpha"], summary["beta"]) == (0.5, -0.5)
 
     def test_undecodable_params_file_is_one_validation_error(self, tmp_path):
         pf = tmp_path / "p.txt"
@@ -727,6 +764,34 @@ class TestConvert:
         assert piped.returncode == named.returncode == (0 if b"\nU" not in data else 3)
         assert piped.stderr.replace(b"-:", str(infile).encode() + b":", 1) == named.stderr
         assert b"Traceback" not in piped.stderr + named.stderr
+
+    @pytest.mark.parametrize("route", ["stdin", "in"])
+    @pytest.mark.parametrize(
+        "data,code,err",
+        [(b"\xef\xbb\xbfUD\r\nHH\r\n", 0, ""),
+         (b"UD\n\xef\xbb\xbfHH\n", 3, ":2: symbol '\\ufeff' not in U/H/I/D (index 0)\n")],
+        ids=["leading-bom", "later-bom"],
+    )
+    def test_byte_order_mark(self, tmp_path, route, data, code, err):
+        # A byte-order mark that starts the input is skipped; one later in
+        # it is a foreign symbol on its line.
+        infile = tmp_path / "in.txt"
+        infile.write_bytes(data)
+        flags = ["--in", str(infile)] if route == "in" else []
+        res = subprocess.run(CLI + ["convert", "--to", "trees", *flags], input=data,
+                             capture_output=True, timeout=300)
+        source = str(infile) if route == "in" else "-"
+        assert res.returncode == code
+        assert res.stdout == (b"(()())\n()()()\n" if code == 0 else b"(()())\n")
+        assert res.stderr.decode() == (source + err if err else "")
+
+    def test_adjacency_with_paths_is_a_usage_error(self, tmp_path):
+        # Rejected before the input is read or --out is opened.
+        for flags in (["--in", tmp_path / "missing.txt", "--out", tmp_path / "d" / "o.txt"], []):
+            res = cli("convert", "--to", "paths", "--adjacency", *flags, input_text="(()())\n")
+            assert (res.returncode, res.stdout) == (2, "")
+            assert res.stderr == "usage error: --adjacency applies to --to trees only\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdin_stays_open(self, monkeypatch, capsys):
         from treegibbs.cli import main
@@ -1024,6 +1089,14 @@ class TestReplayErrors:
         assert res.returncode == 3
         assert res.stderr.startswith("validation error: '\\udcff' is neither")
         assert "Traceback" not in res.stderr
+
+    def test_manifest_may_start_with_a_byte_order_mark(self, tmp_path):
+        argv = ["exact", "pi", "--m", "2", "--alpha", "0", "--beta", "0"]
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b"\xef\xbb\xbf" + json.dumps({"argv": argv}).encode())
+        res = cli("replay", manifest)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == cli(*argv).stdout
 
     def test_seed_flag_manifest_is_a_usage_error(self, tmp_path):
         old = tmp_path / "m.json"

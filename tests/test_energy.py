@@ -173,3 +173,12 @@ class TestParamsFiles:
         assert resolve_params(str(f)) == EnergyParams(0.5, -0.5, 0.0, 0.0)
         with pytest.raises(UnknownParameterSetError):
             resolve_params("no-such-set")
+
+    def test_resolve_file_with_byte_order_mark(self, tmp_path):
+        # A leading mark is skipped; one past the start fails its line.
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"\xef\xbb\xbfalpha=0.5\r\nbeta=-0.5\r\n")
+        assert resolve_params(str(f)) == EnergyParams(0.5, -0.5, 0.0, 0.0)
+        f.write_bytes(b"alpha=0.5\n\xef\xbb\xbfbeta=-0.5\n")
+        with pytest.raises(ConfigInvalidError, match=":2: "):
+            resolve_params(str(f))
